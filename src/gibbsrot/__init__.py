@@ -18,7 +18,8 @@ Modules
 ``core``
     Matrix conversions, rotation action, inversion, the pi encoding.
 ``algebra``
-    Composition of rotations, including the singular (half-turn) cases.
+    Composition of rotations on one homogeneous kernel, half turns
+    included, and its log-depth prefix scan over chains.
 ``cayley``
     The Cayley map between orthogonal and antisymmetric matrices of any
     size, and its 3D specialization onto Gibbs vectors.
@@ -31,7 +32,7 @@ Modules
     The ``gibbsrot`` command-line tool built from the above.
 """
 
-from .algebra import TOL_COMPOSE_SINGULAR, compose, compose_sequence
+from .algebra import TOL_COMPOSE_SINGULAR, compose, compose_scan, compose_sequence
 from .alignment import (
     TOL_ALIGN_SINGULAR,
     TOL_LEN,
@@ -118,6 +119,7 @@ __all__ = [
     "pi_encode",
     # algebra
     "compose",
+    "compose_scan",
     "compose_sequence",
     # cayley
     "SkewMatrix",

@@ -11,157 +11,164 @@ so on column vectors ``compose(r, s)`` applies ``s`` first, then ``r``.
 Equivalently it matches the quaternion product ``q(s) * q(r)`` under the
 ratio map.
 
-A denominator near zero means the composite is a half turn; the result
-comes back pi-encoded along the numerator direction.  Pi-encoded operands
-are routed through the matrix product, which is exact there.
+Every composition runs on one kernel.  A Gibbs vector ``r`` is the ratio
+``v / w`` of a homogeneous pair ``(w : v)``; each row is mapped to
+``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``, and half turns to ``w = 0``
+exactly.  Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``,
+so the result never vanishes) and are divided once at the end: ``v / w``,
+or the half-turn encoding along ``v`` where ``w`` vanished.  The same
+kernel with ``w = 1`` is the textbook quotient rule, exact on
+``fractions.Fraction``.  :func:`compose_scan` chains the kernel into an
+inclusive prefix scan of ``ceil(log2 n)`` batched rounds.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    _as_vec3,
-    _pi_mask,
-    gibbs_to_matrix,
-    matrix_to_gibbs,
-    pi_encode,
-)
+from .core import PI_ENCODING_THRESHOLD, _as_vec3, _pi_mask, pi_encode
 from .errors import InvalidInputError
 
-__all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_sequence"]
+__all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"]
 
-# Relative threshold deciding that the composition denominator vanished
-# (the composite is a half turn).
+# Relative threshold deciding that the composite's w vanished (the
+# composite is a half turn).
 TOL_COMPOSE_SINGULAR = 1e-12
+
+# |r| >= PI_ENCODING_THRESHOLD needs max|component| >= threshold / sqrt(3),
+# so only rows at or above half the threshold go through the half-turn mask.
+_HALF_TURN_SCREEN = PI_ENCODING_THRESHOLD / 2.0
+
+
+def _homogeneous(r: np.ndarray):
+    """Homogeneous pairs ``(w, v)`` of (n, 3) Gibbs rows, max-abs 1 each.
+
+    Finite rows map to ``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``.  Half
+    turns (pi-encoded rows and rows with infinite components) get
+    ``w = 0`` exactly; infinite rows keep only the signs of their
+    infinite components.  Elementary arithmetic only.
+    """
+    m = np.abs(r).max(axis=-1)
+    c = np.maximum(m, 1.0)
+    w = 1.0 / c
+    with np.errstate(invalid="ignore"):
+        v = r / c[:, None]
+    big = np.flatnonzero(m >= _HALF_TURN_SCREEN)
+    if big.size:
+        w[big[_pi_mask(r[big])]] = 0.0
+        inf = big[np.isinf(m[big])]
+        v[inf] = np.where(np.isinf(r[inf]), np.sign(r[inf]), 0.0)
+    return w, v
+
+
+def _hamilton(w1, v1, w2, v2):
+    """Hamilton product of homogeneous pairs in :func:`compose` order:
+    the pair for "apply ``(w2 : v2)``, then ``(w1 : v1)``".
+
+    ``w = w1 w2 - v1.v2`` and ``v = w2 v1 + w1 v2 - v1 x v2``.
+    Elementary arithmetic only; exact on ``fractions.Fraction``.
+    """
+    x1, y1, z1 = v1[..., 0], v1[..., 1], v1[..., 2]
+    x2, y2, z2 = v2[..., 0], v2[..., 1], v2[..., 2]
+    w = w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2)
+    v = np.stack(
+        [
+            w2 * x1 + w1 * x2 - (y1 * z2 - z1 * y2),
+            w2 * y1 + w1 * y2 - (z1 * x2 - x1 * z2),
+            w2 * z1 + w1 * z2 - (x1 * y2 - y1 * x2),
+        ],
+        axis=-1,
+    )
+    return w, v
+
+
+def _dehomogenize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Gibbs rows ``v / w`` of (n,) / (n, 3) pairs; the half-turn
+    encoding along ``v`` where ``w^2 <= tol^2 (w^2 + |v|^2)``."""
+    ww = w * w
+    tol_sq = TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR
+    singular = ww <= tol_sq * (ww + np.einsum("ni,ni->n", v, v))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = v / w[:, None]
+    if singular.any():
+        out[singular] = pi_encode(v[singular])
+    return out
 
 
 def _compose_direct(r, s):
-    """Textbook rational composition, unscaled.
+    """Textbook rational composition: the Hamilton kernel with ``w = 1``.
 
     Exact on ``fractions.Fraction`` inputs.  Elementary arithmetic only;
-    no overflow guard, so float callers use :func:`_compose_scaled`.
+    no overflow guard and no half-turn encode, so float callers use
+    :func:`compose`.
     """
-    x1, y1, z1 = r[..., 0], r[..., 1], r[..., 2]
-    x2, y2, z2 = s[..., 0], s[..., 1], s[..., 2]
-    cx = y1 * z2 - z1 * y2
-    cy = z1 * x2 - x1 * z2
-    cz = x1 * y2 - y1 * x2
-    num = np.stack([x1 + x2 - cx, y1 + y2 - cy, z1 + z2 - cz], axis=-1)
-    den = 1 - (x1 * x2 + y1 * y2 + z1 * z2)
-    return num / den[..., None]
-
-
-def _compose_scaled(r: np.ndarray, s: np.ndarray):
-    """Overflow-guarded composition pieces for finite-regime floats.
-
-    Both operands are divided by ``a = max(|r|_inf, 1)`` and
-    ``b = max(|s|_inf, 1)``; numerator and denominator are then formed
-    already divided by ``a*b``, which leaves the quotient unchanged and
-    every intermediate in range.  Elementary arithmetic only.
-
-    Returns ``(num, den, singular, degenerate)`` where ``num/den`` is the
-    composite, ``singular`` marks vanishing denominators (half-turn
-    composites; encode along ``num``) and ``degenerate`` marks the rows
-    where the numerator vanished as well (resolve via matrices).
-    """
-    a = np.maximum(np.abs(r).max(axis=-1), 1.0)
-    b = np.maximum(np.abs(s).max(axis=-1), 1.0)
-    with np.errstate(under="ignore"):
-        rp = r / a[..., None]
-        sp = s / b[..., None]
-        inv_ab = (1.0 / a) * (1.0 / b)
-        x1, y1, z1 = rp[..., 0], rp[..., 1], rp[..., 2]
-        x2, y2, z2 = sp[..., 0], sp[..., 1], sp[..., 2]
-        cx = y1 * z2 - z1 * y2
-        cy = z1 * x2 - x1 * z2
-        cz = x1 * y2 - y1 * x2
-        ib = 1.0 / b
-        ia = 1.0 / a
-        num = np.stack(
-            [
-                x1 * ib + x2 * ia - cx,
-                y1 * ib + y2 * ia - cy,
-                z1 * ib + z2 * ia - cz,
-            ],
-            axis=-1,
-        )
-        dot = x1 * x2 + y1 * y2 + z1 * z2
-        den = inv_ab - dot
-        # Same comparison as |1 - r.s| <= tol * (1 + |r||s|), squared to stay
-        # square-root free; the squared-sum scale is within a factor of two.
-        rr = x1 * x1 + y1 * y1 + z1 * z1
-        ss = x2 * x2 + y2 * y2 + z2 * z2
-        scale_sq = inv_ab * inv_ab + rr * ss
-        tol_sq = TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR
-        singular = den * den <= tol_sq * scale_sq
-        numsq = (num * num).sum(axis=-1)
-        degenerate = singular & (numsq <= tol_sq * scale_sq)
-    return num, den, singular, degenerate
-
-
-def _compose_via_matrices(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    prod = gibbs_to_matrix(r) @ gibbs_to_matrix(s)
-    return matrix_to_gibbs(prod, check=False)
+    w, v = _hamilton(1, r, 1, s)
+    return v / w[..., None]
 
 
 def compose(r, s) -> np.ndarray:
     """Gibbs vector of the composite rotation (``s`` first, then ``r``).
 
     Satisfies ``gibbs_to_matrix(compose(r, s)) ==
-    gibbs_to_matrix(r) @ gibbs_to_matrix(s)`` to rounding.  Half-turn
-    composites come back pi-encoded; half-turn operands are handled via
-    the matrix product.  Never returns NaN for valid inputs.
+    gibbs_to_matrix(r) @ gibbs_to_matrix(s)`` to rounding.  Operands
+    broadcast; half-turn operands are accepted and half-turn composites
+    come back pi-encoded.  Never returns NaN for valid inputs.
 
     >>> compose([1.0, 0, 0], [0, 1.0, 0]).tolist()
     [1.0, 1.0, -1.0]
     """
     a = _as_vec3(r, "r")
     b = _as_vec3(s, "s")
-    a, b = np.broadcast_arrays(a, b)
-    shape = a.shape
-    ra = a.reshape(-1, 3)
-    sb = b.reshape(-1, 3)
-    out = np.empty_like(ra, dtype=float)
+    try:
+        a, b = np.broadcast_arrays(a, b)
+    except ValueError:
+        raise InvalidInputError(
+            f"shapes do not broadcast: r {a.shape}, s {b.shape}"
+        ) from None
+    w1, v1 = _homogeneous(a.reshape(-1, 3))
+    w2, v2 = _homogeneous(b.reshape(-1, 3))
+    w, v = _hamilton(w1, v1, w2, v2)
+    return _dehomogenize(w, v).reshape(a.shape)
 
-    matrix_route = _pi_mask(ra) | _pi_mask(sb)
-    fin = ~matrix_route
-    if fin.any():
-        num, den, singular, degenerate = _compose_scaled(ra[fin], sb[fin])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = num / den[..., None]
-        sub = np.empty_like(vals)
-        plain = ~singular
-        sub[plain] = vals[plain]
-        encode = singular & ~degenerate
-        if encode.any():
-            sub[encode] = pi_encode(num[encode])
-        if degenerate.any():
-            # Inverse half-turn pairs cancel the numerator too; matrices
-            # resolve them exactly.
-            fin_idx = np.flatnonzero(fin)
-            matrix_route[fin_idx[degenerate]] = True
-        out[fin] = sub
-    if matrix_route.any():
-        out[matrix_route] = _compose_via_matrices(ra[matrix_route], sb[matrix_route])
-    return out.reshape(shape)
+
+def compose_scan(vectors) -> np.ndarray:
+    """Inclusive prefix compositions of an (n, 3) sequence.
+
+    ``out[k]`` applies ``vectors[0]`` first and ``vectors[k]`` last, i.e.
+    ``out[k] == compose(vectors[k], out[k - 1])``.  A Hillis-Steele scan:
+    ``ceil(log2 n)`` rounds of batched Hamilton products, each round
+    renormalized by the max-abs of its pairs, so it stays free of square
+    roots and overflow.  Rounding grows with the depth ``log2 n`` rather
+    than with ``n``.  An empty sequence gives an empty (0, 3) result.
+
+    >>> compose_scan([[0, 1.0, 0], [1.0, 0, 0]]).tolist()
+    [[0.0, 1.0, 0.0], [1.0, 1.0, -1.0]]
+    """
+    arr = _as_vec3(vectors, "vectors")
+    if arr.ndim != 2:
+        raise InvalidInputError(
+            f"vectors must be a sequence of 3-vectors, got shape {arr.shape}"
+        )
+    w, v = _homogeneous(arr)
+    d = 1
+    while d < arr.shape[0]:
+        wp, vp = _hamilton(w[d:], v[d:], w[:-d], v[:-d])
+        scale = np.maximum(np.abs(wp), np.abs(vp).max(axis=-1))
+        w[d:] = wp / scale
+        v[d:] = vp / scale[:, None]
+        d *= 2
+    return _dehomogenize(w, v)
 
 
 def compose_sequence(vectors) -> np.ndarray:
     """Left fold of :func:`compose` over a non-empty sequence.
 
     ``compose_sequence([g2, g1, g0])`` encodes "apply g0, then g1, then
-    g2" on column vectors.  An empty sequence raises
-    :class:`InvalidInputError`.
+    g2" on column vectors.  It is the last prefix of
+    :func:`compose_scan` over the reversed sequence.  An empty sequence
+    raises :class:`InvalidInputError`.
     """
-    arr = _as_vec3(np.atleast_2d(vectors), "vectors")
-    if arr.ndim != 2:
-        raise InvalidInputError(
-            f"vectors must be a sequence of 3-vectors, got shape {arr.shape}"
-        )
+    arr = np.atleast_2d(vectors)
     if arr.shape[0] == 0:
         raise InvalidInputError("cannot compose an empty sequence")
-    acc = arr[0]
-    for nxt in arr[1:]:
-        acc = compose(acc, nxt)
-    return np.array(acc, dtype=float)
+    return compose_scan(arr[::-1])[-1]

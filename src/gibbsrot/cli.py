@@ -301,14 +301,9 @@ def _polyline_frames(points: np.ndarray) -> np.ndarray:
     # Curvature normals where the bend is resolvable; straight samples and
     # the endpoints inherit the nearest curved sample's normal (backward for
     # the leading run so the whole curve shares one orientation).
-    cands = np.zeros_like(points)
-    has_curvature = np.zeros(n, dtype=bool)
-    for i in range(n):
-        cand = curvature[i] - (curvature[i] @ that[i]) * that[i]
-        size = np.linalg.norm(cand)
-        if size > 1e-9 * norms[i]:
-            cands[i] = cand / size
-            has_curvature[i] = True
+    cand = curvature - np.sum(curvature * that, axis=-1, keepdims=True) * that
+    size = np.linalg.norm(cand, axis=-1)
+    has_curvature = size > 1e-9 * norms
 
     def carry(prev, t):
         w = prev - (prev @ t) * t
@@ -318,13 +313,16 @@ def _polyline_frames(points: np.ndarray) -> np.ndarray:
         return w / size
 
     normals = np.empty_like(points)
+    normals[has_curvature] = cand[has_curvature] / size[has_curvature, None]
     curved = np.flatnonzero(has_curvature)
     first = int(curved[0]) if curved.size else 0
-    normals[first] = cands[first] if curved.size else _perp_seed(that[first])
+    if not curved.size:
+        normals[first] = _perp_seed(that[first])
     for i in range(first - 1, -1, -1):
         normals[i] = carry(normals[i + 1], that[i])
-    for i in range(first + 1, n):
-        normals[i] = cands[i] if has_curvature[i] else carry(normals[i - 1], that[i])
+    # Only the normal carry across straight runs is sequential.
+    for i in np.flatnonzero(~has_curvature[first + 1 :]) + first + 1:
+        normals[i] = carry(normals[i - 1], that[i])
     return np.stack([that, normals], axis=1)
 
 
@@ -344,24 +342,23 @@ def _emit_tube(points, frames, transport, profile: str) -> list[str]:
     # the curve so the tube never flips where curvature changes sign.
     t0, n0 = frames[0]
     b0 = np.cross(t0, n0)
-    lines = ["# swept tube: one ring per polyline sample"]
-    n = points.shape[0]
+    normals = rotate_vector(transport.cumulative, n0)
+    binormals = rotate_vector(transport.cumulative, b0)
     angles = 2.0 * np.pi * np.arange(segments) / segments
     ring = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
-    for i in range(n):
-        ni = rotate_vector(transport.cumulative[i], n0)
-        bi = rotate_vector(transport.cumulative[i], b0)
-        verts = points[i] + radius * (ring[:, :1] * ni + ring[:, 1:] * bi)
-        for v in verts:
-            lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for i in range(n - 1):
-        base = i * segments
-        for j in range(segments):
-            a = base + j + 1
-            b = base + (j + 1) % segments + 1
-            c = base + segments + (j + 1) % segments + 1
-            d = base + segments + j + 1
-            lines.append(f"f {a} {b} {c} {d}")
+    # One ring of `segments` vertices per sample, all rings in one broadcast.
+    verts = points[:, None, :] + radius * (
+        ring[:, :1] * normals[:, None, :] + ring[:, 1:] * binormals[:, None, :]
+    )
+    lines = ["# swept tube: one ring per polyline sample"]
+    lines.extend(f"v {x!r} {y!r} {z!r}" for x, y, z in verts.reshape(-1, 3).tolist())
+    # Quad between ring i and ring i+1; OBJ vertex indices start at 1.
+    j = np.arange(segments)
+    base = segments * np.arange(points.shape[0] - 1)[:, None]
+    a = base + j + 1
+    b = base + (j + 1) % segments + 1
+    quads = np.stack([a, b, b + segments, a + segments], axis=-1)
+    lines.extend(f"f {p} {q} {r} {t}" for p, q, r, t in quads.reshape(-1, 4).tolist())
     return lines
 
 
@@ -375,8 +372,7 @@ def _cmd_sweep(args) -> int:
     tol = TOL_LEN if args.tol is None else args.tol
     result = frame_transport(frames, tol=tol)
     if args.obj:
-        for line in _emit_tube(points, frames, result, args.profile):
-            print(line)
+        print("\n".join(_emit_tube(points, frames, result, args.profile)))
         return 0
     for step in result.steps:
         _print_result("gibbs", step, args.json)

@@ -127,10 +127,13 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
 
     Returns a :class:`RotationCheck`; it is truthy exactly when both hold.
     NaN or infinite entries are rejected with :class:`InvalidInputError`.
+    An empty batch passes with residuals 0.0.
     """
     a = _as_matrix3(u, "matrix")
     if not np.isfinite(a).all():
         raise InvalidInputError("matrix has non-finite entries")
+    if a.size == 0:
+        return RotationCheck(True, 0.0, 0.0)
     gram = np.einsum("...ji,...jk->...ik", a, a)
     res = float(np.abs(gram - _EYE3).max())
     dev = float(np.abs(_det3(a) - 1.0).max())
@@ -429,6 +432,12 @@ def rotate_vector(r, s) -> np.ndarray:
     b = _as_vec3(s, "s")
     if not np.isfinite(b).all():
         raise InvalidInputError("s has non-finite components")
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise InvalidInputError(
+            f"shapes do not broadcast: r {a.shape}, s {b.shape}"
+        ) from None
     u = gibbs_to_matrix(a)
     return (u @ b[..., None])[..., 0]
 

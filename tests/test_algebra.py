@@ -1,5 +1,6 @@
 """Composition: quotient-rule formula vs matrix and quaternion oracles,
-half-turn composites and operands, and the sequence fold."""
+half-turn composites and operands, the sequence fold and the prefix
+scan."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gibbsrot import (
     InvalidInputError,
     compose,
+    compose_scan,
     compose_sequence,
     gibbs_to_matrix,
     gibbs_to_quaternion,
@@ -155,3 +157,92 @@ def test_round_trip_through_matrix_extraction():
     scale = np.abs(direct[finite]).max(axis=-1)
     err = np.abs(direct[finite] - via[finite]).max(axis=-1) / scale
     assert err.max() <= 1e-9
+
+
+def test_compose_rejects_non_broadcasting_shapes():
+    # a raw numpy "shape mismatch" error used to escape here
+    with pytest.raises(InvalidInputError, match=r"r \(4, 3\), s \(5, 3\)"):
+        compose(np.zeros((4, 3)), np.zeros((5, 3)))
+
+
+def test_compose_empty_batch():
+    assert compose(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3)
+    assert compose(np.zeros((0, 3)), [0.1, 0.2, 0.3]).shape == (0, 3)
+
+
+def test_compose_at_extreme_finite_magnitudes():
+    # operands just below the encoding threshold: nothing overflows and the
+    # composite of two near half turns about x and y is the half turn about z
+    r = np.array([[1e300, 0.0, 0.0], [0.0, 1e300, 0.0], [1e300, 1e-300, 0.0]])
+    s = np.array([[0.0, 1e300, 0.0], [1e-300, 0.0, 1e300], [0.0, 0.5, 0.0]])
+    out = compose(r, s)
+    assert np.isfinite(out).all()
+    assert is_pi_encoded(out[0]) and is_pi_encoded(out[1])
+    want = gibbs_to_matrix(r) @ gibbs_to_matrix(s)
+    assert np.abs(gibbs_to_matrix(out) - want).max() <= 1e-12
+
+
+def test_compose_scan_empty_and_single():
+    assert compose_scan(np.zeros((0, 3))).shape == (0, 3)
+    assert np.allclose(compose_scan([[0.1, 0.2, 0.3]]), [[0.1, 0.2, 0.3]])
+    with pytest.raises(InvalidInputError):
+        compose_scan([0.1, 0.2, 0.3])  # one vector, not a sequence
+    with pytest.raises(InvalidInputError):
+        compose_scan([[np.nan, 0.0, 0.0]])
+
+
+def test_compose_scan_order():
+    # out[k] applies vectors[0] first and vectors[k] last
+    rng = np.random.default_rng(31)
+    chain = random_gibbs(rng, 7, 1e-2, 1e1)
+    out = compose_scan(chain)
+    prod = np.eye(3)
+    for k, g in enumerate(chain):
+        prod = gibbs_to_matrix(g) @ prod
+        assert np.abs(gibbs_to_matrix(out[k]) - prod).max() <= 1e-12
+    # the fold reads the other way round
+    assert np.array_equal(compose_sequence(chain[::-1]), out[-1])
+
+
+def _hard_chain(rng, n):
+    """Random steps with pi-encoded steps, infinite components and
+    near-ceiling magnitudes mixed in.  It opens with exact quarter turns
+    whose prefixes 1 and 3 are exact half turns."""
+    chain = random_gibbs(rng, n, 1e-3, 1e3)
+    chain[:4] = [[1.0, 0, 0], [1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]]
+    picks = rng.permutation(np.arange(4, n))
+    pi_rows, inf_rows, big_rows = picks[:40], picks[40:60], picks[60:70]
+    chain[pi_rows] = pi_encode(random_units(rng, 40))
+    inf = rng.normal(size=(20, 3))
+    inf[:, 0] = np.where(rng.random(20) < 0.5, -np.inf, np.inf)
+    inf[:10, 1] = np.inf
+    chain[inf_rows] = inf
+    chain[big_rows] = random_units(rng, 10) * 1e200
+    return chain
+
+
+def test_compose_scan_matches_sequential_fold():
+    rng = np.random.default_rng(29)
+    n = 10_000
+    mid = n // 2
+    chain = _hard_chain(rng, n)
+    fold = np.empty((n, 3))
+    fold[0] = chain[0]
+    for k in range(1, n):
+        if k == mid:
+            # choose the step so the prefix lands on a half turn
+            chain[k] = compose(pi_encode(random_units(rng, 1)[0]), invert(fold[k - 1]))
+        fold[k] = compose(chain[k], fold[k - 1])
+    scan = compose_scan(chain)
+    for k in (1, 3, mid):
+        assert is_pi_encoded(fold[k]) and is_pi_encoded(scan[k])
+    assert np.abs(gibbs_to_matrix(scan) - gibbs_to_matrix(fold)).max() <= 1e-12
+
+
+def test_compose_scan_closes_a_long_loop():
+    # 1e5 steps out and the same steps inverted back
+    rng = np.random.default_rng(30)
+    steps = random_gibbs(rng, 100_000, 1e-4, 1e1)
+    out = compose_scan(np.concatenate([steps, -steps[::-1]]))
+    assert np.linalg.norm(out[-1]) <= 1e-12
+    assert np.abs(gibbs_to_matrix(out[-1]) - np.eye(3)).max() <= 1e-12

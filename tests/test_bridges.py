@@ -126,6 +126,10 @@ def test_matrix_to_quaternion_validation():
     matrix_to_quaternion(np.eye(3) * 1.01, check=False)
 
 
+def test_matrix_to_quaternion_empty_batch_with_check():
+    assert matrix_to_quaternion(np.zeros((0, 3, 3))).shape == (0, 4)
+
+
 def test_half_turn_handoff_is_reciprocal():
     # |r| >= L/4 encodes as w = 0 exactly; |w| <= 4/L decodes back
     axes = np.array([[1.0, 0.0, 0.0], [0.6, -0.8, 0.0]])
@@ -270,6 +274,11 @@ def test_matrix_to_euler_validation():
     with pytest.raises(InvalidInputError):
         matrix_to_euler(np.eye(3) * 1.01)
     matrix_to_euler(np.eye(3) * 1.01, check=False)
+
+
+def test_matrix_to_euler_empty_batch_with_check():
+    yaw, pitch, roll = matrix_to_euler(np.zeros((0, 3, 3)))
+    assert yaw.shape == pitch.shape == roll.shape == (0,)
 
 
 # --- cross-representation triangles ------------------------------------------

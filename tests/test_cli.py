@@ -280,6 +280,93 @@ def test_sweep_straight_segments_inherit_normal():
     assert abs(angles.sum() - 90.0) < 1.0  # total turn of the corner
 
 
+def helix_with_straight_run(n=60):
+    t = np.linspace(0.0, 4.0 * np.pi, n)
+    pts = np.stack([np.cos(t), np.sin(t), 0.2 * t], axis=-1)
+    # a straight run in the middle and a straight lead-in
+    pts[n // 3 : n // 2] = pts[n // 3] + np.outer(np.arange(n // 2 - n // 3), [0.0, 0.1, 0.05])
+    pts[n // 2 :] += pts[n // 2 - 1] - pts[n // 2] + [0.0, 0.1, 0.05]
+    lead = pts[0] - np.outer(np.arange(5, 0, -1), [0.0, 0.1, 0.0])
+    return np.concatenate([lead, pts])
+
+
+def test_polyline_frames_match_per_sample_reference():
+    from gibbsrot.cli import _perp_seed, _polyline_frames
+
+    pts = helix_with_straight_run()
+    frames = _polyline_frames(pts)
+    that = frames[:, 0]
+    curvature = np.zeros_like(pts)
+    curvature[1:-1] = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]
+    tangents = np.concatenate([pts[1:2] - pts[:1], pts[2:] - pts[:-2], pts[-1:] - pts[-2:-1]])
+    want = np.empty_like(pts)
+    curved = []
+    for i in range(len(pts)):
+        cand = curvature[i] - (curvature[i] @ that[i]) * that[i]
+        size = np.linalg.norm(cand)
+        if size > 1e-9 * np.linalg.norm(tangents[i]):
+            want[i] = cand / size
+            curved.append(i)
+    first = curved[0]
+
+    def carry(prev, t):
+        w = prev - (prev @ t) * t
+        size = np.linalg.norm(w)
+        return _perp_seed(t) if size <= 1e-12 else w / size
+
+    for i in range(first - 1, -1, -1):
+        want[i] = carry(want[i + 1], that[i])
+    for i in range(first + 1, len(pts)):
+        if i not in curved:
+            want[i] = carry(want[i - 1], that[i])
+    assert 0 < first and len(curved) < len(pts) - first - 1  # both kinds of run
+    assert np.abs(frames[:, 1] - want).max() <= 1e-15
+
+
+def test_emit_tube_matches_per_sample_rotation():
+    from gibbsrot.alignment import frame_transport
+    from gibbsrot.cli import _emit_tube, _polyline_frames
+
+    pts = helix_with_straight_run()
+    frames = _polyline_frames(pts)
+    transport = frame_transport(frames)
+    segments, radius = 7, 0.05
+    lines = _emit_tube(pts, frames, transport, f"circle:{radius}:{segments}")
+    assert lines[0].startswith("#")
+    verts = np.array([[float(t) for t in l.split()[1:]] for l in lines if l.startswith("v ")])
+    n0 = frames[0, 1]
+    b0 = np.cross(frames[0, 0], n0)
+    angles = 2.0 * np.pi * np.arange(segments) / segments
+    want = []
+    for i, p in enumerate(pts):
+        ni = gibbsrot.rotate_vector(transport.cumulative[i], n0)
+        bi = gibbsrot.rotate_vector(transport.cumulative[i], b0)
+        want.extend(p + radius * (np.cos(a) * ni + np.sin(a) * bi) for a in angles)
+    assert verts.shape == (len(pts) * segments, 3)
+    assert np.abs(verts - np.array(want)).max() <= 1e-14
+    faces = [l for l in lines if l.startswith("f ")]
+    want_faces = []
+    for i in range(len(pts) - 1):
+        base = i * segments
+        for j in range(segments):
+            a, b = base + j + 1, base + (j + 1) % segments + 1
+            want_faces.append(f"f {a} {b} {b + segments} {a + segments}")
+    assert faces == want_faces
+
+
+def test_sweep_obj_prints_one_line_per_record():
+    from gibbsrot.alignment import frame_transport
+    from gibbsrot.cli import _emit_tube, _polyline_frames
+
+    pts = helix_with_straight_run(20)
+    poly = "\n".join(f"{x!r},{y!r},{z!r}" for x, y, z in pts.tolist())
+    code, out, err = run_cli(["sweep", "--obj", "--profile", "circle:0.1:5"], stdin=poly)
+    assert code == 0, err
+    frames = _polyline_frames(pts)
+    lines = _emit_tube(pts, frames, frame_transport(frames), "circle:0.1:5")
+    assert out == "".join(line + "\n" for line in lines)
+
+
 # --- bench ------------------------------------------------------------------
 
 

@@ -212,3 +212,23 @@ def test_is_rotation_matrix_report():
 def test_empty_batch_passes_through():
     assert gibbs_to_matrix(np.zeros((0, 3))).shape == (0, 3, 3)
     assert matrix_to_gibbs(np.zeros((0, 3, 3)), check=False).shape == (0, 3)
+
+
+def test_empty_batch_is_a_rotation_check_pass():
+    chk = is_rotation_matrix(np.zeros((0, 3, 3)))
+    assert chk.ok and bool(chk)
+    assert chk.max_orthogonality_residual == 0.0
+    assert chk.max_det_deviation == 0.0
+
+
+def test_empty_batch_with_check_extracts_nothing():
+    assert matrix_to_gibbs(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert matrix_to_gibbs(np.zeros((2, 0, 3, 3))).shape == (2, 0, 3)
+
+
+def test_rotate_vector_rejects_non_broadcasting_shapes():
+    # a raw numpy broadcasting error used to escape here
+    with pytest.raises(InvalidInputError, match=r"r \(4, 3\), s \(5, 3\)"):
+        rotate_vector(np.zeros((4, 3)), np.ones((5, 3)))
+    with pytest.raises(InvalidInputError, match=r"r \(2, 4, 3\), s \(3, 1, 3\)"):
+        rotate_vector(np.zeros((2, 4, 3)), np.ones((3, 1, 3)))

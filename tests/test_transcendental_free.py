@@ -42,9 +42,12 @@ AUDITED = {
     ],
     gibbsrot.algebra: [
         "compose",
+        "compose_scan",
         "compose_sequence",
         "_compose_direct",
-        "_compose_scaled",
+        "_homogeneous",
+        "_hamilton",
+        "_dehomogenize",
     ],
 }
 
