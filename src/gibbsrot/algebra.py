@@ -12,7 +12,8 @@ Equivalently it matches the quaternion product ``q(s) * q(r)`` under the
 ratio map.
 
 Every composition runs on one kernel.  A Gibbs vector ``r`` is the ratio
-``v / w`` of a homogeneous pair ``(w : v)``; each row is mapped to
+``v / w`` of a homogeneous pair ``(w : v)``, the meeting point ``core``
+shares with the matrix conversions; each row is mapped to
 ``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``, and half turns to ``w = 0``
 exactly.  Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``,
 so the result never vanishes) and are divided once at the end: ``v / w``,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PI_ENCODING_THRESHOLD, _as_vec3, _pi_mask, pi_encode
+from .core import _as_vec3, _dehomogenize, _homogeneous
 from .errors import InvalidInputError
 
 __all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"]
@@ -34,32 +35,6 @@ __all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"
 # Relative threshold deciding that the composite's w vanished (the
 # composite is a half turn).
 TOL_COMPOSE_SINGULAR = 1e-12
-
-# |r| >= PI_ENCODING_THRESHOLD needs max|component| >= threshold / sqrt(3),
-# so only rows at or above half the threshold go through the half-turn mask.
-_HALF_TURN_SCREEN = PI_ENCODING_THRESHOLD / 2.0
-
-
-def _homogeneous(r: np.ndarray):
-    """Homogeneous pairs ``(w, v)`` of (n, 3) Gibbs rows, max-abs 1 each.
-
-    Finite rows map to ``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``.  Half
-    turns (pi-encoded rows and rows with infinite components) get
-    ``w = 0`` exactly; infinite rows keep only the signs of their
-    infinite components.  Elementary arithmetic only.
-    """
-    m = np.abs(r).max(axis=-1)
-    c = np.maximum(m, 1.0)
-    w = 1.0 / c
-    with np.errstate(invalid="ignore"):
-        v = r / c[:, None]
-    big = np.flatnonzero(m >= _HALF_TURN_SCREEN)
-    if big.size:
-        w[big[_pi_mask(r[big])]] = 0.0
-        inf = big[np.isinf(m[big])]
-        v[inf] = np.where(np.isinf(r[inf]), np.sign(r[inf]), 0.0)
-    return w, v
-
 
 def _hamilton(w1, v1, w2, v2):
     """Hamilton product of homogeneous pairs in :func:`compose` order:
@@ -80,19 +55,6 @@ def _hamilton(w1, v1, w2, v2):
         axis=-1,
     )
     return w, v
-
-
-def _dehomogenize(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Gibbs rows ``v / w`` of (n,) / (n, 3) pairs; the half-turn
-    encoding along ``v`` where ``w^2 <= tol^2 (w^2 + |v|^2)``."""
-    ww = w * w
-    tol_sq = TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR
-    singular = ww <= tol_sq * (ww + np.einsum("ni,ni->n", v, v))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = v / w[:, None]
-    if singular.any():
-        out[singular] = pi_encode(v[singular])
-    return out
 
 
 def _compose_direct(r, s):
@@ -128,7 +90,8 @@ def compose(r, s) -> np.ndarray:
     w1, v1 = _homogeneous(a.reshape(-1, 3))
     w2, v2 = _homogeneous(b.reshape(-1, 3))
     w, v = _hamilton(w1, v1, w2, v2)
-    return _dehomogenize(w, v).reshape(a.shape)
+    out = _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
+    return out.reshape(a.shape)
 
 
 def compose_scan(vectors) -> np.ndarray:
@@ -157,7 +120,7 @@ def compose_scan(vectors) -> np.ndarray:
         w[d:] = wp / scale
         v[d:] = vp / scale[:, None]
         d *= 2
-    return _dehomogenize(w, v)
+    return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 
 
 def compose_sequence(vectors) -> np.ndarray:

@@ -34,13 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    PI_ENCODING_THRESHOLD,
     TOL_ORTHO_INPUT,
     _as_matrix3,
     _as_vec3,
-    _pi_mask,
+    _homogeneous,
+    _pivot_row,
     _require_rotation,
-    _unit_axis,
     pi_encode,
 )
 from .errors import InvalidInputError
@@ -156,30 +155,18 @@ def quaternion_multiply(a, b) -> np.ndarray:
 
 
 def gibbs_to_quaternion(r) -> np.ndarray:
-    """Canonical unit quaternion of a Gibbs vector.
+    """Canonical unit quaternion of a Gibbs vector: the homogeneous pair
+    ``(w : v)`` normalized.
 
-    Finite regime: ``(1, r) / sqrt(1 + |r|^2)``, computed against the
-    largest component so magnitudes near the encoding threshold cannot
-    overflow.  Half-turn encodings map to ``(0, axis)``.
+    Finite rows use the max-abs scaled pair ``(1, r) / max(|r|_inf, 1)``,
+    so magnitudes near the encoding threshold cannot overflow.  Half-turn
+    encodings have ``w = 0`` and map to ``(0, axis)``.
     """
     a = _as_vec3(r, "r")
-    flat = a.reshape(-1, 3)
-    out = np.empty((flat.shape[0], 4))
-    pi = _pi_mask(flat)
-    if pi.any():
-        axis = _unit_axis(flat[pi])
-        out[pi, 0] = 0.0
-        out[pi, 1:] = axis
-    fin = ~pi
-    if fin.any():
-        f = flat[fin]
-        c = np.maximum(np.abs(f).max(axis=-1), 1.0)[:, None]
-        w = 1.0 / c
-        v = f / c
-        norm = np.sqrt(w * w + np.sum(v * v, axis=-1, keepdims=True))
-        out[fin, 0] = (w / norm)[:, 0]
-        out[fin, 1:] = v / norm
-    return canonicalize_quaternion(out.reshape(a.shape[:-1] + (4,)))
+    w, v = _homogeneous(a.reshape(-1, 3))
+    q = np.concatenate([w[:, None], v], axis=-1)
+    q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
+    return canonicalize_quaternion(q.reshape(a.shape[:-1] + (4,)))
 
 
 def quaternion_to_gibbs(q) -> np.ndarray:
@@ -224,67 +211,17 @@ def quaternion_to_matrix(q) -> np.ndarray:
 def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT) -> np.ndarray:
     """Canonical unit quaternion of a rotation matrix.
 
-    Uses the stable four-branch extraction: the largest of the four
-    squared components (read off the trace and diagonal) is taken by
-    square root and the rest by ratios, so no branch divides by a small
-    number.  Set ``check=False`` to skip the orthogonality test for
-    matrices already known to be rotations.
+    Normalizes the row of Shepperd's pivot table with the largest
+    diagonal entry, ``4 q_k (w, x, y, z)``: the same row
+    ``matrix_to_gibbs`` divides, and never one that is small.  Set
+    ``check=False`` to skip the orthogonality test for matrices already
+    known to be rotations.
     """
     a = _as_matrix3(u, "matrix")
     if check:
         _require_rotation(a, ortho_tol)
-    flat = a.reshape(-1, 3, 3)
-    n = flat.shape[0]
-    d0 = flat[:, 0, 0]
-    d1 = flat[:, 1, 1]
-    d2 = flat[:, 2, 2]
-    # Each column below equals 4 q_i^2 for i in (w, x, y, z).
-    four_sq = np.stack(
-        [
-            1.0 + d0 + d1 + d2,
-            1.0 + d0 - d1 - d2,
-            1.0 - d0 + d1 - d2,
-            1.0 - d0 - d1 + d2,
-        ],
-        axis=-1,
-    )
-    branch = np.argmax(four_sq, axis=-1)
-    q = np.empty((n, 4))
-    dwx = flat[:, 1, 2] - flat[:, 2, 1]
-    dwy = flat[:, 2, 0] - flat[:, 0, 2]
-    dwz = flat[:, 0, 1] - flat[:, 1, 0]
-    sxy = flat[:, 0, 1] + flat[:, 1, 0]
-    sxz = flat[:, 0, 2] + flat[:, 2, 0]
-    syz = flat[:, 1, 2] + flat[:, 2, 1]
-    for which in range(4):
-        m = branch == which
-        if not m.any():
-            continue
-        lead = 0.5 * np.sqrt(np.maximum(four_sq[m, which], 0.0))
-        inv = 1.0 / (4.0 * lead)
-        if which == 0:
-            q[m, 0] = lead
-            q[m, 1] = dwx[m] * inv
-            q[m, 2] = dwy[m] * inv
-            q[m, 3] = dwz[m] * inv
-        elif which == 1:
-            q[m, 0] = dwx[m] * inv
-            q[m, 1] = lead
-            q[m, 2] = sxy[m] * inv
-            q[m, 3] = sxz[m] * inv
-        elif which == 2:
-            q[m, 0] = dwy[m] * inv
-            q[m, 1] = sxy[m] * inv
-            q[m, 2] = lead
-            q[m, 3] = syz[m] * inv
-        else:
-            q[m, 0] = dwz[m] * inv
-            q[m, 1] = sxz[m] * inv
-            q[m, 2] = syz[m] * inv
-            q[m, 3] = lead
-    # Exact orthogonality is only approximate in the input, so nudge the
-    # result back onto the unit sphere before canonicalizing.
-    q /= np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    q = _pivot_row(a.reshape(-1, 3, 3))
+    q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
     return canonicalize_quaternion(q.reshape(a.shape[:-2] + (4,)))
 
 
@@ -293,31 +230,22 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
 
 
 def gibbs_to_axis_angle(r) -> AxisAngle:
-    """Unit axis and angle of a Gibbs vector: ``angle = 2 atan(|r|)``.
+    """Unit axis and angle of a Gibbs vector: for the homogeneous pair
+    ``(w : v)``, the axis ``v/|v|`` and ``angle = 2 atan2(|v|, w)``, which
+    is ``2 atan(|r|)``.
 
     The zero vector has no axis; by convention it reports axis (0, 0, 1)
-    with angle 0.  Half-turn encodings report their axis with angle pi.
-    Batched input yields stacked axes and an angle array.
+    with angle 0.  Half-turn encodings have ``w = 0`` and report their
+    axis with angle pi.  Batched input yields stacked axes and an angle
+    array.
     """
     a = _as_vec3(r, "r")
-    flat = a.reshape(-1, 3)
-    axis = np.zeros_like(flat)
-    angle = np.zeros(flat.shape[0])
-    pi = _pi_mask(flat)
-    if pi.any():
-        axis[pi] = _unit_axis(flat[pi])
-        angle[pi] = np.pi
-    big = np.abs(flat).max(axis=-1)
-    zero = ~pi & (big == 0.0)
+    w, v = _homogeneous(a.reshape(-1, 3))
+    n = np.sqrt(np.einsum("ni,ni->n", v, v))
+    zero = n == 0.0
+    axis = v / np.where(zero, 1.0, n)[:, None]
     axis[zero] = (0.0, 0.0, 1.0)
-    fin = ~pi & ~zero
-    if fin.any():
-        f = flat[fin]
-        c = big[fin][:, None]
-        v = f / c
-        scaled = np.sqrt(np.sum(v * v, axis=-1, keepdims=True))
-        axis[fin] = v / scaled
-        angle[fin] = 2.0 * np.arctan2(scaled[:, 0] * c[:, 0], 1.0)
+    angle = 2.0 * np.arctan2(n, w)
     if a.ndim == 1:
         return AxisAngle(axis[0], float(angle[0]))
     return AxisAngle(axis.reshape(a.shape), angle.reshape(a.shape[:-1]))

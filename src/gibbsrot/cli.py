@@ -11,6 +11,7 @@ every result to one JSON object per line with a ``kind`` tag.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -33,7 +34,6 @@ from .bridges import (
 )
 from .cayley import cayley_forward, cayley_inverse, vector_from_skew
 from .core import (
-    _unit_axis,
     gibbs_to_matrix,
     is_pi_encoded,
     is_rotation_matrix,
@@ -149,7 +149,7 @@ def _print_result(kind: str, payload, as_json: bool) -> None:
 def _format_result(kind: str, payload, as_json: bool) -> list[str]:
     if kind == "gibbs":
         if is_pi_encoded(payload):
-            axis = _unit_axis(payload)
+            axis = gibbs_to_axis_angle(payload).axis
             if as_json:
                 return [json.dumps({"kind": "gibbs", "pi": True, "axis": _floats(axis)})]
             return [f"pi-rotation axis={_fmt_vec(axis)}"]
@@ -485,10 +485,7 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
 
 
 def _cmd_bench(args) -> int:
-    try:
-        rows = bench_rows(args.iters, args.seed)
-    except _UsageError:
-        raise
+    rows = bench_rows(args.iters, args.seed)
     print("operation,representation,iterations,total_ns,ns_per_op,max_roundtrip_err")
     for row in rows:
         print(
@@ -586,7 +583,8 @@ def selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
     )
 
     # the half-turn ladder: angles approaching pi from below; the round
-    # trip is judged on matrix entries, where both branches must agree
+    # trip is judged on matrix entries, on both sides of the switch to
+    # the half-turn encoding
     ks = np.arange(1, 13)
     theta = np.pi - 10.0 ** (-ks.astype(float))
     axes = rng.normal(size=(12, 3))
@@ -617,7 +615,10 @@ def _cmd_selftest(args) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The whole parser, built once per process: parsing leaves it
+    unchanged, and every call gets a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="gibbsrot",
         description="Rotation toolkit built on the Gibbs vector: the "

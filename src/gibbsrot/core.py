@@ -7,10 +7,15 @@ encoding; they are stored with the largest component at the float ceiling
 and are detected by ``|r| >= PI_ENCODING_THRESHOLD`` (the "pi-encoding
 regime").
 
-Finite-regime conversions use only addition, subtraction, multiplication
-and division: no square roots and no trigonometric calls on those paths.
-All operations accept single values or stacked arrays (leading batch
-dimensions, numpy-style).
+Every conversion meets at the homogeneous pair ``(w : v)``, the
+quaternion up to scale: the Gibbs vector is ``v / w`` and a half turn is
+``w = 0``.  ``gibbs_to_matrix`` runs one rational kernel on the pair.
+``matrix_to_gibbs`` reads the pair off the largest row of Shepperd's
+pivot table (Shepperd 1978, J. Guidance & Control 1(3)) and divides once,
+encoding a half turn where ``w`` vanishes.  Both use only addition,
+subtraction, multiplication and division: no square roots and no
+trigonometric calls.  All operations accept single values or stacked
+arrays (leading batch dimensions, numpy-style).
 
 Convention
 ----------
@@ -61,8 +66,8 @@ PI_ENCODING_THRESHOLD = PI_ENCODING_MAGNITUDE / 4.0
 TOL_ORTHO_INPUT = 1e-9
 TOL_ORTHO_OUTPUT = 1e-12
 
-# A matrix with 1 + trace at or below this is routed to the half-turn
-# extraction instead of the generic rational inverse.
+# A rotation matrix with 1 + trace at or below this is extracted as a half
+# turn: the pivot row's w^2 is at most a quarter of it, relative to the row.
 TOL_PI_TRACE = 1e-12
 
 _EYE3 = np.eye(3)
@@ -197,43 +202,69 @@ def pi_encode(axis) -> np.ndarray:
     return (a / m[..., None]) * PI_ENCODING_MAGNITUDE
 
 
-def _unit_axis(r: np.ndarray) -> np.ndarray:
-    """Unit direction of nonzero rows; overflow-safe, infinity-tolerant.
+# ---------------------------------------------------------------------------
+# the homogeneous pair (w : v)
 
-    Rows containing +-inf keep only the infinite components (the finite
-    ones vanish in the limit).
+# |r| >= PI_ENCODING_THRESHOLD needs max|component| >= threshold / sqrt(3),
+# so only rows at or above half the threshold go through the half-turn mask.
+_HALF_TURN_SCREEN = PI_ENCODING_THRESHOLD / 2.0
+
+
+def _homogeneous(r: np.ndarray):
+    """Homogeneous pairs ``(w, v)`` of (n, 3) Gibbs rows, max-abs 1 each.
+
+    Finite rows map to ``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``.  Half
+    turns (pi-encoded rows and rows with infinite components) get
+    ``w = 0`` exactly; infinite rows keep only the signs of their
+    infinite components.  Elementary arithmetic only.
     """
-    a = np.abs(r)
-    m = a.max(axis=-1, keepdims=True)
-    inf_rows = np.isinf(m)
-    safe = np.where(m == 0.0, 1.0, m)
+    m = np.abs(r).max(axis=-1)
+    c = np.maximum(m, 1.0)
+    w = 1.0 / c
     with np.errstate(invalid="ignore"):
-        z = np.where(inf_rows, np.where(np.isinf(r), np.sign(r), 0.0), r / safe)
-    n = np.sqrt((z * z).sum(axis=-1, keepdims=True))
-    return z / n
+        v = r / c[:, None]
+    big = np.flatnonzero(m >= _HALF_TURN_SCREEN)
+    if big.size:
+        w[big[_pi_mask(r[big])]] = 0.0
+        inf = big[np.isinf(m[big])]
+        v[inf] = np.where(np.isinf(r[inf]), np.sign(r[inf]), 0.0)
+    return w, v
+
+
+def _dehomogenize(w: np.ndarray, v: np.ndarray, rel_sq: float) -> np.ndarray:
+    """Gibbs rows ``v / w`` of (n,) / (n, 3) pairs; the half-turn
+    encoding along ``v`` where ``w^2 <= rel_sq (w^2 + |v|^2)``."""
+    ww = w * w
+    singular = ww <= rel_sq * (ww + np.einsum("ni,ni->n", v, v))
+    out = v / np.where(singular, 1.0, w)[:, None]
+    if singular.any():
+        out[singular] = pi_encode(v[singular])
+    return out
 
 
 # ---------------------------------------------------------------------------
 # rational kernels (elementary arithmetic only; no sqrt, no trig)
 
-# Largest |component| the fused batch kernel accepts: products of two
-# components stay <= 1e200, far from overflow, and the bound is far below
-# PI_ENCODING_THRESHOLD, so the fused path never sees an encoded row.
+# Largest |component| fed to the matrix kernel as the pair (1, r): products
+# of two components stay <= 1e200, far from overflow.  Larger rows, and
+# half turns, go through the max-abs scaled pair instead.
 _FUSED_MAGNITUDE_LIMIT = 1e100
 
 
-def _matrix_from_gibbs_fused(r: np.ndarray) -> np.ndarray:
-    """Fast batched form of the rational map for moderate magnitudes.
+def _matrix_from_pair(w, v):
+    """Rotation matrices of (n,) / (n, 3) homogeneous pairs ``(w : v)``::
 
-    One fused outer product supplies all nine ``r_i r_j`` terms; the
-    cross-product part is added into the six off-diagonal slots before a
-    single in-place doubling covers the factor 2 on both.  Elementary
-    arithmetic only; same values as the direct form up to rounding.
-    Callers guarantee max|component| <= _FUSED_MAGNITUDE_LIMIT.
+        U = ((w^2 - |v|^2) I + 2 v v^T + 2 w [v]x) / (w^2 + |v|^2)
+
+    ``w`` may be a scalar; ``w = 0`` gives the half turn ``2 u u^T - I``.
+    One fused outer product supplies all nine ``v_i v_j`` terms, the
+    cross-product part goes into the six off-diagonal slots, and one
+    in-place doubling covers the factor 2 on both.  Exact on
+    ``fractions.Fraction``; elementary arithmetic only.
     """
-    rho = np.einsum("ni,ni->n", r, r)
-    out = np.einsum("ni,nj->nij", r, r)
-    x, y, z = r[:, 0], r[:, 1], r[:, 2]
+    x, y, z = w * v.T
+    sq = np.einsum("ni,ni->n", v, v)
+    out = np.einsum("ni,nj->nij", v, v)
     out[:, 0, 1] += z
     out[:, 1, 0] -= z
     out[:, 0, 2] -= y
@@ -241,119 +272,85 @@ def _matrix_from_gibbs_fused(r: np.ndarray) -> np.ndarray:
     out[:, 1, 2] += x
     out[:, 2, 1] -= x
     out += out
-    k = 1.0 - rho
+    ww = w * w
+    k = ww - sq
     out[:, 0, 0] += k
     out[:, 1, 1] += k
     out[:, 2, 2] += k
-    out /= (1.0 + rho)[:, None, None]
+    out /= (ww + sq)[:, None, None]
     return out
 
 
 def _matrix_from_gibbs_direct(r):
-    """Textbook rational map r -> U, unscaled.
+    """Textbook rational map r -> U: the pair kernel with ``w = 1``.
 
     Exact on ``fractions.Fraction`` inputs: every entry is the literal
-    ratio of the defining polynomials.  Only +, -, *, / appear.  Use the
-    scaled variant for float work near the ceiling.
+    ratio of the defining polynomials.  No overflow guard, so float
+    callers use :func:`gibbs_to_matrix`.
     """
-    x, y, z = r[..., 0], r[..., 1], r[..., 2]
-    rho = x * x + y * y + z * z
-    d = 1 + rho
-    k = 1 - rho
-    m00 = k + 2 * x * x
-    m01 = 2 * (x * y + z)
-    m02 = 2 * (x * z - y)
-    m10 = 2 * (x * y - z)
-    m11 = k + 2 * y * y
-    m12 = 2 * (y * z + x)
-    m20 = 2 * (x * z + y)
-    m21 = 2 * (y * z - x)
-    m22 = k + 2 * z * z
-    rows = np.stack(
-        [m00, m01, m02, m10, m11, m12, m20, m21, m22], axis=-1
-    ).reshape(r.shape[:-1] + (3, 3))
-    return rows / d[..., None, None]
+    out = _matrix_from_pair(1, r.reshape(-1, 3))
+    return out.reshape(r.shape[:-1] + (3, 3))
 
 
-def _matrix_from_gibbs_scaled(r: np.ndarray) -> np.ndarray:
-    """Overflow-guarded rational map r -> U for the finite regime.
+def _pivot_signs() -> np.ndarray:
+    """The (9, 16) integer map from the row-major flattened U (``u_ij``
+    is entry ``3 i + j``) to the row-major pivot table, less the 1 on its
+    diagonal."""
+    entries = {
+        (0, 0): {0: 1, 4: 1, 8: 1},  # 1 + tr = 4 w^2
+        (1, 1): {0: 1, 4: -1, 8: -1},  # 4 x^2
+        (2, 2): {0: -1, 4: 1, 8: -1},  # 4 y^2
+        (3, 3): {0: -1, 4: -1, 8: 1},  # 4 z^2
+        (0, 1): {5: 1, 7: -1},  # u12 - u21 = 4 w x
+        (0, 2): {6: 1, 2: -1},  # u20 - u02 = 4 w y
+        (0, 3): {1: 1, 3: -1},  # u01 - u10 = 4 w z
+        (1, 2): {1: 1, 3: 1},  # u01 + u10 = 4 x y
+        (1, 3): {2: 1, 6: 1},  # u02 + u20 = 4 x z
+        (2, 3): {5: 1, 7: 1},  # u12 + u21 = 4 y z
+    }
+    signs = np.zeros((9, 4, 4), dtype=np.int8)
+    for (a, b), terms in entries.items():
+        for i, sign in terms.items():
+            signs[i, a, b] = signs[i, b, a] = sign
+    return signs.reshape(9, 16)
 
-    Components are divided by ``c = max(|r|_inf, 1)`` and the quotient is
-    rebuilt from the scaled pieces; algebraically identical to the direct
-    form, but safe for |r| up to the pi-encoding threshold.  Elementary
-    arithmetic only.
+
+_PIVOT_SIGNS = _pivot_signs()
+
+
+def _pivot_table(u):
+    """Shepperd's table of stacked 3x3 matrices: the symmetric 4x4 whose
+    row k is ``4 q_k (w, x, y, z)``, its diagonal ``1 + tr`` and
+    ``1 + 2 u_kk - tr``.  One product with an integer sign matrix;
+    exact on ``fractions.Fraction``.  Elementary arithmetic only.
     """
-    c = np.maximum(np.abs(r).max(axis=-1), 1.0)
-    w = 1.0 / c
-    s = r * w[..., None]
-    x, y, z = s[..., 0], s[..., 1], s[..., 2]
-    w2 = w * w
-    sq = x * x + y * y + z * z
-    with np.errstate(under="ignore"):
-        d = w2 + sq
-        k = w2 - sq
-        m00 = k + 2 * x * x
-        m01 = 2 * (x * y + w * z)
-        m02 = 2 * (x * z - w * y)
-        m10 = 2 * (x * y - w * z)
-        m11 = k + 2 * y * y
-        m12 = 2 * (y * z + w * x)
-        m20 = 2 * (x * z + w * y)
-        m21 = 2 * (y * z - w * x)
-        m22 = k + 2 * z * z
-        rows = np.stack(
-            [m00, m01, m02, m10, m11, m12, m20, m21, m22], axis=-1
-        ).reshape(r.shape[:-1] + (3, 3))
-        return rows / d[..., None, None]
+    t = u.reshape(u.shape[:-2] + (9,)) @ _PIVOT_SIGNS
+    t[..., ::5] += 1
+    return t.reshape(u.shape[:-2] + (4, 4))
+
+
+def _pivot_row(u):
+    """The row of :func:`_pivot_table` with the largest own entry, for
+    (n, 3, 3) matrices.
+
+    The four own entries sum to 4, so the chosen row is never zero, and
+    its ratios are the quaternion up to scale: ``v / w`` is the Gibbs
+    vector.  Ties pick the lowest index.  Elementary arithmetic only.
+    """
+    t = _pivot_table(u)
+    k = t.diagonal(axis1=-2, axis2=-1).argmax(axis=-1)
+    return t[np.arange(len(k)), k]
 
 
 def _gibbs_from_matrix_direct(u):
-    """Textbook rational map U -> r away from half turns.
+    """Textbook rational map U -> r away from half turns: the w row of
+    the pivot table, ``(u_12 - u_21, ...) / (1 + tr)``.
 
-    Exact on ``fractions.Fraction`` inputs; inverse of the direct map by
-    back substitution.  Elementary arithmetic only.
+    Exact on ``fractions.Fraction`` inputs; inverse of the direct map.
+    Elementary arithmetic only.
     """
-    d = 1 + u[..., 0, 0] + u[..., 1, 1] + u[..., 2, 2]
-    num = np.stack(
-        [
-            u[..., 1, 2] - u[..., 2, 1],
-            u[..., 2, 0] - u[..., 0, 2],
-            u[..., 0, 1] - u[..., 1, 0],
-        ],
-        axis=-1,
-    )
-    return num / d[..., None]
-
-
-def _gibbs_from_matrix_half_turn(u: np.ndarray) -> np.ndarray:
-    """Half-turn extraction via the largest-diagonal column.
-
-    Add one to the pivot diagonal entry, divide the pivot column through,
-    then rescale so the largest |component| sits exactly at the float
-    ceiling.  Elementary arithmetic only; ties pick the lowest index.
-
-    The pivot column is symmetrized with the matching row first: a
-    half-turn matrix is symmetric, so this changes nothing for exact
-    inputs, but for almost-half-turns that land here through the trace
-    test it cancels the leftover antisymmetric part, which would
-    otherwise tilt the recovered axis at first order.
-    """
-    flat = u.reshape(-1, 3, 3)
-    diag = np.stack([flat[:, 0, 0], flat[:, 1, 1], flat[:, 2, 2]], axis=-1)
-    k = diag.argmax(axis=-1)
-    idx = np.arange(flat.shape[0])
-    col = 0.5 * (flat[idx, :, k] + flat[idx, k, :])
-    col[idx, k] += 1.0
-    den = 1.0 + diag[idx, k]
-    if (den <= 0.0).any():
-        raise InvalidInputError(
-            "half-turn extraction failed: no diagonal entry above -1 "
-            "(input is too far from a rotation matrix)"
-        )
-    v = col / den[:, None]
-    vmax = np.abs(v).max(axis=-1)
-    out = (v / vmax[:, None]) * PI_ENCODING_MAGNITUDE
-    return out.reshape(u.shape[:-2] + (3,))
+    t = _pivot_table(u)
+    return t[..., 0, 1:] / t[..., 0, :1]
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +360,11 @@ def _gibbs_from_matrix_half_turn(u: np.ndarray) -> np.ndarray:
 def gibbs_to_matrix(r) -> np.ndarray:
     """Rotation matrix for the Gibbs vector ``r``.
 
-    Finite-regime inputs go through the rational form (elementary
-    arithmetic only).  Pi-encoded inputs return the exact half-turn limit
-    ``2 u u^T - I`` about the unit axis ``u = r/|r|``.
+    One rational kernel on the homogeneous pair ``(w : v)``: ``(1, r)``
+    for moderate magnitudes, the max-abs scaled pair otherwise.
+    Pi-encoded inputs have ``w = 0`` and return the exact half-turn limit
+    ``2 u u^T - I`` about the unit axis ``u = r/|r|``.  Elementary
+    arithmetic only.
 
     The output is orthogonal with residual and determinant deviation
     within ``TOL_ORTHO_OUTPUT``.
@@ -376,15 +375,11 @@ def gibbs_to_matrix(r) -> np.ndarray:
     a = _as_vec3(r, "r")
     flat = a.reshape(-1, 3)
     if flat.shape[0] and np.abs(flat).max() < _FUSED_MAGNITUDE_LIMIT:
-        return _matrix_from_gibbs_fused(flat).reshape(a.shape[:-1] + (3, 3))
-    pi = _pi_mask(flat)
-    out = np.empty((flat.shape[0], 3, 3))
-    fin = ~pi
-    if fin.any():
-        out[fin] = _matrix_from_gibbs_scaled(flat[fin])
-    if pi.any():
-        axis = _unit_axis(flat[pi])
-        out[pi] = 2.0 * axis[:, :, None] * axis[:, None, :] - _EYE3
+        out = _matrix_from_pair(1.0, flat)
+    else:
+        w, v = _homogeneous(flat)
+        with np.errstate(under="ignore"):
+            out = _matrix_from_pair(w, v)
     return out.reshape(a.shape[:-1] + (3, 3))
 
 
@@ -397,9 +392,11 @@ def matrix_to_gibbs(
 ) -> np.ndarray:
     """Gibbs vector of a rotation matrix.
 
-    Matrices with ``1 + trace > pi_trace_tol`` use the generic rational
-    extraction; the rest (half turns) use the largest-diagonal column and
-    come back pi-encoded.  Both paths are elementary arithmetic only.
+    Takes the row of Shepperd's pivot table with the largest diagonal
+    entry, ``4 q_k (w, x, y, z)``, and returns ``v / w``; where
+    ``w^2 <= pi_trace_tol / 4 * |(w, v)|^2`` it returns the half-turn
+    encoding along ``v`` instead.  On an exact rotation that is the test
+    ``1 + trace <= pi_trace_tol``.  Elementary arithmetic only.
 
     ``check=True`` validates the input against ``ortho_tol`` first and
     raises :class:`InvalidInputError` for non-rotations.
@@ -407,15 +404,8 @@ def matrix_to_gibbs(
     a = _as_matrix3(u, "matrix")
     if check:
         _require_rotation(a, ortho_tol)
-    flat = a.reshape(-1, 3, 3)
-    tr1 = 1.0 + flat[:, 0, 0] + flat[:, 1, 1] + flat[:, 2, 2]
-    pi = tr1 <= pi_trace_tol
-    out = np.empty((flat.shape[0], 3))
-    fin = ~pi
-    if fin.any():
-        out[fin] = _gibbs_from_matrix_direct(flat[fin])
-    if pi.any():
-        out[pi] = _gibbs_from_matrix_half_turn(flat[pi])
+    row = _pivot_row(a.reshape(-1, 3, 3))
+    out = _dehomogenize(row[:, 0], row[:, 1:], pi_trace_tol / 4.0)
     return out.reshape(a.shape[:-2] + (3,))
 
 

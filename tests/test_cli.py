@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gibbsrot
-from gibbsrot.cli import bench_rows, main, selftest_checks
+from gibbsrot.cli import _build_parser, bench_rows, main, selftest_checks
 
 BENCH_HEADER = "operation,representation,iterations,total_ns,ns_per_op,max_roundtrip_err"
 
@@ -165,6 +165,16 @@ def test_compose_chain_and_half_turn_output():
     assert out.strip() == "pi-rotation axis=1.0,0.0,0.0"
     code, out, _ = run_cli(["compose", "--value", "1,0,0", "--value", "0,1,0"])
     assert out.strip() == "1.0,1.0,-1.0"
+
+
+def test_repeated_in_process_calls_do_not_share_state():
+    # the parser is built once per process; appended --value lists must
+    # still start empty on every call
+    assert _build_parser() is _build_parser()
+    code, out, _ = run_cli(["compose", "--value", "1,0,0", "--value", "0,1,0"])
+    assert code == 0 and out.strip() == "1.0,1.0,-1.0"
+    code, out, _ = run_cli(["compose", "--value", "0,0,1"])
+    assert code == 0 and out.strip() == "0.0,0.0,1.0"
 
 
 def test_align_family_output():

@@ -10,6 +10,7 @@ from gibbsrot import (
     PI_ENCODING_THRESHOLD,
     TOL_ORTHO_OUTPUT,
     InvalidInputError,
+    axis_angle_to_gibbs,
     gibbs_to_matrix,
     invert,
     is_pi_encoded,
@@ -168,6 +169,47 @@ def test_pi_encode_rejects_bad_axes():
         pi_encode([0.0, 0.0, 0.0])
     with pytest.raises(InvalidInputError):
         pi_encode([np.inf, 0.0, 0.0])
+
+
+def ladder_matrices(rng, theta, n):
+    axes = random_units(rng, n)
+    return gibbs_to_matrix(axis_angle_to_gibbs(axes, np.full(n, theta)))
+
+
+@pytest.mark.parametrize("d", [1e-3, 1e-4, 1e-5, 1e-9, 1e-10, 1e-12, 0.0])
+def test_noisy_near_half_turns_round_trip(d):
+    # theta = pi - d plus 1e-10 noise per entry: the validator accepts
+    # every matrix, so extraction must return the rotation it was given
+    rng = np.random.default_rng(61)
+    u = ladder_matrices(rng, np.pi - d, 300)
+    u += rng.uniform(-1e-10, 1e-10, size=u.shape)
+    assert is_rotation_matrix(u)
+    assert np.abs(gibbs_to_matrix(matrix_to_gibbs(u)) - u).max() <= 1e-8
+
+
+def test_noisy_half_turn_about_z_is_not_the_identity():
+    u = np.diag([-1.0, -1.0, 1.0]) + 1e-10
+    assert is_rotation_matrix(u)
+    r = matrix_to_gibbs(u)
+    assert is_pi_encoded(r)
+    assert np.abs(gibbs_to_matrix(r) - u).max() <= 1e-8
+
+
+@pytest.mark.parametrize("tol, first", [(None, 7), (1e-9, 5)])
+def test_pi_trace_tol_decides_the_encoded_ladder(tol, first):
+    # exact matrices at theta = pi - 10^-k have 1 + trace = 10^-2k to
+    # rounding; they come back pi-encoded exactly when that is at or
+    # below pi_trace_tol.  The rung at 10^-2k == tol sits on the boundary
+    # and is not pinned.
+    kwargs = {} if tol is None else {"pi_trace_tol": tol}
+    rng = np.random.default_rng(3)
+    for k in range(1, 13):
+        u = ladder_matrices(rng, np.pi - 10.0 ** (-k), 50)
+        encoded = is_pi_encoded(matrix_to_gibbs(u, **kwargs))
+        if k >= first:
+            assert encoded.all(), k
+        elif k < first - 1:
+            assert not encoded.any(), k
 
 
 # --- validation -------------------------------------------------------------

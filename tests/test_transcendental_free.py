@@ -17,7 +17,7 @@ import pytest
 import gibbsrot.algebra
 import gibbsrot.core
 from gibbsrot.algebra import _compose_direct
-from gibbsrot.core import _gibbs_from_matrix_direct, _matrix_from_gibbs_direct
+from gibbsrot.core import _gibbs_from_matrix_direct, _matrix_from_gibbs_direct, _pivot_row
 
 FORBIDDEN_CALLS = {
     "sqrt", "cbrt", "hypot", "norm",
@@ -34,20 +34,20 @@ AUDITED = {
         "matrix_to_gibbs",
         "is_rotation_matrix",
         "_pi_mask",
+        "_homogeneous",
+        "_dehomogenize",
+        "_matrix_from_pair",
         "_matrix_from_gibbs_direct",
-        "_matrix_from_gibbs_scaled",
-        "_matrix_from_gibbs_fused",
+        "_pivot_table",
+        "_pivot_row",
         "_gibbs_from_matrix_direct",
-        "_gibbs_from_matrix_half_turn",
     ],
     gibbsrot.algebra: [
         "compose",
         "compose_scan",
         "compose_sequence",
         "_compose_direct",
-        "_homogeneous",
         "_hamilton",
-        "_dehomogenize",
     ],
 }
 
@@ -155,6 +155,19 @@ def test_exact_extraction_of_exact_product():
     r, s = r[keep], s[keep]
     prod = np.matmul(_matrix_from_gibbs_direct(r), _matrix_from_gibbs_direct(s))
     assert (_gibbs_from_matrix_direct(prod) == _compose_direct(r, s)).all()
+
+
+def test_exact_extraction_through_every_pivot_row():
+    # a component beyond 1 in magnitude means that component of the
+    # quaternion outweighs w, so the pivot is the x, y or z row, not w
+    r = rational_vectors(200, 23)
+    big = np.array([max(abs(c) for c in row) > 1 for row in r])
+    r = r[big]
+    pivots = {int(np.argmax([abs(c) for c in row])) for row in r}
+    assert len(r) >= 100 and pivots == {0, 1, 2}
+    row = _pivot_row(_matrix_from_gibbs_direct(r))
+    assert all(type(v) is Fraction for v in row.flat)
+    assert (row[:, 1:] / row[:, :1] == r).all()
 
 
 def test_floats_never_contaminate_the_fraction_path():
