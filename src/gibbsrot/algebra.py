@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _as_vec3, _dehomogenize, _homogeneous
+from .core import _as_vec3, _dehomogenize, _homogeneous, _max_abs
 from .errors import InvalidInputError
 
 __all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"]
@@ -116,7 +116,7 @@ def compose_scan(vectors) -> np.ndarray:
     d = 1
     while d < arr.shape[0]:
         wp, vp = _hamilton(w[d:], v[d:], w[:-d], v[:-d])
-        scale = np.maximum(np.abs(wp), np.abs(vp).max(axis=-1))
+        scale = np.maximum(np.abs(wp), _max_abs(vp))
         w[d:] = wp / scale
         v[d:] = vp / scale[:, None]
         d *= 2

@@ -29,7 +29,7 @@ import numpy as np
 # ``compose_scan``: the perfbench sweep trace wraps
 # ``gibbsrot.alignment.compose`` and counts its calls.
 from .algebra import compose, compose_scan
-from .core import matrix_to_gibbs, pi_encode, rotate_vector
+from .core import _as_float, _cross, _dot, matrix_to_gibbs, pi_encode, rotate_vector
 from .errors import AntipodalError, InvalidInputError, InvalidPairError
 
 __all__ = [
@@ -76,7 +76,7 @@ class AlignmentLine:
 
     def member(self, gamma) -> np.ndarray:
         """Evaluate ``base + gamma * direction`` (broadcasting over gamma)."""
-        g = np.asarray(gamma, dtype=float)
+        g = _as_float(gamma, "gamma")
         return self.base + g[..., None] * self.direction
 
 
@@ -94,7 +94,7 @@ class TransportResult(NamedTuple):
 
 
 def _as_vectors(v, name: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
+    a = _as_float(v, name)
     if a.ndim == 0 or a.shape[-1] != 3:
         raise InvalidInputError(f"{name} must have shape (..., 3), got {a.shape}")
     if not np.isfinite(a).all():
@@ -103,7 +103,7 @@ def _as_vectors(v, name: str) -> np.ndarray:
 
 
 def _norms(flat: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(flat * flat, axis=-1))
+    return np.sqrt(_dot(flat, flat))
 
 
 def _first(mask: np.ndarray) -> int:
@@ -116,9 +116,9 @@ def _perp_basis(p: np.ndarray) -> np.ndarray:
     pick = np.argmin(np.abs(unit))
     seed = np.zeros(3)
     seed[pick] = 1.0
-    e1 = np.cross(unit, seed)
+    e1 = _cross(unit, seed)
     e1 /= _norms(e1[None, :])[0]
-    e2 = np.cross(unit, e1)
+    e2 = _cross(unit, e1)
     e2 /= _norms(e2[None, :])[0]
     return np.stack([e1, e2])
 
@@ -157,15 +157,16 @@ def align_family(p, q, *, tol: float = TOL_LEN) -> AlignmentLine:
         raise InvalidInputError(
             "align_family takes single 3-vectors; use align_line for batches"
         )
-    base, direction = _family_parts(pp[None, :], qq[None, :], tol)
-    return AlignmentLine(base=base[0], direction=direction[0])
+    den = _line_denominators(pp[None, :], qq[None, :], tol)[0]
+    return AlignmentLine(base=_cross(qq, pp) / den, direction=(pp + qq) / den)
 
 
-def _family_parts(p: np.ndarray, q: np.ndarray, tol: float):
-    """Vectorized (base, direction) of the alignment line; validates."""
+def _line_denominators(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
+    """The denominators ``p . (p + q)`` of (n, 3) pairs' alignment lines,
+    after the length and antipodal checks."""
     np_, nq = _norms(p), _norms(q)
     _check_pair_lengths(p, q, np_, nq, tol, "align")
-    den = np.sum(p * (p + q), axis=-1)
+    den = _dot(p, p + q)
     anti = den <= tol * np_ * np_
     if anti.any():
         i = _first(anti)
@@ -174,9 +175,7 @@ def _family_parts(p: np.ndarray, q: np.ndarray, tol: float):
             "turn about the perpendicular plane is a solution",
             basis=_perp_basis(p[i]),
         )
-    base = np.cross(q, p) / den[..., None]
-    direction = (p + q) / den[..., None]
-    return base, direction
+    return den
 
 
 def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
@@ -189,7 +188,7 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     """
     pp = _as_vectors(p, "p")
     qq = _as_vectors(q, "q")
-    g = np.asarray(gamma, dtype=float)
+    g = _as_float(gamma, "gamma")
     if not np.isfinite(g).all():
         raise InvalidInputError("gamma must be finite")
     try:
@@ -203,18 +202,8 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     flat_p = pp.reshape(-1, 3)
     flat_q = qq.reshape(-1, 3)
     flat_g = g.reshape(-1)
-    np_, nq = _norms(flat_p), _norms(flat_q)
-    _check_pair_lengths(flat_p, flat_q, np_, nq, tol, "align")
-    den = np.sum(flat_p * (flat_p + flat_q), axis=-1)
-    anti = den <= tol * np_ * np_
-    if anti.any():
-        i = _first(anti)
-        raise AntipodalError(
-            f"antipodal pair at index {i}: q is opposite to p, every half "
-            "turn about the perpendicular plane is a solution",
-            basis=_perp_basis(flat_p[i]),
-        )
-    num = np.cross(flat_q, flat_p) + flat_g[:, None] * (flat_p + flat_q)
+    den = _line_denominators(flat_p, flat_q, tol)
+    num = _cross(flat_q, flat_p) + flat_g[:, None] * (flat_p + flat_q)
     return (num / den[:, None]).reshape(shape)
 
 
@@ -241,12 +230,12 @@ def align_pair_unchecked(p1, q1, p2, q2) -> np.ndarray:
     except ValueError:
         raise InvalidInputError("pair shapes do not broadcast") from None
     d = a2 - b2
-    c1 = np.cross(b1, a1)
+    c1 = _cross(b1, a1)
     s1 = a1 + b1
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = -np.sum(c1 * d, axis=-1) / np.sum(s1 * d, axis=-1)
+        gamma = -_dot(c1, d) / _dot(s1, d)
         num = c1 + gamma[..., None] * s1
-        return num / np.sum(a1 * s1, axis=-1)[..., None]
+        return num / _dot(a1, s1)[..., None]
 
 
 def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
@@ -298,8 +287,8 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     _check_pair_lengths(a1, b1, n_a1, n_b1, tol, "pair 1")
     _check_pair_lengths(a2, b2, n_a2, n_b2, tol, "pair 2")
 
-    dot_p = np.sum(a1 * a2, axis=-1)
-    dot_q = np.sum(b1 * b2, axis=-1)
+    dot_p = _dot(a1, a2)
+    dot_q = _dot(b1, b2)
     bad = np.abs(dot_p - dot_q) > tol * n_a1 * n_a2
     if bad.any():
         i = _first(bad)
@@ -309,7 +298,8 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
             condition="ANGLE_MISMATCH",
         )
 
-    den1 = np.sum(a1 * (a1 + b1), axis=-1)
+    s1 = a1 + b1
+    den1 = _dot(a1, s1)
     anti1 = den1 <= tol * n_a1 * n_a1
     if anti1.any():
         i = _first(anti1)
@@ -319,77 +309,64 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
             condition="ANTIPODAL",
         )
 
-    out = np.zeros_like(a1)
+    d = a2 - b2
     fixed1 = _norms(a1 - b1) <= tol * n_a1
-    fixed2 = _norms(a2 - b2) <= tol * n_a2
+    fixed2 = _norms(d) <= tol * n_a2
+    out = _align_pair_general(
+        a1, b1, a2, b2, s1, d, den1, fixed1 | fixed2, n_a1, n_a2, tol
+    )
 
-    live = ~fixed1 & ~fixed2
-    if live.any():
-        out[live] = _align_pair_general(
-            a1[live], b1[live], a2[live], b2[live], den1[live], tol
-        )
-
-    only1 = fixed1 & ~fixed2
-    if only1.any():
-        out[only1] = _member_fixing(
-            a2[only1], b2[only1], a1[only1], n_a2[only1], tol
-        )
+    only1 = np.flatnonzero(fixed1 & ~fixed2)
+    if only1.size:
+        out[only1] = _member_fixing(a2[only1], b2[only1], a1[only1], n_a2[only1], tol)
         _verify_rows(out, only1, a1, b1, a2, b2, n_a1, n_a2, tol)
 
-    only2 = ~fixed1 & fixed2
-    if only2.any():
-        out[only2] = _member_fixing(
-            a1[only2], b1[only2], a2[only2], n_a1[only2], tol
-        )
+    only2 = np.flatnonzero(~fixed1 & fixed2)
+    if only2.size:
+        out[only2] = _member_fixing(a1[only2], b1[only2], a2[only2], n_a1[only2], tol)
         _verify_rows(out, only2, a1, b1, a2, b2, n_a1, n_a2, tol)
 
-    # fixed1 & fixed2 rows stay zero: the identity.
+    # Both pairs fixed: the identity.
+    out[np.flatnonzero(fixed1 & fixed2)] = 0.0
     return out.reshape(shape)
 
 
-def _align_pair_general(
-    a1: np.ndarray,
-    b1: np.ndarray,
-    a2: np.ndarray,
-    b2: np.ndarray,
-    den1: np.ndarray,
-    tol: float,
-) -> np.ndarray:
-    """Rows where neither pair is fixed: the gamma formula plus its
-    singular and 0/0 escapes."""
-    out = np.empty_like(a1)
-    d = a2 - b2
-    c1 = np.cross(b1, a1)
-    s1 = a1 + b1
-    num_g = np.sum(c1 * d, axis=-1)
-    den_g = np.sum(s1 * d, axis=-1)
-    scale = _norms(s1) * _norms(d)
-    singular = np.abs(den_g) <= TOL_ALIGN_SINGULAR * scale
+def _align_pair_general(a1, b1, a2, b2, s1, d, den1, fixed, n_a1, n_a2, tol):
+    """The gamma formula on every row, then the rows where its
+    denominator vanishes patched by index: the half-turn limit, the
+    smallest member, or the triad.  Rows where ``fixed`` is set are left
+    for the caller to overwrite."""
+    c1 = _cross(b1, a1)
+    num_g = _dot(c1, d)
+    den_g = _dot(s1, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = -num_g / den_g
+        out = (c1 + gamma[:, None] * s1) / den1[:, None]
 
-    reg = ~singular
-    if reg.any():
-        gamma = -num_g[reg] / den_g[reg]
-        out[reg] = (c1[reg] + gamma[:, None] * s1[reg]) / den1[reg, None]
+    n_d = _norms(d)
+    singular = np.flatnonzero(
+        ~fixed & (np.abs(den_g) <= TOL_ALIGN_SINGULAR * _norms(s1) * n_d)
+    )
+    if not singular.size:
+        return out
 
-    hard = singular & (np.abs(num_g) > TOL_ALIGN_SINGULAR * _norms(c1) * _norms(d))
-    if hard.any():
+    is_hard = np.abs(num_g[singular]) > TOL_ALIGN_SINGULAR * _norms(c1[singular]) * n_d[singular]
+    hard = singular[is_hard]
+    if hard.size:
         # gamma -> inf: the half turn about p1 + q1.
         out[hard] = pi_encode(s1[hard])
 
-    both = singular & ~hard
-    if both.any():
-        parallel = _norms(np.cross(a2[both], a1[both])) <= tol * _norms(a2[both]) * _norms(a1[both])
-        idx = np.flatnonzero(both)
-        if parallel.any():
-            sub = idx[parallel]
-            # The second pair repeats the first; take the smallest member.
-            out[sub] = c1[sub] / den1[sub, None]
-        stubborn = idx[~parallel]
+    both = singular[~is_hard]
+    if both.size:
+        parallel = _norms(_cross(a2[both], a1[both])) <= tol * n_a2[both] * n_a1[both]
+        sub = both[parallel]
+        # The second pair repeats the first; take the smallest member.
+        out[sub] = c1[sub] / den1[sub, None]
+        stubborn = both[~parallel]
         if stubborn.size:
             out[stubborn] = _triad(a1[stubborn], b1[stubborn], a2[stubborn], b2[stubborn])
 
-    if singular.any():
-        _verify_rows(out, singular, a1, b1, a2, b2, _norms(a1), _norms(a2), tol)
+    _verify_rows(out, singular, a1, b1, a2, b2, n_a1, n_a2, tol)
     return out
 
 
@@ -405,9 +382,8 @@ def _member_fixing(
     v, in which case the half turn works; otherwise the caller's residual
     check rejects.
     """
-    n_q = _norms(q)
-    den = np.sum(p * (p + q), axis=-1)
-    anti = den <= tol * _norms(p) ** 2
+    den = _dot(p, p + q)
+    anti = den <= tol * n_p ** 2
     out = np.empty_like(p)
     if anti.any():
         # p -> q is a half turn; the only candidate fixing v is the half
@@ -415,15 +391,15 @@ def _member_fixing(
         out[anti] = pi_encode(v[anti])
     reg = ~anti
     if reg.any():
-        c = np.cross(q[reg], p[reg])
+        c = _cross(q[reg], p[reg])
         s = p[reg] + q[reg]
-        cv = np.cross(c, v[reg])
-        sv = np.cross(s, v[reg])
-        sv2 = np.sum(sv * sv, axis=-1)
+        cv = _cross(c, v[reg])
+        sv = _cross(s, v[reg])
+        sv2 = _dot(sv, sv)
         degenerate = sv2 <= (tol * _norms(s) * _norms(v[reg])) ** 2
         gamma = np.zeros(sv2.shape)
         ok = ~degenerate
-        gamma[ok] = -np.sum(cv[ok] * sv[ok], axis=-1) / sv2[ok]
+        gamma[ok] = -_dot(cv[ok], sv[ok]) / sv2[ok]
         member = (c + gamma[:, None] * s) / den[reg, None]
         if degenerate.any():
             member[degenerate] = pi_encode(v[reg][degenerate])
@@ -435,36 +411,37 @@ def _triad(a1, b1, a2, b2) -> np.ndarray:
     """Orthonormal-frame fallback: build right-handed frames on each pair
     and convert the frame-to-frame matrix back to a Gibbs vector."""
     e1 = a1 / _norms(a1)[:, None]
-    w = a2 - np.sum(a2 * e1, axis=-1, keepdims=True) * e1
+    w = a2 - _dot(a2, e1)[:, None] * e1
     e2 = w / _norms(w)[:, None]
-    e3 = np.cross(e1, e2)
+    e3 = _cross(e1, e2)
     f1 = b1 / _norms(b1)[:, None]
-    x = b2 - np.sum(b2 * f1, axis=-1, keepdims=True) * f1
+    x = b2 - _dot(b2, f1)[:, None] * f1
     f2 = x / _norms(x)[:, None]
-    f3 = np.cross(f1, f2)
+    f3 = _cross(f1, f2)
     m = (
-        np.einsum("ni,nj->nij", f1, e1)
-        + np.einsum("ni,nj->nij", f2, e2)
-        + np.einsum("ni,nj->nij", f3, e3)
+        f1[:, :, None] * e1[:, None, :]
+        + f2[:, :, None] * e2[:, None, :]
+        + f3[:, :, None] * e3[:, None, :]
     )
     return matrix_to_gibbs(m, check=False)
 
 
-def _verify_rows(out, mask, a1, b1, a2, b2, n_a1, n_a2, tol) -> None:
-    """Residual check for rows solved by a degenerate branch: the result
-    must actually map both pairs.  The preconditions admit inputs
-    perturbed at ``tol``, so the gate is a comfortable multiple of it."""
-    r = out[mask]
-    res1 = _norms(rotate_vector(r, a1[mask]) - b1[mask]) / n_a1[mask]
-    res2 = _norms(rotate_vector(r, a2[mask]) - b2[mask]) / n_a2[mask]
+def _verify_rows(out, idx, a1, b1, a2, b2, n_a1, n_a2, tol) -> None:
+    """Residual check for the rows ``idx`` solved by a degenerate branch:
+    the result must actually map both pairs.  The preconditions admit
+    inputs perturbed at ``tol``, so the gate is a comfortable multiple of
+    it."""
+    r = out[idx]
+    res1 = _norms(rotate_vector(r, a1[idx]) - b1[idx]) / n_a1[idx]
+    res2 = _norms(rotate_vector(r, a2[idx]) - b2[idx]) / n_a2[idx]
     gate = max(1e3 * tol, 1e-8)
     bad = (res1 > gate) | (res2 > gate)
     if bad.any():
-        i = int(np.flatnonzero(mask)[int(np.argmax(bad))])
+        k = int(np.argmax(bad))
         raise InvalidPairError(
-            f"pairs at index {i} pass the length checks but admit no "
-            f"common rotation (residuals {float(res1[np.argmax(bad)]):.3e}, "
-            f"{float(res2[np.argmax(bad)]):.3e})",
+            f"pairs at index {int(idx[k])} pass the length checks but admit no "
+            f"common rotation (residuals {float(res1[k]):.3e}, "
+            f"{float(res2[k]):.3e})",
             condition="ANGLE_MISMATCH",
         )
 
@@ -486,7 +463,7 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     frame 0 onto frame i.  Alignment failures are re-raised with the
     offending step attached.
     """
-    f = np.asarray(frames, dtype=float)
+    f = _as_float(frames, "frames")
     if f.ndim != 3 or f.shape[1:] != (2, 3):
         raise InvalidInputError(
             f"frames must have shape (n, 2, 3) as (tangent, normal) rows, got {f.shape}"
@@ -504,7 +481,7 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
         if bad.any():
             raise InvalidInputError(f"zero {label} at frame {_first(bad)}")
     that = t / nt[:, None]
-    w = m - np.sum(m * that, axis=-1, keepdims=True) * that
+    w = m - _dot(m, that)[:, None] * that
     nw = _norms(w)
     sick = nw <= tol * nm
     if sick.any():

@@ -35,6 +35,7 @@ import numpy as np
 
 from .core import (
     TOL_ORTHO_INPUT,
+    _as_float,
     _as_matrix3,
     _as_vec3,
     _homogeneous,
@@ -94,7 +95,7 @@ class EulerAngles(NamedTuple):
 
 def _as_quaternion(q, name: str = "q") -> np.ndarray:
     """Validate shape and unit norm; return a float copy."""
-    a = np.asarray(q, dtype=float)
+    a = _as_float(q, name)
     if a.ndim == 0 or a.shape[-1] != 4:
         raise InvalidInputError(
             f"{name} must have shape (..., 4) as [w, x, y, z], got {a.shape}"
@@ -220,7 +221,7 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     a = _as_matrix3(u, "matrix")
     if check:
         _require_rotation(a, ortho_tol)
-    q = _pivot_row(a.reshape(-1, 3, 3))
+    q = _pivot_row(a)
     q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
     return canonicalize_quaternion(q.reshape(a.shape[:-2] + (4,)))
 

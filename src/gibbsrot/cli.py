@@ -412,7 +412,10 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
     component error relative to the vector scale for Gibbs round trips,
     absolute component error for canonical quaternions, matrix-entry
     error for Euler round trips, matrix-entry cross-checks for the two
-    compose alternatives, and orthogonality drift for matrix compose.
+    compose alternatives, orthogonality drift for matrix compose, the
+    worst relative residual of mapping both pairs for ``align_pair``, and
+    the orthogonality residual ``is_rotation_matrix`` reports for the
+    ``validate`` row.
     """
     if iters < 1:
         raise _UsageError("--iters must be at least 1")
@@ -420,7 +423,7 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
     u = gibbs_to_matrix(r)
     q = gibbs_to_quaternion(r)
     e = matrix_to_euler(u, check=False)
-    e_arr = np.stack(e, axis=-1) if iters > 1 else np.asarray(e)
+    e_arr = np.stack(e, axis=-1)
     us = gibbs_to_matrix(s)
     qs = gibbs_to_quaternion(s)
 
@@ -451,7 +454,7 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
     t = _time_ns(lambda: euler_to_matrix(e_arr))
     ue = euler_to_matrix(e_arr)
     eb = matrix_to_euler(ue, check=False)
-    ueb = euler_to_matrix(np.stack(eb, axis=-1) if iters > 1 else np.asarray(eb))
+    ueb = euler_to_matrix(np.stack(eb, axis=-1))
     add("to_matrix", "euler", t, np.abs(ueb - ue).max())
 
     # --- from_matrix (same round-trip errors, timed in the other direction)
@@ -481,6 +484,22 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
     gram = np.einsum("nji,njk->nik", uu, uu)
     err = np.abs(gram - np.eye(3)).max()
     add("compose", "matrix", t, err)
+
+    # --- align_pair: recover r from the images of two corpus vectors,
+    # reporting the worst residual of mapping either pair, relative to |p|.
+    p1, p2 = s, np.roll(s, 1, axis=0)
+    q1, q2 = rotate_vector(r, p1), rotate_vector(r, p2)
+    t = _time_ns(lambda: align_pair(p1, q1, p2, q2))
+    a = align_pair(p1, q1, p2, q2)
+    err = max(
+        np.max(np.linalg.norm(rotate_vector(a, p) - q, axis=-1) / np.linalg.norm(p, axis=-1))
+        for p, q in ((p1, q1), (p2, q2))
+    )
+    add("align_pair", "gibbs", t, err)
+
+    # --- validate: the rotation check that guards every matrix input
+    t = _time_ns(lambda: is_rotation_matrix(u))
+    add("validate", "matrix", t, is_rotation_matrix(u).max_orthogonality_residual)
     return rows
 
 

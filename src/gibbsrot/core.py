@@ -70,19 +70,60 @@ TOL_ORTHO_OUTPUT = 1e-12
 # turn: the pivot row's w^2 is at most a quarter of it, relative to the row.
 TOL_PI_TRACE = 1e-12
 
-_EYE3 = np.eye(3)
+# ---------------------------------------------------------------------------
+# row arithmetic on 3-vectors
+#
+# numpy's generic reductions over a length-3 axis cost several times the
+# arithmetic they do, so rows of 3-vectors are combined component by
+# component.  Each helper returns what the numpy call it replaces returns,
+# bit for bit, and is exact on ``fractions.Fraction``.
+
+
+def _dot(a, b):
+    """Dot products over the last axis, ``np.sum(a * b, axis=-1)``.
+
+    Summed ``(x + y) + z`` as ``np.sum`` does; its sum starts from +0, so
+    the trailing ``+ 0`` turns a sum of three -0 products into +0 too.
+    """
+    s = a[..., 0] * b[..., 0]
+    s += a[..., 1] * b[..., 1]
+    s += a[..., 2] * b[..., 2]
+    s += 0
+    return s
+
+
+def _cross(a, b):
+    """Cross products over the last axis with ``np.cross``'s formula."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out[..., 0] = a1 * b2 - a2 * b1
+    out[..., 1] = a2 * b0 - a0 * b2
+    out[..., 2] = a0 * b1 - a1 * b0
+    return out
+
+
+def _max_abs(a):
+    """Largest |component| over the last axis, ``np.abs(a).max(axis=-1)``."""
+    return np.maximum(np.maximum(np.abs(a[..., 0]), np.abs(a[..., 1])), np.abs(a[..., 2]))
 
 
 # ---------------------------------------------------------------------------
 # validation helpers
 
 
-def _as_vec3(x, name: str) -> np.ndarray:
-    """Coerce to a float array with last axis 3; reject NaN components."""
+def _as_float(x, name: str) -> np.ndarray:
+    """``np.asarray(x, dtype=float)``; non-numeric input is an
+    :class:`InvalidInputError` instead of numpy's conversion error."""
     try:
-        a = np.asarray(x, dtype=float)
+        return np.asarray(x, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} is not numeric: {exc}") from exc
+
+
+def _as_vec3(x, name: str) -> np.ndarray:
+    """Coerce to a float array with last axis 3; reject NaN components."""
+    a = _as_float(x, name)
     if a.ndim == 0 or a.shape[-1] != 3:
         raise InvalidInputError(
             f"{name} must have 3 components on the last axis, got shape {a.shape}"
@@ -93,10 +134,7 @@ def _as_vec3(x, name: str) -> np.ndarray:
 
 
 def _as_matrix3(x, name: str) -> np.ndarray:
-    try:
-        a = np.asarray(x, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"{name} is not numeric: {exc}") from exc
+    a = _as_float(x, name)
     if a.ndim < 2 or a.shape[-2:] != (3, 3):
         raise InvalidInputError(f"{name} must be 3x3 (last two axes), got shape {a.shape}")
     return a
@@ -139,8 +177,18 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
         raise InvalidInputError("matrix has non-finite entries")
     if a.size == 0:
         return RotationCheck(True, 0.0, 0.0)
-    gram = np.einsum("...ji,...jk->...ik", a, a)
-    res = float(np.abs(gram - _EYE3).max())
+    # the six distinct entries of U^T U - I: dot products of the columns,
+    # summed over the rows in order, as the full Gram product sums them
+    (u00, u10, u20), (u01, u11, u21), (u02, u12, u22) = a.T
+    gram = np.array([
+        u00 * u00 + u10 * u10 + u20 * u20 - 1.0,
+        u01 * u01 + u11 * u11 + u21 * u21 - 1.0,
+        u02 * u02 + u12 * u12 + u22 * u22 - 1.0,
+        u00 * u01 + u10 * u11 + u20 * u21,
+        u00 * u02 + u10 * u12 + u20 * u22,
+        u01 * u02 + u11 * u12 + u21 * u22,
+    ])
+    res = float(np.abs(gram).max())
     dev = float(np.abs(_det3(a) - 1.0).max())
     return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
 
@@ -166,13 +214,12 @@ def _pi_mask(r: np.ndarray) -> np.ndarray:
     Works at any magnitude: the norm comparison is done on components
     scaled by the largest one, so nothing overflows below the ceiling.
     """
-    a = np.abs(r)
-    m = a.max(axis=-1)
+    m = _max_abs(r)
     inf = np.isinf(m)
     safe = np.where(m == 0.0, 1.0, m)
     with np.errstate(over="ignore", invalid="ignore"):
         z = r / safe[..., None]
-        q = (z * z).sum(axis=-1)
+        q = _dot(z, z)
         lim = np.square(PI_ENCODING_THRESHOLD / safe)
     lim = np.where(m == 0.0, np.inf, lim)
     with np.errstate(invalid="ignore"):
@@ -196,7 +243,7 @@ def pi_encode(axis) -> np.ndarray:
     a = _as_vec3(axis, "axis")
     if not np.isfinite(a).all():
         raise InvalidInputError("axis has non-finite components")
-    m = np.abs(a).max(axis=-1)
+    m = _max_abs(a)
     if (m == 0.0).any():
         raise InvalidInputError("axis must be nonzero")
     return (a / m[..., None]) * PI_ENCODING_MAGNITUDE
@@ -218,7 +265,7 @@ def _homogeneous(r: np.ndarray):
     ``w = 0`` exactly; infinite rows keep only the signs of their
     infinite components.  Elementary arithmetic only.
     """
-    m = np.abs(r).max(axis=-1)
+    m = _max_abs(r)
     c = np.maximum(m, 1.0)
     w = 1.0 / c
     with np.errstate(invalid="ignore"):
@@ -292,52 +339,40 @@ def _matrix_from_gibbs_direct(r):
     return out.reshape(r.shape[:-1] + (3, 3))
 
 
-def _pivot_signs() -> np.ndarray:
-    """The (9, 16) integer map from the row-major flattened U (``u_ij``
-    is entry ``3 i + j``) to the row-major pivot table, less the 1 on its
-    diagonal."""
-    entries = {
-        (0, 0): {0: 1, 4: 1, 8: 1},  # 1 + tr = 4 w^2
-        (1, 1): {0: 1, 4: -1, 8: -1},  # 4 x^2
-        (2, 2): {0: -1, 4: 1, 8: -1},  # 4 y^2
-        (3, 3): {0: -1, 4: -1, 8: 1},  # 4 z^2
-        (0, 1): {5: 1, 7: -1},  # u12 - u21 = 4 w x
-        (0, 2): {6: 1, 2: -1},  # u20 - u02 = 4 w y
-        (0, 3): {1: 1, 3: -1},  # u01 - u10 = 4 w z
-        (1, 2): {1: 1, 3: 1},  # u01 + u10 = 4 x y
-        (1, 3): {2: 1, 6: 1},  # u02 + u20 = 4 x z
-        (2, 3): {5: 1, 7: 1},  # u12 + u21 = 4 y z
-    }
-    signs = np.zeros((9, 4, 4), dtype=np.int8)
-    for (a, b), terms in entries.items():
-        for i, sign in terms.items():
-            signs[i, a, b] = signs[i, b, a] = sign
-    return signs.reshape(9, 16)
-
-
-_PIVOT_SIGNS = _pivot_signs()
-
-
 def _pivot_table(u):
     """Shepperd's table of stacked 3x3 matrices: the symmetric 4x4 whose
     row k is ``4 q_k (w, x, y, z)``, its diagonal ``1 + tr`` and
-    ``1 + 2 u_kk - tr``.  One product with an integer sign matrix;
-    exact on ``fractions.Fraction``.  Elementary arithmetic only.
+    ``1 + 2 u_kk - tr``.  Ten distinct entries, each a signed sum of
+    named matrix entries; exact on ``fractions.Fraction``.  Elementary
+    arithmetic only.
     """
-    t = u.reshape(u.shape[:-2] + (9,)) @ _PIVOT_SIGNS
-    t[..., ::5] += 1
-    return t.reshape(u.shape[:-2] + (4, 4))
+    # Built entry-major on the transposed batch axes, so every entry is one
+    # contiguous write; the table is symmetric, so its transpose is the
+    # table with the batch axes back in front.
+    (u00, u10, u20), (u01, u11, u21), (u02, u12, u22) = u.T
+    t = np.empty((4, 4) + u.shape[-3::-1], u.dtype)
+    t[0, 0] = u00 + u11 + u22 + 1  # 4 w^2
+    t[1, 1] = u00 - u11 - u22 + 1  # 4 x^2
+    t[2, 2] = u11 - u00 - u22 + 1  # 4 y^2
+    t[3, 3] = u22 - u00 - u11 + 1  # 4 z^2
+    t[0, 1] = t[1, 0] = u12 - u21  # 4 w x
+    t[0, 2] = t[2, 0] = u20 - u02  # 4 w y
+    t[0, 3] = t[3, 0] = u01 - u10  # 4 w z
+    t[1, 2] = t[2, 1] = u01 + u10  # 4 x y
+    t[1, 3] = t[3, 1] = u02 + u20  # 4 x z
+    t[2, 3] = t[3, 2] = u12 + u21  # 4 y z
+    return t.T
 
 
 def _pivot_row(u):
-    """The row of :func:`_pivot_table` with the largest own entry, for
-    (n, 3, 3) matrices.
+    """The row of :func:`_pivot_table` with the largest own entry, as
+    (n, 4) rows of the matrices of ``u`` (any leading shape) in order.
 
     The four own entries sum to 4, so the chosen row is never zero, and
     its ratios are the quaternion up to scale: ``v / w`` is the Gibbs
     vector.  Ties pick the lowest index.  Elementary arithmetic only.
     """
-    t = _pivot_table(u)
+    t = _pivot_table(u).reshape(-1, 4, 4)
     k = t.diagonal(axis1=-2, axis2=-1).argmax(axis=-1)
     return t[np.arange(len(k)), k]
 
@@ -404,7 +439,7 @@ def matrix_to_gibbs(
     a = _as_matrix3(u, "matrix")
     if check:
         _require_rotation(a, ortho_tol)
-    row = _pivot_row(a.reshape(-1, 3, 3))
+    row = _pivot_row(a)
     out = _dehomogenize(row[:, 0], row[:, 1:], pi_trace_tol / 4.0)
     return out.reshape(a.shape[:-2] + (3,))
 

@@ -359,3 +359,84 @@ def test_transport_cumulative_is_step_fold():
     for i, step in enumerate(result.steps):
         acc = compose(step, acc)
         assert np.allclose(result.cumulative[i + 1], acc)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: align_pair("a", [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
+        lambda: align_pair_unchecked([1.0, 0.0, 0.0], "b", [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]),
+        lambda: align_line("x", [0.0, 1.0, 0.0], 0.0),
+        lambda: align_line([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], "g"),
+        lambda: align_family([1.0, 0.0, 0.0], "zz"),
+        lambda: frame_transport("abc"),
+        lambda: frame_transport([[[1.0, 0.0, 0.0], ["n", 1.0, 0.0]]]),
+    ],
+    ids=["align_pair", "align_pair_unchecked", "align_line", "align_line_gamma",
+         "align_family", "frame_transport", "frame_transport_entry"],
+)
+def test_non_numeric_input_is_a_typed_error(call):
+    with pytest.raises(InvalidInputError, match="is not numeric"):
+        call()
+
+
+def mixed_pair_batch():
+    """One batch with a row of every kind align_pair tells apart."""
+    rng = np.random.default_rng(61)
+    true = random_gibbs(rng, 4, 1e-2, 1e1)
+    p1 = rng.normal(size=(4, 3))
+    p2 = rng.normal(size=(4, 3))
+    rows = [
+        (p1[k], rotate_vector(true[k], p1[k]), p2[k], rotate_vector(true[k], p2[k]))
+        for k in range(4)
+    ]
+    z, m = np.array([0.0, 0.0, 2.0]), np.array([1.0, 0.0, 0.5])
+    q = rotate_vector([0.0, 0.0, 0.7], m)
+    x, y = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    rows[1:1] = [
+        (z, z, m, q),  # pair 1 fixed
+        (m, q, z, z),  # pair 2 fixed
+        (z, z, m, m),  # both fixed: the identity
+        (0.75 * z, 0.75 * z, m, m * [-1.0, -1.0, 1.0]),  # fixed + antipodal
+        (x, y, y, x),  # vanishing gamma denominator: the half-turn limit
+        (x, y, 2.0 * x, 2.0 * y),  # 0/0 with p2 parallel to p1
+        ([1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], x, -x),  # 0/0: the triad
+    ]
+    return [tuple(np.asarray(v, dtype=float) for v in row) for row in rows]
+
+
+def test_pair_mixed_batch_matches_single_rows_bit_for_bit():
+    rows = mixed_pair_batch()
+    batch = align_pair(*(np.stack(col) for col in zip(*rows)))
+    assert batch.shape == (len(rows), 3)
+    for k, row in enumerate(rows):
+        single = align_pair(*row)
+        assert single.shape == (3,)
+        assert batch[k].tobytes() == single.tobytes(), k
+        assert residual(single, row[0], row[1]) <= 1e-9
+        assert residual(single, row[2], row[3]) <= 1e-9
+    assert (batch[3] == 0.0).all()
+    assert is_pi_encoded(batch[4]) and is_pi_encoded(batch[5]) and is_pi_encoded(batch[7])
+
+
+def test_pair_mixed_batch_error_names_the_batch_index():
+    # p2 parallel to p1 while q2 is y turned by eps about (x + y): lengths
+    # and the angle agree within TOL_LEN, the gamma denominator vanishes,
+    # and the half-turn limit then misses q2 by ~eps, which the residual
+    # check rejects.  Fixed rows ahead of it must not shift the index.
+    eps = 3e-5
+    n = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    y = np.array([0.0, 1.0, 0.0])
+    y_turned = y * np.cos(eps) + np.cross(n, y) * np.sin(eps) + n * (n @ y) * (1 - np.cos(eps))
+    bad = (np.array([1.0, 0.0, 0.0]), y, np.array([2.0, 0.0, 0.0]), 2.0 * y_turned)
+    rows = mixed_pair_batch()
+    for at in (0, 5, len(rows)):
+        batch = rows[:at] + [bad] + rows[at:]
+        with pytest.raises(InvalidPairError, match=f"pairs at index {at} ") as exc:
+            align_pair(*(np.stack(col) for col in zip(*batch)))
+        assert exc.value.code == "ANGLE_MISMATCH"
+
+
+def test_pair_empty_batch():
+    empty = np.zeros((0, 3))
+    assert align_pair(empty, empty, empty, empty).shape == (0, 3)

@@ -155,6 +155,15 @@ def test_quaternion_input_validation():
         quaternion_to_gibbs([np.nan, 0.0, 0.0, 0.0])
 
 
+def test_non_numeric_quaternion_is_a_typed_error():
+    with pytest.raises(InvalidInputError, match="q is not numeric"):
+        quaternion_to_gibbs("q")
+    with pytest.raises(InvalidInputError, match="a is not numeric"):
+        quaternion_multiply("q", [1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(InvalidInputError, match="b is not numeric"):
+        quaternion_multiply([1.0, 0.0, 0.0, 0.0], [1.0, "x", 0.0, 0.0])
+
+
 # --- axis-angle --------------------------------------------------------------
 
 

@@ -399,6 +399,15 @@ def test_bench_csv_shape_and_error_bounds():
         assert ("compose", rep) in table
     assert table[("to_matrix", "gibbs")] <= 1e-9
     assert table[("from_matrix", "gibbs")] <= 1e-9
+    assert table[("align_pair", "gibbs")] <= 1e-9
+    assert table[("validate", "matrix")] <= 1e-12
+
+
+def test_bench_runs_on_a_single_item():
+    # one corpus item used to stack its Euler angles along the wrong axis
+    code, out, err = run_cli(["bench", "--iters", "1", "--seed", "0"])
+    assert code == 0, err
+    assert len(out.strip().splitlines()) == len(bench_rows(2, 0)) + 1
 
 
 def test_bench_error_columns_deterministic_for_seed():

@@ -41,6 +41,9 @@ AUDITED = {
         "_pivot_table",
         "_pivot_row",
         "_gibbs_from_matrix_direct",
+        "_dot",
+        "_cross",
+        "_max_abs",
     ],
     gibbsrot.algebra: [
         "compose",
