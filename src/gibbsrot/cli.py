@@ -413,8 +413,10 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
     absolute component error for canonical quaternions, matrix-entry
     error for Euler round trips, matrix-entry cross-checks for the two
     compose alternatives, orthogonality drift for matrix compose, the
-    worst relative residual of mapping both pairs for ``align_pair``, and
-    the orthogonality residual ``is_rotation_matrix`` reports for the
+    largest difference between the matrix-free and the matrix action,
+    relative to the vector's length, for both ``rotate`` rows, the worst
+    relative residual of mapping both pairs for ``align_pair``, and the
+    orthogonality residual ``is_rotation_matrix`` reports for the
     ``validate`` row.
     """
     if iters < 1:
@@ -484,6 +486,17 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
     gram = np.einsum("nji,njk->nik", uu, uu)
     err = np.abs(gram - np.eye(3)).max()
     add("compose", "matrix", t, err)
+
+    # --- rotate: turn a corpus vector by each rotation, matrix-free against
+    # a batched product on matrices computed in advance; both rows report
+    # the largest difference between the two, relative to |s|.
+    t = _time_ns(lambda: rotate_vector(r, s))
+    diff = rotate_vector(r, s) - (u @ s[..., None])[..., 0]
+    err = np.max(np.linalg.norm(diff, axis=-1) / np.linalg.norm(s, axis=-1))
+    add("rotate", "gibbs", t, err)
+
+    t = _time_ns(lambda: u @ s[..., None])
+    add("rotate", "matrix", t, err)
 
     # --- align_pair: recover r from the images of two corpus vectors,
     # reporting the worst residual of mapping either pair, relative to |p|.

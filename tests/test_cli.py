@@ -399,6 +399,8 @@ def test_bench_csv_shape_and_error_bounds():
         assert ("compose", rep) in table
     assert table[("to_matrix", "gibbs")] <= 1e-9
     assert table[("from_matrix", "gibbs")] <= 1e-9
+    assert table[("rotate", "gibbs")] <= 1e-12
+    assert table[("rotate", "matrix")] <= 1e-12
     assert table[("align_pair", "gibbs")] <= 1e-9
     assert table[("validate", "matrix")] <= 1e-12
 

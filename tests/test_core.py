@@ -87,12 +87,37 @@ def test_round_trip_matrix_side_at_extreme_magnitudes():
     assert np.abs(again - u).max() <= 1e-6
 
 
+# --- rotate_vector without a matrix; pairs chosen row by row ------------------
+
+
+def mixed_rows(rng):
+    """A shuffled batch over every regime of the pair choice: finite rows
+    of |r| 1e-3 .. 1e3, rows beyond the scaled-pair limit (+-1e300, 1e150),
+    infinite rows, pi-encoded rows and signed zeros."""
+    rows = [
+        random_gibbs(rng, 150, 1e-3, 1e3),
+        [[1e300, -2e299, 5e298], [-1e300, 0.0, 1.0], [3e150, 1e-3, -2e149]],
+        [[np.inf, 0.0, -np.inf], [0.0, -np.inf, 0.0], [np.inf, 1.0, 2.0]],
+        pi_encode(random_units(rng, 10)),
+        -pi_encode(random_units(rng, 5)),
+        [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]],
+    ]
+    r = np.concatenate([np.asarray(x, dtype=float) for x in rows])
+    return r[rng.permutation(len(r))]
+
+
 def test_rotate_vector_matches_matrix_action():
     rng = np.random.default_rng(11)
     r = random_gibbs(rng, 1_000, 1e-3, 1e2)
     v = rng.normal(size=(1_000, 3))
     want = np.einsum("nij,nj->ni", gibbs_to_matrix(r), v)
     assert np.abs(rotate_vector(r, v) - want).max() < 1e-12 * np.abs(v).max()
+    # row by row, relative to |s|, in every regime of the pair choice
+    r = mixed_rows(rng)
+    v = rng.normal(size=r.shape)
+    want = np.einsum("nij,nj->ni", gibbs_to_matrix(r), v)
+    err = np.linalg.norm(rotate_vector(r, v) - want, axis=-1)
+    assert (err <= 1e-12 * np.linalg.norm(v, axis=-1)).all()
 
 
 def test_rotate_vector_broadcasts():
@@ -103,6 +128,61 @@ def test_rotate_vector_broadcasts():
     assert out.shape == (4, 3)
     for i in range(4):
         assert np.allclose(out[i], rotate_vector(r[i], v))
+
+
+def test_batch_rows_equal_single_row_calls_byte_for_byte():
+    # one huge row used to switch the whole batch to the scaled pair
+    rng = np.random.default_rng(40)
+    r = mixed_rows(rng)
+    s = rng.normal(size=r.shape)
+    s[::7] *= -0.0
+    u = gibbs_to_matrix(r)
+    out = rotate_vector(r, s)
+    for i in range(len(r)):
+        assert u[i].tobytes() == gibbs_to_matrix(r[i]).tobytes(), i
+        assert out[i].tobytes() == rotate_vector(r[i], s[i]).tobytes(), i
+    # r (n, 3) against one s (3,)
+    out = rotate_vector(r, s[1])
+    assert out.shape == r.shape
+    for i in range(len(r)):
+        assert out[i].tobytes() == rotate_vector(r[i], s[1]).tobytes(), i
+
+
+def test_rotate_vector_half_turns_are_the_exact_limit():
+    rng = np.random.default_rng(43)
+    axes = random_units(rng, 100)
+    s = rng.normal(size=(100, 3))
+    want = 2.0 * np.sum(axes * s, axis=-1, keepdims=True) * axes - s
+    for enc in (pi_encode(axes), -pi_encode(axes)):
+        got = rotate_vector(enc, s)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(s).max()
+    inf = np.array([[np.inf, 0.0, 0.0], [np.inf, -np.inf, 0.0], [-np.inf, np.inf, np.inf]])
+    axes = np.sign(inf) / np.linalg.norm(np.sign(inf), axis=-1, keepdims=True)
+    want = 2.0 * np.sum(axes * s[:3], axis=-1, keepdims=True) * axes - s[:3]
+    assert np.abs(rotate_vector(inf, s[:3]) - want).max() <= 1e-14 * np.abs(s[:3]).max()
+
+
+def test_rotate_vector_outer_broadcast_and_empty_batch():
+    rng = np.random.default_rng(44)
+    r = mixed_rows(rng)[:20, None, :]
+    s = rng.normal(size=(1, 30, 3))
+    out = rotate_vector(r, s)
+    assert out.shape == (20, 30, 3)
+    for i in range(20):
+        for j in range(30):
+            assert out[i, j].tobytes() == rotate_vector(r[i, 0], s[0, j]).tobytes()
+    assert rotate_vector(np.zeros((0, 3)), np.zeros((0, 3))).shape == (0, 3)
+    assert rotate_vector(np.zeros((0, 3)), [1.0, 2.0, 3.0]).shape == (0, 3)
+
+
+def test_rotate_vector_keeps_huge_vectors_finite():
+    # no intermediate of the matrix-free action exceeds a few |s|
+    rng = np.random.default_rng(45)
+    r = mixed_rows(rng)
+    s = rng.normal(size=r.shape)
+    big = rotate_vector(r, 1e300 * s)
+    assert np.isfinite(big).all()
+    assert np.abs(big / 1e300 - rotate_vector(r, s)).max() <= 1e-14 * np.abs(s).max()
 
 
 def test_invert_is_inverse():

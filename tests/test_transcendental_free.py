@@ -17,7 +17,12 @@ import pytest
 import gibbsrot.algebra
 import gibbsrot.core
 from gibbsrot.algebra import _compose_direct
-from gibbsrot.core import _gibbs_from_matrix_direct, _matrix_from_gibbs_direct, _pivot_row
+from gibbsrot.core import (
+    _gibbs_from_matrix_direct,
+    _matrix_from_gibbs_direct,
+    _pivot_row,
+    _rotate_by_pair,
+)
 
 FORBIDDEN_CALLS = {
     "sqrt", "cbrt", "hypot", "norm",
@@ -44,6 +49,9 @@ AUDITED = {
         "_dot",
         "_cross",
         "_max_abs",
+        "rotate_vector",
+        "_rotate_by_pair",
+        "_row_pairs",
     ],
     gibbsrot.algebra: [
         "compose",
@@ -171,6 +179,16 @@ def test_exact_extraction_through_every_pivot_row():
     row = _pivot_row(_matrix_from_gibbs_direct(r))
     assert all(type(v) is Fraction for v in row.flat)
     assert (row[:, 1:] / row[:, :1] == r).all()
+
+
+def test_exact_rotation_by_pair_matches_exact_matrix_action():
+    # the matrix-free action is the matrix kernel's U applied to s, exactly
+    r = rational_vectors(100, 31)
+    s = rational_vectors(100, 32)
+    got = _rotate_by_pair(1, r, s)
+    want = np.matmul(_matrix_from_gibbs_direct(r), s[..., None])[..., 0]
+    assert all(type(v) is Fraction for v in got.flat)
+    assert (got == want).all()
 
 
 def test_floats_never_contaminate_the_fraction_path():
