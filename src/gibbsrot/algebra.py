@@ -17,8 +17,10 @@ shares with the matrix conversions; each row is mapped to
 ``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``, and half turns to ``w = 0``
 exactly.  Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``,
 so the result never vanishes) and are divided once at the end: ``v / w``,
-or the half-turn encoding along ``v`` where ``w`` vanished.  The same
-kernel with ``w = 1`` is the textbook quotient rule, exact on
+or the half-turn encoding along ``v`` where ``w`` vanished.  The
+operands are unpacked once into component columns, and the Hamilton
+product takes and returns ``v`` as its three columns.  The same kernel
+with ``w = 1`` is the textbook quotient rule, exact on
 ``fractions.Fraction``.  :func:`compose_scan` chains the kernel into an
 inclusive prefix scan of ``ceil(log2 n)`` batched rounds.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _as_vec3, _dehomogenize, _homogeneous, _max_abs
+from .core import _as_vec3, _columns, _dehomogenize, _homogeneous, _max_abs
 from .errors import InvalidInputError
 
 __all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"]
@@ -40,21 +42,18 @@ def _hamilton(w1, v1, w2, v2):
     """Hamilton product of homogeneous pairs in :func:`compose` order:
     the pair for "apply ``(w2 : v2)``, then ``(w1 : v1)``".
 
-    ``w = w1 w2 - v1.v2`` and ``v = w2 v1 + w1 v2 - v1 x v2``.
-    Elementary arithmetic only; exact on ``fractions.Fraction``.
+    ``w = w1 w2 - v1.v2`` and ``v = w2 v1 + w1 v2 - v1 x v2``, with each
+    ``v`` given and returned as three component columns.  Elementary
+    arithmetic only; exact on ``fractions.Fraction``.
     """
-    x1, y1, z1 = v1[..., 0], v1[..., 1], v1[..., 2]
-    x2, y2, z2 = v2[..., 0], v2[..., 1], v2[..., 2]
+    x1, y1, z1 = v1
+    x2, y2, z2 = v2
     w = w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2)
-    v = np.stack(
-        [
-            w2 * x1 + w1 * x2 - (y1 * z2 - z1 * y2),
-            w2 * y1 + w1 * y2 - (z1 * x2 - x1 * z2),
-            w2 * z1 + w1 * z2 - (x1 * y2 - y1 * x2),
-        ],
-        axis=-1,
+    return w, (
+        w2 * x1 + w1 * x2 - (y1 * z2 - z1 * y2),
+        w2 * y1 + w1 * y2 - (z1 * x2 - x1 * z2),
+        w2 * z1 + w1 * z2 - (x1 * y2 - y1 * x2),
     )
-    return w, v
 
 
 def _compose_direct(r, s):
@@ -64,8 +63,8 @@ def _compose_direct(r, s):
     no overflow guard and no half-turn encode, so float callers use
     :func:`compose`.
     """
-    w, v = _hamilton(1, r, 1, s)
-    return v / w[..., None]
+    w, v = _hamilton(1, np.moveaxis(r, -1, 0), 1, np.moveaxis(s, -1, 0))
+    return np.stack([c / w for c in v], axis=-1)
 
 
 def compose(r, s) -> np.ndarray:
@@ -87,8 +86,8 @@ def compose(r, s) -> np.ndarray:
         raise InvalidInputError(
             f"shapes do not broadcast: r {a.shape}, s {b.shape}"
         ) from None
-    w1, v1 = _homogeneous(a.reshape(-1, 3))
-    w2, v2 = _homogeneous(b.reshape(-1, 3))
+    w1, v1 = _homogeneous(_columns(a.reshape(-1, 3), 1))
+    w2, v2 = _homogeneous(_columns(b.reshape(-1, 3), 1))
     w, v = _hamilton(w1, v1, w2, v2)
     out = _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
     return out.reshape(a.shape)
@@ -112,13 +111,14 @@ def compose_scan(vectors) -> np.ndarray:
         raise InvalidInputError(
             f"vectors must be a sequence of 3-vectors, got shape {arr.shape}"
         )
-    w, v = _homogeneous(arr)
+    w, v = _homogeneous(_columns(arr, 1))
     d = 1
     while d < arr.shape[0]:
-        wp, vp = _hamilton(w[d:], v[d:], w[:-d], v[:-d])
-        scale = np.maximum(np.abs(wp), _max_abs(vp))
+        wp, vp = _hamilton(w[d:], v[:, d:], w[:-d], v[:, :-d])
+        vp = np.array(vp)
+        scale = np.maximum(np.abs(wp), _max_abs(vp.T))
         w[d:] = wp / scale
-        v[d:] = vp / scale[:, None]
+        v[:, d:] = vp / scale
         d *= 2
     return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 

@@ -29,7 +29,15 @@ import numpy as np
 # ``compose_scan``: the perfbench sweep trace wraps
 # ``gibbsrot.alignment.compose`` and counts its calls.
 from .algebra import compose, compose_scan
-from .core import _as_float, _cross, _dot, matrix_to_gibbs, pi_encode, rotate_vector
+from .core import (
+    _as_float,
+    _columns,
+    _cross,
+    _dot,
+    matrix_to_gibbs,
+    pi_encode,
+    rotate_vector,
+)
 from .errors import AntipodalError, InvalidInputError, InvalidPairError
 
 __all__ = [
@@ -103,7 +111,14 @@ def _as_vectors(v, name: str) -> np.ndarray:
 
 
 def _norms(flat: np.ndarray) -> np.ndarray:
-    return np.sqrt(_dot(flat, flat))
+    """Euclidean norms over the last axis: the square root of
+    ``_dot(flat, flat)``, whose trailing ``+ 0`` a sum of squares (never
+    -0) does not need."""
+    x, y, z = flat[..., 0], flat[..., 1], flat[..., 2]
+    s = x * x
+    s += y * y
+    s += z * z
+    return np.sqrt(s)
 
 
 def _first(mask: np.ndarray) -> int:
@@ -277,19 +292,19 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
             f"{a2.shape}, {b2.shape}"
         ) from None
     shape = a1.shape
-    a1 = a1.reshape(-1, 3)
-    b1 = b1.reshape(-1, 3)
-    a2 = a2.reshape(-1, 3)
-    b2 = b2.reshape(-1, 3)
+    # (n, 3) views of contiguous component columns: every component read
+    # below is contiguous
+    a1, b1, a2, b2 = (_columns(x.reshape(-1, 3), 1).T for x in (a1, b1, a2, b2))
 
     n_a1, n_b1 = _norms(a1), _norms(b1)
     n_a2, n_b2 = _norms(a2), _norms(b2)
     _check_pair_lengths(a1, b1, n_a1, n_b1, tol, "pair 1")
     _check_pair_lengths(a2, b2, n_a2, n_b2, tol, "pair 2")
 
+    tol_a1 = tol * n_a1
     dot_p = _dot(a1, a2)
     dot_q = _dot(b1, b2)
-    bad = np.abs(dot_p - dot_q) > tol * n_a1 * n_a2
+    bad = np.abs(dot_p - dot_q) > tol_a1 * n_a2
     if bad.any():
         i = _first(bad)
         raise InvalidPairError(
@@ -300,7 +315,7 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
 
     s1 = a1 + b1
     den1 = _dot(a1, s1)
-    anti1 = den1 <= tol * n_a1 * n_a1
+    anti1 = den1 <= tol_a1 * n_a1
     if anti1.any():
         i = _first(anti1)
         raise InvalidPairError(
@@ -310,11 +325,13 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
         )
 
     d = a2 - b2
-    fixed1 = _norms(a1 - b1) <= tol * n_a1
-    fixed2 = _norms(d) <= tol * n_a2
-    out = _align_pair_general(
-        a1, b1, a2, b2, s1, d, den1, fixed1 | fixed2, n_a1, n_a2, tol
-    )
+    n_d = _norms(d)
+    fixed1 = _norms(a1 - b1) <= tol_a1
+    fixed2 = n_d <= tol * n_a2
+    fixed = fixed1 | fixed2
+    out = _align_pair_general(a1, b1, a2, b2, s1, d, n_d, den1, fixed, n_a1, n_a2, tol)
+    if not fixed.any():
+        return out.reshape(shape)
 
     only1 = np.flatnonzero(fixed1 & ~fixed2)
     if only1.size:
@@ -331,19 +348,21 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _align_pair_general(a1, b1, a2, b2, s1, d, den1, fixed, n_a1, n_a2, tol):
+def _align_pair_general(a1, b1, a2, b2, s1, d, n_d, den1, fixed, n_a1, n_a2, tol):
     """The gamma formula on every row, then the rows where its
     denominator vanishes patched by index: the half-turn limit, the
     smallest member, or the triad.  Rows where ``fixed`` is set are left
-    for the caller to overwrite."""
+    for the caller to overwrite.  The result is written once, as
+    row-major (n, 3)."""
     c1 = _cross(b1, a1)
     num_g = _dot(c1, d)
     den_g = _dot(s1, d)
+    out = np.empty(c1.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = -num_g / den_g
-        out = (c1 + gamma[:, None] * s1) / den1[:, None]
+        for i in range(3):
+            np.divide(c1[:, i] + gamma * s1[:, i], den1, out=out[:, i])
 
-    n_d = _norms(d)
     singular = np.flatnonzero(
         ~fixed & (np.abs(den_g) <= TOL_ALIGN_SINGULAR * _norms(s1) * n_d)
     )

@@ -38,6 +38,7 @@ from .core import (
     _as_float,
     _as_matrix3,
     _as_vec3,
+    _columns,
     _homogeneous,
     _pivot_row,
     _require_rotation,
@@ -93,6 +94,14 @@ class EulerAngles(NamedTuple):
 # quaternion helpers
 
 
+def _norm_sq(q: np.ndarray) -> np.ndarray:
+    """``|q|^2`` over a last axis of length 4, component by component:
+    bit for bit ``np.sum(q * q, axis=-1)``, which adds a row's four
+    squares in order, without numpy's generic reduction."""
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return w * w + x * x + y * y + z * z
+
+
 def _as_quaternion(q, name: str = "q") -> np.ndarray:
     """Validate shape and unit norm; return a float copy."""
     a = _as_float(q, name)
@@ -102,7 +111,7 @@ def _as_quaternion(q, name: str = "q") -> np.ndarray:
         )
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} has non-finite entries")
-    err = np.abs(np.sum(a * a, axis=-1) - 1.0)
+    err = np.abs(_norm_sq(a) - 1.0)
     if err.size and float(err.max()) > TOL_QUATERNION_NORM:
         raise InvalidInputError(
             f"{name} is not unit length: |q|^2 - 1 = {float(err.max()):.3e} "
@@ -164,8 +173,10 @@ def gibbs_to_quaternion(r) -> np.ndarray:
     encodings have ``w = 0`` and map to ``(0, axis)``.
     """
     a = _as_vec3(r, "r")
-    w, v = _homogeneous(a.reshape(-1, 3))
-    q = np.concatenate([w[:, None], v], axis=-1)
+    w, v = _homogeneous(_columns(a.reshape(-1, 3), 1))
+    q = np.empty((len(w), 4))
+    q[:, 0] = w
+    q[:, 1:] = v.T
     q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
     return canonicalize_quaternion(q.reshape(a.shape[:-1] + (4,)))
 
@@ -219,9 +230,10 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     known to be rotations.
     """
     a = _as_matrix3(u, "matrix")
+    cols = _columns(a, 2)
     if check:
-        _require_rotation(a, ortho_tol)
-    q = _pivot_row(a)
+        _require_rotation(cols, ortho_tol)
+    q = _pivot_row(cols).reshape(4, -1).T.copy()
     q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
     return canonicalize_quaternion(q.reshape(a.shape[:-2] + (4,)))
 
@@ -241,7 +253,8 @@ def gibbs_to_axis_angle(r) -> AxisAngle:
     array.
     """
     a = _as_vec3(r, "r")
-    w, v = _homogeneous(a.reshape(-1, 3))
+    w, v = _homogeneous(_columns(a.reshape(-1, 3), 1))
+    v = v.T.copy()
     n = np.sqrt(np.einsum("ni,ni->n", v, v))
     zero = n == 0.0
     axis = v / np.where(zero, 1.0, n)[:, None]
@@ -342,7 +355,7 @@ def matrix_to_euler(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT
     """
     a = _as_matrix3(u, "matrix")
     if check:
-        _require_rotation(a, ortho_tol)
+        _require_rotation(_columns(a, 2), ortho_tol)
     flat = a.reshape(-1, 3, 3)
     sb = flat[:, 2, 0]
     # hypot(yaw entries) recovers |cos(pitch)| without the precision cliff

@@ -146,16 +146,29 @@ def _print_result(kind: str, payload, as_json: bool) -> None:
         print(line)
 
 
+def _gibbs_lines(rows: np.ndarray, as_json: bool) -> list[str]:
+    """One output line per Gibbs vector of the (n, 3) ``rows``: its value,
+    or the axis of a half turn.  The half-turn mask is taken once for all
+    rows."""
+    pi = is_pi_encoded(rows)
+    lines = []
+    for r, half in zip(rows, pi.tolist()):
+        if half:
+            axis = gibbs_to_axis_angle(r).axis
+            if as_json:
+                lines.append(json.dumps({"kind": "gibbs", "pi": True, "axis": _floats(axis)}))
+            else:
+                lines.append(f"pi-rotation axis={_fmt_vec(axis)}")
+        elif as_json:
+            lines.append(json.dumps({"kind": "gibbs", "value": r.tolist()}))
+        else:
+            lines.append(_fmt_vec(r.tolist()))
+    return lines
+
+
 def _format_result(kind: str, payload, as_json: bool) -> list[str]:
     if kind == "gibbs":
-        if is_pi_encoded(payload):
-            axis = gibbs_to_axis_angle(payload).axis
-            if as_json:
-                return [json.dumps({"kind": "gibbs", "pi": True, "axis": _floats(axis)})]
-            return [f"pi-rotation axis={_fmt_vec(axis)}"]
-        if as_json:
-            return [json.dumps({"kind": "gibbs", "value": _floats(payload)})]
-        return [_fmt_vec(payload)]
+        return _gibbs_lines(np.reshape(payload, (1, 3)), as_json)
     if kind == "matrix":
         if as_json:
             rows = [_floats(row) for row in payload]
@@ -374,8 +387,9 @@ def _cmd_sweep(args) -> int:
     if args.obj:
         print("\n".join(_emit_tube(points, frames, result, args.profile)))
         return 0
-    for step in result.steps:
-        _print_result("gibbs", step, args.json)
+    lines = _gibbs_lines(result.steps, args.json)
+    if lines:
+        print("\n".join(lines))
     return 0
 
 

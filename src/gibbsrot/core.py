@@ -20,6 +20,13 @@ only addition, subtraction, multiplication and division: no square roots
 and no trigonometric calls.  All operations accept single values or
 stacked arrays (leading batch dimensions, numpy-style).
 
+The batched kernels read each input component many times, so a public
+call first unpacks its input once into contiguous component columns
+(``_columns``: a (3, n) array for vectors, (9, n) for matrices), runs the
+kernel's formula on those columns and writes its output once.  A single
+matrix unpacks into scalars, and each row of a batch equals the call on
+that row alone, byte for byte.
+
 Convention
 ----------
 ``gibbs_to_matrix`` uses the classical rational form with the
@@ -35,6 +42,8 @@ consistent with this single choice.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,10 +105,14 @@ def _dot(a, b):
 
 
 def _cross(a, b):
-    """Cross products over the last axis with ``np.cross``'s formula."""
+    """Cross products over the last axis with ``np.cross``'s formula.
+
+    The output is laid out like ``a`` where the shapes agree, so rows
+    held as contiguous component columns stay columns.
+    """
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out = np.empty_like(a, np.result_type(a, b), shape=np.broadcast_shapes(a.shape, b.shape))
     out[..., 0] = a1 * b2 - a2 * b1
     out[..., 1] = a2 * b0 - a0 * b2
     out[..., 2] = a0 * b1 - a1 * b0
@@ -143,13 +156,19 @@ def _as_matrix3(x, name: str) -> np.ndarray:
     return a
 
 
-def _det3(u: np.ndarray) -> np.ndarray:
-    """Determinant of stacked 3x3 matrices by cofactor expansion."""
-    return (
-        u[..., 0, 0] * (u[..., 1, 1] * u[..., 2, 2] - u[..., 1, 2] * u[..., 2, 1])
-        - u[..., 0, 1] * (u[..., 1, 0] * u[..., 2, 2] - u[..., 1, 2] * u[..., 2, 0])
-        + u[..., 0, 2] * (u[..., 1, 0] * u[..., 2, 1] - u[..., 1, 1] * u[..., 2, 0])
-    )
+def _columns(a: np.ndarray, row_ndim: int) -> np.ndarray:
+    """The rows of ``a``, its last ``row_ndim`` axes, unpacked once into
+    contiguous component columns: a ``(width,) + batch`` array whose
+    ``[i]`` holds component ``i`` (row-major within a row) of every row.
+
+    Batched kernels read each component many times; on row-major
+    (n, 3) or (n, 3, 3) input every such read is strided and pulls the
+    whole array through the cache, so each input is copied once here.
+    The batch shape is kept, so one row unpacks into scalars.
+    """
+    batch = a.shape[: a.ndim - row_ndim]
+    width = math.prod(a.shape[a.ndim - row_ndim:])
+    return a.reshape(-1, width).T.copy().reshape((width,) + batch)
 
 
 @dataclass(frozen=True)
@@ -175,29 +194,41 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
     NaN or infinite entries are rejected with :class:`InvalidInputError`.
     An empty batch passes with residuals 0.0.
     """
-    a = _as_matrix3(u, "matrix")
-    if not np.isfinite(a).all():
+    return _rotation_check(_columns(_as_matrix3(u, "matrix"), 2), tol)
+
+
+def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
+    """:func:`is_rotation_matrix` on the nine component columns ``u`` of a
+    batch (``u00, u01, ..., u22``, as :func:`_columns` gives them)."""
+    if not np.isfinite(u).all():
         raise InvalidInputError("matrix has non-finite entries")
-    if a.size == 0:
+    if u.size == 0:
         return RotationCheck(True, 0.0, 0.0)
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
     # the six distinct entries of U^T U - I: dot products of the columns,
     # summed over the rows in order, as the full Gram product sums them
-    (u00, u10, u20), (u01, u11, u21), (u02, u12, u22) = a.T
-    gram = np.array([
+    gram = (
         u00 * u00 + u10 * u10 + u20 * u20 - 1.0,
         u01 * u01 + u11 * u11 + u21 * u21 - 1.0,
         u02 * u02 + u12 * u12 + u22 * u22 - 1.0,
         u00 * u01 + u10 * u11 + u20 * u21,
         u00 * u02 + u10 * u12 + u20 * u22,
         u01 * u02 + u11 * u12 + u21 * u22,
-    ])
-    res = float(np.abs(gram).max())
-    dev = float(np.abs(_det3(a) - 1.0).max())
+    )
+    det = (
+        u00 * (u11 * u22 - u12 * u21)
+        - u01 * (u10 * u22 - u12 * u20)
+        + u02 * (u10 * u21 - u11 * u20)
+    )
+    res = float(functools.reduce(np.maximum, map(np.abs, gram)).max())
+    dev = float(np.abs(det - 1.0).max())
     return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
 
 
 def _require_rotation(u: np.ndarray, tol: float) -> None:
-    chk = is_rotation_matrix(u, tol=tol)
+    """Raise unless the nine component columns ``u`` pass
+    :func:`_rotation_check`."""
+    chk = _rotation_check(u, tol)
     if not chk:
         raise InvalidInputError(
             "not a rotation matrix within tolerance "
@@ -261,34 +292,44 @@ _HALF_TURN_SCREEN = PI_ENCODING_THRESHOLD / 2.0
 
 
 def _homogeneous(r: np.ndarray):
-    """Homogeneous pairs ``(w, v)`` of (n, 3) Gibbs rows, max-abs 1 each.
+    """Homogeneous pairs ``(w, v)`` of Gibbs vectors given as (3, n)
+    component columns, max-abs 1 each; ``w`` is (n,) and ``v`` (3, n).
 
     Finite rows map to ``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``.  Half
     turns (pi-encoded rows and rows with infinite components) get
     ``w = 0`` exactly; infinite rows keep only the signs of their
     infinite components.  Elementary arithmetic only.
     """
-    m = _max_abs(r)
+    m = _max_abs(r.T)
     c = np.maximum(m, 1.0)
     w = 1.0 / c
     with np.errstate(invalid="ignore"):
-        v = r / c[:, None]
+        v = r / c
     big = np.flatnonzero(m >= _HALF_TURN_SCREEN)
     if big.size:
-        w[big[_pi_mask(r[big])]] = 0.0
-        inf = big[np.isinf(m[big])]
-        v[inf] = np.where(np.isinf(r[inf]), np.sign(r[inf]), 0.0)
+        rb = r[:, big]
+        w[big[_pi_mask(rb.T)]] = 0.0
+        inf = np.isinf(m[big])
+        ri = rb[:, inf]
+        v[:, big[inf]] = np.where(np.isinf(ri), np.sign(ri), 0.0)
     return w, v
 
 
-def _dehomogenize(w: np.ndarray, v: np.ndarray, rel_sq: float) -> np.ndarray:
-    """Gibbs rows ``v / w`` of (n,) / (n, 3) pairs; the half-turn
-    encoding along ``v`` where ``w^2 <= rel_sq (w^2 + |v|^2)``."""
+def _dehomogenize(w: np.ndarray, v, rel_sq: float) -> np.ndarray:
+    """Gibbs vectors ``v / w`` of pairs given as ``w`` and the three
+    component columns ``v`` of the same batch shape, as rows of that
+    shape; the half-turn encoding along ``v`` where
+    ``w^2 <= rel_sq (w^2 + |v|^2)``."""
+    x, y, z = v
     ww = w * w
-    singular = ww <= rel_sq * (ww + _dot(v, v))
-    out = v / np.where(singular, 1.0, w)[:, None]
+    singular = ww <= rel_sq * (ww + (x * x + y * y + z * z))
+    d = np.where(singular, 1.0, w)
+    out = np.empty(d.shape + (3,))
+    np.divide(x, d, out=out[..., 0])
+    np.divide(y, d, out=out[..., 1])
+    np.divide(z, d, out=out[..., 2])
     if singular.any():
-        out[singular] = pi_encode(v[singular])
+        out[singular] = pi_encode(np.stack([x[singular], y[singular], z[singular]], axis=-1))
     return out
 
 
@@ -317,37 +358,42 @@ def _row_pairs(r):
     big = np.flatnonzero(_max_abs(flat) >= _FUSED_MAGNITUDE_LIMIT)
     w = np.ones(len(flat))
     v = flat.copy()
-    w[big], v[big] = _homogeneous(flat[big])
+    wb, vb = _homogeneous(flat[big].T)
+    w[big] = wb
+    v[big] = vb.T
     return w.reshape(r.shape[:-1]), v.reshape(r.shape)
 
 
 def _matrix_from_pair(w, v):
-    """Rotation matrices of (n,) / (n, 3) homogeneous pairs ``(w : v)``::
+    """Rotation matrices of homogeneous pairs ``(w : v)``, with ``v``
+    given as three component columns of one batch shape::
 
         U = ((w^2 - |v|^2) I + 2 v v^T + 2 w [v]x) / (w^2 + |v|^2)
 
     ``w`` may be a scalar; ``w = 0`` gives the half turn ``2 u u^T - I``.
-    One fused outer product supplies all nine ``v_i v_j`` terms, the
-    cross-product part goes into the six off-diagonal slots, and one
-    in-place doubling covers the factor 2 on both.  Exact on
-    ``fractions.Fraction``; elementary arithmetic only.
+    Each entry is ``(p + p) / (w^2 + |v|^2)`` for its ``p``: ``v_i v_j``
+    plus or minus one ``w v_k`` off the diagonal, ``v_i^2`` on it with
+    ``w^2 - |v|^2`` added after the doubling; the division writes it into
+    the output.  Exact on ``fractions.Fraction``; elementary arithmetic
+    only.
     """
-    x, y, z = w * v.T
-    sq = _dot(v, v)
-    out = np.einsum("ni,nj->nij", v, v)
-    out[:, 0, 1] += z
-    out[:, 1, 0] -= z
-    out[:, 0, 2] -= y
-    out[:, 2, 0] += y
-    out[:, 1, 2] += x
-    out[:, 2, 1] -= x
-    out += out
+    x, y, z = v
+    wx, wy, wz = w * x, w * y, w * z
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    sq = xx + yy + zz
     ww = w * w
     k = ww - sq
-    out[:, 0, 0] += k
-    out[:, 1, 1] += k
-    out[:, 2, 2] += k
-    out /= (ww + sq)[:, None, None]
+    den = ww + sq
+    out = np.empty(np.shape(den) + (3, 3), np.asarray(den).dtype)
+    for (i, j), p in (
+        ((0, 1), xy + wz), ((1, 0), xy - wz),
+        ((0, 2), xz - wy), ((2, 0), xz + wy),
+        ((1, 2), yz + wx), ((2, 1), yz - wx),
+    ):
+        np.divide(p + p, den, out=out[..., i, j])
+    for i, p in enumerate((xx, yy, zz)):
+        np.divide(p + p + k, den, out=out[..., i, i])
     return out
 
 
@@ -387,22 +433,19 @@ def _matrix_from_gibbs_direct(r):
     ratio of the defining polynomials.  No overflow guard, so float
     callers use :func:`gibbs_to_matrix`.
     """
-    out = _matrix_from_pair(1, r.reshape(-1, 3))
-    return out.reshape(r.shape[:-1] + (3, 3))
+    return _matrix_from_pair(1, np.moveaxis(r, -1, 0))
 
 
 def _pivot_table(u):
-    """Shepperd's table of stacked 3x3 matrices: the symmetric 4x4 whose
-    row k is ``4 q_k (w, x, y, z)``, its diagonal ``1 + tr`` and
-    ``1 + 2 u_kk - tr``.  Ten distinct entries, each a signed sum of
-    named matrix entries; exact on ``fractions.Fraction``.  Elementary
-    arithmetic only.
+    """Shepperd's table of the nine component columns ``u`` of a batch
+    (``u00, u01, ..., u22``, as :func:`_columns` gives them): the
+    ``(4, 4) + batch`` array whose ``[k, :]`` is ``4 q_k (w, x, y, z)``,
+    its diagonal ``1 + tr`` and ``1 + 2 u_kk - tr``.  Ten distinct
+    entries, each a signed sum of named matrix entries; exact on
+    ``fractions.Fraction``.  Elementary arithmetic only.
     """
-    # Built entry-major on the transposed batch axes, so every entry is one
-    # contiguous write; the table is symmetric, so its transpose is the
-    # table with the batch axes back in front.
-    (u00, u10, u20), (u01, u11, u21), (u02, u12, u22) = u.T
-    t = np.empty((4, 4) + u.shape[-3::-1], u.dtype)
+    u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
+    t = np.empty((4, 4) + u.shape[1:], u.dtype)
     t[0, 0] = u00 + u11 + u22 + 1  # 4 w^2
     t[1, 1] = u00 - u11 - u22 + 1  # 4 x^2
     t[2, 2] = u11 - u00 - u22 + 1  # 4 y^2
@@ -413,20 +456,31 @@ def _pivot_table(u):
     t[1, 2] = t[2, 1] = u01 + u10  # 4 x y
     t[1, 3] = t[3, 1] = u02 + u20  # 4 x z
     t[2, 3] = t[3, 2] = u12 + u21  # 4 y z
-    return t.T
+    return t
+
+
+# flat offsets of a table row's four entries, per batch element
+_ROW_ENTRIES = np.arange(4)[:, None]
 
 
 def _pivot_row(u):
-    """The row of :func:`_pivot_table` with the largest own entry, as
-    (n, 4) rows of the matrices of ``u`` (any leading shape) in order.
+    """The row of :func:`_pivot_table` with the largest own entry, for the
+    nine component columns ``u``: the ``(4,) + batch`` columns
+    ``4 q_k (w, x, y, z)``.
 
     The four own entries sum to 4, so the chosen row is never zero, and
     its ratios are the quaternion up to scale: ``v / w`` is the Gibbs
-    vector.  Ties pick the lowest index.  Elementary arithmetic only.
+    vector.  Three comparisons pick the row, the lowest index on ties as
+    ``argmax`` would, and one flat gather reads it.  Elementary
+    arithmetic only.
     """
-    t = _pivot_table(u).reshape(-1, 4, 4)
-    k = t.diagonal(axis1=-2, axis2=-1).argmax(axis=-1)
-    return t[np.arange(len(k)), k]
+    t = _pivot_table(u)
+    d0, d1, d2, d3 = t[0, 0], t[1, 1], t[2, 2], t[3, 3]
+    hi = np.maximum(d2, d3) > np.maximum(d0, d1)
+    k = (2 * hi + ((d3 > d2) & hi | (d1 > d0) & np.logical_not(hi))).reshape(-1)
+    n = k.size
+    at = k * (4 * n) + np.arange(n) + _ROW_ENTRIES * n
+    return np.take(t, at).reshape(t.shape[1:])
 
 
 def _gibbs_from_matrix_direct(u):
@@ -436,8 +490,8 @@ def _gibbs_from_matrix_direct(u):
     Exact on ``fractions.Fraction`` inputs; inverse of the direct map.
     Elementary arithmetic only.
     """
-    t = _pivot_table(u)
-    return t[..., 0, 1:] / t[..., 0, :1]
+    t = _pivot_table(_columns(u, 2))
+    return np.moveaxis(t[0, 1:] / t[0, 0], 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +515,8 @@ def gibbs_to_matrix(r) -> np.ndarray:
     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     """
     a = _as_vec3(r, "r")
-    out = _matrix_from_pair(*_row_pairs(a.reshape(-1, 3)))
-    return out.reshape(a.shape[:-1] + (3, 3))
+    w, v = _row_pairs(a)
+    return _matrix_from_pair(w, _columns(v, 1))
 
 
 def matrix_to_gibbs(
@@ -484,11 +538,11 @@ def matrix_to_gibbs(
     raises :class:`InvalidInputError` for non-rotations.
     """
     a = _as_matrix3(u, "matrix")
+    cols = _columns(a, 2)
     if check:
-        _require_rotation(a, ortho_tol)
-    row = _pivot_row(a)
-    out = _dehomogenize(row[:, 0], row[:, 1:], pi_trace_tol / 4.0)
-    return out.reshape(a.shape[:-2] + (3,))
+        _require_rotation(cols, ortho_tol)
+    row = _pivot_row(cols)
+    return _dehomogenize(row[0], row[1:], pi_trace_tol / 4.0)
 
 
 def rotate_vector(r, s) -> np.ndarray:

@@ -27,6 +27,7 @@ from gibbsrot import (
     quaternion_to_gibbs,
     quaternion_to_matrix,
 )
+from gibbsrot.bridges import _norm_sq
 from helpers import component_error, matrix_about, random_gibbs, random_units
 
 
@@ -315,3 +316,19 @@ def test_quaternion_round_trip_property(seed):
     q = gibbs_to_quaternion(r)
     assert abs(np.linalg.norm(q) - 1.0) < 1e-12
     assert component_error(quaternion_to_gibbs(q), r) <= 1e-9
+
+
+@pytest.mark.parametrize("shape", [(4,), (1, 4), (7, 4), (5000, 4), (3, 5, 4), (0, 4)])
+def test_quaternion_norm_sum_matches_np_sum_bit_for_bit(shape):
+    # magnitudes far apart make the order of the four additions visible;
+    # signed zeros and all-zero rows are included
+    rng = np.random.default_rng(sum(shape))
+    q = rng.normal(size=shape) * 10.0 ** rng.integers(-150, 150, size=shape)
+    flat = q.reshape(-1)
+    flat[:: 5] = -0.0
+    if q.ndim > 1 and len(q):
+        q[..., 0, :] = -0.0
+    want = np.sum(q * q, axis=-1)
+    got = _norm_sq(q)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

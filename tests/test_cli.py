@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gibbsrot
-from gibbsrot.cli import _build_parser, bench_rows, main, selftest_checks
+from gibbsrot.cli import _build_parser, _polyline_frames, bench_rows, main, selftest_checks
 
 BENCH_HEADER = "operation,representation,iterations,total_ns,ns_per_op,max_roundtrip_err"
 
@@ -288,6 +288,41 @@ def test_sweep_straight_segments_inherit_normal():
     angles = np.degrees(2 * np.arctan(np.linalg.norm(steps, axis=-1)))
     assert angles.max() < 45.0  # bend spread over several steps, no flips
     assert abs(angles.sum() - 90.0) < 1.0  # total turn of the corner
+
+
+def per_row_gibbs_lines(steps, as_json):
+    """The sweep output as it was printed one step at a time: each step's
+    half-turn test and formatting done on that step alone."""
+    out = []
+    for step in steps:
+        if gibbsrot.is_pi_encoded(step):
+            axis = [float(x) for x in gibbsrot.gibbs_to_axis_angle(step).axis]
+            if as_json:
+                out.append(json.dumps({"kind": "gibbs", "pi": True, "axis": axis}))
+            else:
+                out.append("pi-rotation axis=" + ",".join(repr(x) for x in axis))
+        elif as_json:
+            out.append(json.dumps({"kind": "gibbs", "value": [float(x) for x in step]}))
+        else:
+            out.append(",".join(repr(float(x)) for x in step))
+    return "".join(line + "\n" for line in out)
+
+
+def test_sweep_lines_match_per_step_formatting():
+    # a planar wave (its curvature normal flips at every inflection, so
+    # those steps are half turns) joined to a helix; steps carry -0.0
+    t = np.linspace(0.0, 6.0 * np.pi, 400)
+    wave = np.stack([t, np.sin(t), 0.0 * t], axis=-1)
+    turn = wave[-1] + np.stack([np.cos(t) - 1.0, np.sin(t), 0.05 * t], axis=-1)[1:]
+    pts = np.concatenate([wave, turn])
+    poly = "\n".join(f"{x!r},{y!r},{z!r}" for x, y, z in pts.tolist())
+    steps = gibbsrot.frame_transport(_polyline_frames(pts)).steps
+    assert gibbsrot.is_pi_encoded(steps).sum() >= 3
+    assert np.signbit(steps[steps == 0.0]).any()
+    for as_json in (False, True):
+        code, out, err = run_cli(["sweep", "--json"] if as_json else ["sweep"], stdin=poly)
+        assert code == 0, err
+        assert out == per_row_gibbs_lines(steps, as_json)
 
 
 def helix_with_straight_run(n=60):

@@ -19,6 +19,9 @@ from gibbsrot import (
     pi_encode,
     rotate_vector,
 )
+from gibbsrot.algebra import compose
+from gibbsrot.alignment import align_pair
+from gibbsrot.core import _pivot_row, _pivot_table
 from helpers import component_error, matrix_about, random_gibbs, random_units
 
 
@@ -146,6 +149,100 @@ def test_batch_rows_equal_single_row_calls_byte_for_byte():
     assert out.shape == r.shape
     for i in range(len(r)):
         assert out[i].tobytes() == rotate_vector(r[i], s[1]).tobytes(), i
+
+
+def near_half_turn_matrices(rng):
+    """A shuffled batch of rotation matrices over every pivot row: finite
+    turns, noisy near-half-turns (theta = pi - d, d down to 1e-12, plus
+    1e-11 noise per entry), exact half turns, the pivot ties of the half
+    turn about (1, 1, 0)/sqrt(2) (x and y diagonals equal) and of
+    diag(1, -1, -1), and the identity."""
+    axes = random_units(rng, 60)
+    finite = gibbs_to_matrix(random_gibbs(rng, 40, 1e-3, 1e3))
+    noisy = np.array([
+        matrix_about(u, np.pi - d) for u, d in zip(axes[:10], 10.0 ** rng.uniform(-12, -3, 10))
+    ]) + 1e-11 * rng.normal(size=(10, 3, 3))
+    exact = 2.0 * axes[10:, :, None] * axes[10:, None, :] - np.eye(3)
+    u = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    ties = np.array([2.0 * np.outer(u, u) - np.eye(3), np.diag([1.0, -1.0, -1.0]), np.eye(3)])
+    m = np.concatenate([finite, noisy, exact, ties])
+    return m[rng.permutation(len(m))]
+
+
+def test_matrix_to_gibbs_batch_rows_equal_single_calls_byte_for_byte():
+    rng = np.random.default_rng(45)
+    m = near_half_turn_matrices(rng)
+    assert is_rotation_matrix(m)
+    out = matrix_to_gibbs(m)
+    assert is_pi_encoded(out).sum() >= 50
+    for i in range(len(m)):
+        assert out[i].tobytes() == matrix_to_gibbs(m[i]).tobytes(), i
+    # a (2, k) batch shape gives the same rows
+    k = len(m) // 2
+    assert matrix_to_gibbs(m[: 2 * k].reshape(2, k, 3, 3)).tobytes() == out[: 2 * k].tobytes()
+
+
+def test_pivot_choice_is_the_lowest_index_argmax_of_the_table():
+    # small-integer "matrices" make ties between the diagonal entries
+    # common; the choice must match a full-table argmax, ties to the
+    # lowest index, and gather that row
+    rng = np.random.default_rng(46)
+    cols = rng.integers(-1, 2, size=(9, 4000)).astype(float)
+    table = _pivot_table(cols)
+    diag = np.stack([table[k, k] for k in range(4)])
+    want = table[diag.argmax(axis=0), :, np.arange(cols.shape[1])].T
+    got = _pivot_row(cols)
+    assert got.tobytes() == want.tobytes()
+    ties = (diag == diag.max(axis=0)).sum(axis=0) > 1
+    assert ties.sum() > 1000
+    # the same choice on the pivot ties of real rotations
+    m = near_half_turn_matrices(np.random.default_rng(47))
+    cols = m.reshape(-1, 9).T.copy()
+    table = _pivot_table(cols)
+    diag = np.stack([table[k, k] for k in range(4)])
+    want = table[diag.argmax(axis=0), :, np.arange(len(m))].T
+    assert _pivot_row(cols).tobytes() == want.tobytes()
+
+
+def test_compose_batch_rows_equal_single_calls_byte_for_byte():
+    rng = np.random.default_rng(48)
+    r = mixed_rows(rng)
+    s = mixed_rows(rng)
+    # half turns composed with the identity, either side, come back encoded
+    r[:4], s[:4] = pi_encode(random_units(rng, 4)), -0.0
+    r[4:8], s[4:8] = 0.0, -pi_encode(random_units(rng, 4))
+    out = compose(r, s)
+    assert is_pi_encoded(out).any()
+    for i in range(len(r)):
+        assert out[i].tobytes() == compose(r[i], s[i]).tobytes(), i
+    # one operand broadcast against the batch
+    out = compose(r, s[3])
+    for i in range(len(r)):
+        assert out[i].tobytes() == compose(r[i], s[3]).tobytes(), i
+
+
+def test_align_pair_batch_rows_equal_single_calls_byte_for_byte():
+    # pairs carried by rotations from every regime of mixed_rows (huge,
+    # infinite and pi-encoded rows, signed zeros), plus rows where pair 1,
+    # pair 2 or both are fixed
+    rng = np.random.default_rng(49)
+    r = mixed_rows(rng)
+    n = len(r)
+    p1 = rng.normal(size=(n, 3))
+    p2 = rng.normal(size=(n, 3))
+    p1[::9, 1] = -0.0
+    p2[::11, 2] = 0.0
+    r[:4], r[4:8], r[8:12] = 0.3 * p1[:4], -2.0 * p2[4:8], 0.0
+    q1 = rotate_vector(r, p1)
+    q2 = rotate_vector(r, p2)
+    # pair 1 must not be antipodal
+    keep = np.sum(q1 * p1, axis=-1) > -0.9 * np.sum(p1 * p1, axis=-1)
+    assert keep[:12].all()
+    p1, q1, p2, q2 = p1[keep], q1[keep], p2[keep], q2[keep]
+    out = align_pair(p1, q1, p2, q2)
+    assert is_pi_encoded(out).any() and (out[8:12] == 0.0).all()
+    for i in range(len(out)):
+        assert out[i].tobytes() == align_pair(p1[i], q1[i], p2[i], q2[i]).tobytes(), i
 
 
 def test_rotate_vector_half_turns_are_the_exact_limit():

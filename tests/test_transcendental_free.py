@@ -18,6 +18,7 @@ import gibbsrot.algebra
 import gibbsrot.core
 from gibbsrot.algebra import _compose_direct
 from gibbsrot.core import (
+    _columns,
     _gibbs_from_matrix_direct,
     _matrix_from_gibbs_direct,
     _pivot_row,
@@ -43,6 +44,8 @@ AUDITED = {
         "_dehomogenize",
         "_matrix_from_pair",
         "_matrix_from_gibbs_direct",
+        "_columns",
+        "_rotation_check",
         "_pivot_table",
         "_pivot_row",
         "_gibbs_from_matrix_direct",
@@ -176,9 +179,24 @@ def test_exact_extraction_through_every_pivot_row():
     r = r[big]
     pivots = {int(np.argmax([abs(c) for c in row])) for row in r}
     assert len(r) >= 100 and pivots == {0, 1, 2}
-    row = _pivot_row(_matrix_from_gibbs_direct(r))
+    row = _pivot_row(_columns(_matrix_from_gibbs_direct(r), 2))
     assert all(type(v) is Fraction for v in row.flat)
-    assert (row[:, 1:] / row[:, :1] == r).all()
+    assert (row[1:] / row[0] == r.T).all()
+
+
+def test_exact_column_kernels_on_a_single_matrix():
+    # one matrix unpacks into scalar columns; the kernels stay exact and
+    # give the batched row
+    r = rational_vectors(30, 29)
+    m = _matrix_from_gibbs_direct(r)
+    rows = _pivot_row(_columns(m, 2))
+    back = _gibbs_from_matrix_direct(m)
+    for i in range(len(r)):
+        one = _pivot_row(_columns(m[i], 2))
+        assert one.shape == (4,) and all(type(v) is Fraction for v in one)
+        assert (one == rows[:, i]).all()
+        assert (_gibbs_from_matrix_direct(m[i]) == back[i]).all()
+        assert (_matrix_from_gibbs_direct(r[i]) == m[i]).all()
 
 
 def test_exact_rotation_by_pair_matches_exact_matrix_action():
