@@ -13,9 +13,11 @@ carries a rigid pair onto a rigid pair — which is exactly one alignment
 step of a moving frame, so a whole curve's worth of frames chains into
 :func:`frame_transport`.
 
-All solvers here are rational in their inputs (square roots appear only
-in validation and in unit-vector preprocessing, never in the solution
-formulas).
+Every solver here is rational in its inputs.  Square roots appear only in
+validation and preprocessing (the norms behind the tolerance checks, the
+row routing, the unit scaling of routed rows and of ``frame_transport``'s
+frames, and the basis an :class:`AntipodalError` carries), never in a
+solution formula.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from .core import (
     _as_float,
     _columns,
     _cross,
+    _dehomogenize,
     _dot,
-    matrix_to_gibbs,
-    pi_encode,
+    _pivot_row,
     rotate_vector,
 )
 from .errors import AntipodalError, InvalidInputError, InvalidPairError
@@ -58,13 +60,21 @@ __all__ = [
 # useless; every solver takes a ``tol`` override.
 TOL_LEN = 1e-9
 
-# Relative half-width of the window around a vanishing gamma denominator
-# inside which the answer is snapped to the half-turn limit.  Kept well
-# below TOL_LEN: a denominator of relative size d leaves the *rotation*
-# only ~2d away from the half turn, so snapping at 1e-12 perturbs mapped
-# vectors by ~1e-12 while letting gamma grow to ~1e12 before the ratio
-# itself turns to noise.
+# A pair solution whose quaternion has |w| <= 1e-12 |(w, v)| (within ~2e-12
+# rad of a half turn) is returned as the half-turn encoding.  Kept well
+# below TOL_LEN: snapping moves mapped vectors by ~2e-12 of their length,
+# and angles a mere 1e-11 short of pi still come back finite.
 TOL_ALIGN_SINGULAR = 1e-12
+
+# A row stays on the gamma formula while |(p1 + q1) . (p2 - q2)| exceeds
+# this times |p1 + q1| |p2|; the rest leave the gamma path.  Gamma's
+# error grows like the inverse of that ratio.  On 6e6 rotations with the
+# axis tilted 1e-2 ... 1e-12 and 0 rad out of the p1-p2 plane (theta in
+# [0.1, 3]) the gamma rows map both pairs within 1.9e-11 at cuts from
+# 1.5e-5 up, and within 1.5e-10 at 1.2e-5.  Normalizing by |p2 - q2| in
+# place of |p2| needs a cut near 1e-2 for the same accuracy: gamma's
+# error also grows as p2 nears the axis and barely moves.
+_GAMMA_CUT = 2e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,6 +162,7 @@ def _check_pair_lengths(
             f"{label}: lengths differ at index {i}: |p| = {np_[i]:.17g}, "
             f"|q| = {nq[i]:.17g} (relative tolerance {tol:g})",
             condition="LENGTH_MISMATCH",
+            index=i,
         )
 
 
@@ -260,23 +271,27 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     |p2| = |q2|, and p1 . p2 = q1 . q2 — a rigid motion preserves lengths
     and the subtended angle.  Violations raise :class:`InvalidPairError`
     naming the failed condition (``LENGTH_MISMATCH`` or
-    ``ANGLE_MISMATCH``), because the raw formula would happily return a
-    non-solution.  A p1 antipodal to q1 raises the error with condition
-    ``ANTIPODAL`` (pair order carries no meaning, so callers may swap the
-    pairs if the other one is regular).
+    ``ANGLE_MISMATCH``) and the flat batch row (``index``), because the
+    raw formula would happily return a non-solution.  A p1 antipodal to
+    q1 raises the error with condition ``ANTIPODAL`` (pair order carries
+    no meaning, so callers may swap the pairs if the other one is
+    regular).
 
-    Degeneracies are handled exactly:
+    Each row is solved by one of four rules, chosen from that row alone:
 
-    * both pairs fixed -> the zero vector (identity);
-    * one pair fixed -> the member of the other pair's line parallel to
-      the fixed vector (the rotation must fix it), or the half turn about
-      it when the moving pair is antipodal;
-    * vanishing gamma denominator with nonzero numerator -> the half-turn
-      encoding about p1 + q1 (the gamma -> inf limit of the line);
-    * 0/0 with p2 parallel to p1 -> the smallest rotation (gamma = 0;
-      the second pair adds no constraint);
-    * 0/0 otherwise -> orthonormal-frame reconstruction of the matrix,
-      converted back to a Gibbs vector.
+    * the gamma formula of :func:`align_pair_unchecked`, on rows where
+      its denominator (p1 + q1) . (p2 - q2) is well away from zero;
+    * otherwise, with p1 not parallel to p2, the matrix ``Q P^-1``
+      carrying the frame ``P = [p1, p2, p1 x p2]`` onto
+      ``Q = [q1, q2, q1 x q2]``, read off Shepperd's pivot table as in
+      :func:`matrix_to_gibbs` — half turns and rows with a fixed pair
+      included;
+    * p2 parallel to p1 -> the smallest rotation (gamma = 0; the second
+      pair adds no constraint);
+    * both pairs fixed -> the zero vector (identity).
+
+    Rows solved off the gamma path must map both pairs, or the call
+    raises ``ANGLE_MISMATCH``.
 
     Batched: all four arguments broadcast together over leading axes.
     """
@@ -311,6 +326,7 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
             f"subtended angles differ at index {i}: p1.p2 = {dot_p[i]:.17g} "
             f"but q1.q2 = {dot_q[i]:.17g} (relative tolerance {tol:g})",
             condition="ANGLE_MISMATCH",
+            index=i,
         )
 
     s1 = a1 + b1
@@ -322,146 +338,94 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
             f"pair 1 is antipodal at index {i}: no one-parameter family "
             "exists; swap the pairs if pair 2 is regular",
             condition="ANTIPODAL",
+            index=i,
         )
 
     d = a2 - b2
-    n_d = _norms(d)
-    fixed1 = _norms(a1 - b1) <= tol_a1
-    fixed2 = n_d <= tol * n_a2
-    fixed = fixed1 | fixed2
-    out = _align_pair_general(a1, b1, a2, b2, s1, d, n_d, den1, fixed, n_a1, n_a2, tol)
-    if not fixed.any():
-        return out.reshape(shape)
-
-    only1 = np.flatnonzero(fixed1 & ~fixed2)
-    if only1.size:
-        out[only1] = _member_fixing(a2[only1], b2[only1], a1[only1], n_a2[only1], tol)
-        _verify_rows(out, only1, a1, b1, a2, b2, n_a1, n_a2, tol)
-
-    only2 = np.flatnonzero(~fixed1 & fixed2)
-    if only2.size:
-        out[only2] = _member_fixing(a1[only2], b1[only2], a2[only2], n_a1[only2], tol)
-        _verify_rows(out, only2, a1, b1, a2, b2, n_a1, n_a2, tol)
-
-    # Both pairs fixed: the identity.
-    out[np.flatnonzero(fixed1 & fixed2)] = 0.0
-    return out.reshape(shape)
-
-
-def _align_pair_general(a1, b1, a2, b2, s1, d, n_d, den1, fixed, n_a1, n_a2, tol):
-    """The gamma formula on every row, then the rows where its
-    denominator vanishes patched by index: the half-turn limit, the
-    smallest member, or the triad.  Rows where ``fixed`` is set are left
-    for the caller to overwrite.  The result is written once, as
-    row-major (n, 3)."""
     c1 = _cross(b1, a1)
-    num_g = _dot(c1, d)
     den_g = _dot(s1, d)
     out = np.empty(c1.shape)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = -num_g / den_g
+        gamma = -_dot(c1, d) / den_g
         for i in range(3):
             np.divide(c1[:, i] + gamma * s1[:, i], den1, out=out[:, i])
 
-    singular = np.flatnonzero(
-        ~fixed & (np.abs(den_g) <= TOL_ALIGN_SINGULAR * _norms(s1) * n_d)
-    )
-    if not singular.size:
-        return out
+    # Off the gamma path: rows with pair 1 fixed, whose line holds every
+    # rotation about p1, and rows whose gamma denominator is small against
+    # |s1| |p2| (pair 2 fixed included).
+    fixed1 = _norms(a1 - b1) <= tol_a1
+    off = np.flatnonzero(fixed1 | (np.abs(den_g) <= _GAMMA_CUT * _norms(s1) * n_a2))
+    if off.size:
+        n1, n2 = n_a1[off, None], n_a2[off, None]
+        out[off] = _solve_off_gamma(
+            a1[off] / n1, b1[off] / n1, a2[off] / n2, b2[off] / n2, fixed1[off], tol
+        )
+        _verify_rows(out, off, a1, b1, a2, b2, n_a1, n_a2, tol)
+    return out.reshape(shape)
 
-    is_hard = np.abs(num_g[singular]) > TOL_ALIGN_SINGULAR * _norms(c1[singular]) * n_d[singular]
-    hard = singular[is_hard]
-    if hard.size:
-        # gamma -> inf: the half turn about p1 + q1.
-        out[hard] = pi_encode(s1[hard])
 
-    both = singular[~is_hard]
-    if both.size:
-        parallel = _norms(_cross(a2[both], a1[both])) <= tol * n_a2[both] * n_a1[both]
-        sub = both[parallel]
-        # The second pair repeats the first; take the smallest member.
-        out[sub] = c1[sub] / den1[sub, None]
-        stubborn = both[~parallel]
-        if stubborn.size:
-            out[stubborn] = _triad(a1[stubborn], b1[stubborn], a2[stubborn], b2[stubborn])
-
-    _verify_rows(out, singular, a1, b1, a2, b2, n_a1, n_a2, tol)
+def _solve_off_gamma(p1, q1, p2, q2, fixed1, tol):
+    """Solutions of rows that leave the gamma path, each pair scaled to
+    unit |p| (every rule is homogeneous in each pair): zero where both
+    pairs are fixed, the smallest member of pair 1's line where p2 is
+    parallel to p1, and the pivot kernel on every other row."""
+    out = np.zeros(p1.shape)
+    c, e = _cross(p1, p2), p2 - q2
+    parallel = _dot(c, c) <= tol * tol
+    both = fixed1 & (_dot(e, e) <= tol * tol)
+    pivot = np.flatnonzero(~(parallel | both))
+    if pivot.size:
+        row = _pair_pivot_row(p1[pivot], q1[pivot], p2[pivot], q2[pivot])
+        out[pivot] = _dehomogenize(row[0], row[1:], TOL_ALIGN_SINGULAR**2)
+    smallest = np.flatnonzero(parallel & ~both)
+    if smallest.size:
+        a, b = p1[smallest], q1[smallest]
+        out[smallest] = _cross(b, a) / _dot(a, a + b)[:, None]
     return out
 
 
-def _member_fixing(
-    p: np.ndarray, q: np.ndarray, v: np.ndarray, n_p: np.ndarray, tol: float
-) -> np.ndarray:
-    """The member of (p, q)'s alignment line parallel to ``v`` — the
-    rotation carrying p onto q while fixing the direction of v.
+def _pair_pivot_row(p1, q1, p2, q2):
+    """Homogeneous solution ``4 k q_i (w, x, y, z)`` of the rotation
+    carrying (p1, p2) onto (q1, q2), for rows with p1 not parallel to p2.
 
-    When the line's direction (p + q) is itself parallel to v, no finite
-    member qualifies and the half turn about v is the limit solution.
-    The (p, q) pair must not be antipodal *unless* it is perpendicular to
-    v, in which case the half turn works; otherwise the caller's residual
-    check rejects.
+    With ``P = [p1, p2, c]``, ``c = p1 x p2``, ``k = |c|^2 = det P`` and
+    ``Q = [q1, q2, q1 x q2]``, the rows of ``adj P`` are ``p2 x c``,
+    ``c x p1`` and ``c``, so ``k U = Q adj P`` is polynomial in the inputs
+    (Black's TRIAD without its normalizations).  It goes to Shepperd's
+    table with ``k`` in place of 1; the largest row, as in
+    :func:`matrix_to_gibbs`, is returned as ``(4,) + batch`` columns, and
+    its ``v / w`` is the Gibbs vector.  Rows of (..., 3) arrays; exact on
+    ``fractions.Fraction``.  Elementary arithmetic only.
     """
-    den = _dot(p, p + q)
-    anti = den <= tol * n_p ** 2
-    out = np.empty_like(p)
-    if anti.any():
-        # p -> q is a half turn; the only candidate fixing v is the half
-        # turn about v itself (valid when v is perpendicular to p).
-        out[anti] = pi_encode(v[anti])
-    reg = ~anti
-    if reg.any():
-        c = _cross(q[reg], p[reg])
-        s = p[reg] + q[reg]
-        cv = _cross(c, v[reg])
-        sv = _cross(s, v[reg])
-        sv2 = _dot(sv, sv)
-        degenerate = sv2 <= (tol * _norms(s) * _norms(v[reg])) ** 2
-        gamma = np.zeros(sv2.shape)
-        ok = ~degenerate
-        gamma[ok] = -_dot(cv[ok], sv[ok]) / sv2[ok]
-        member = (c + gamma[:, None] * s) / den[reg, None]
-        if degenerate.any():
-            member[degenerate] = pi_encode(v[reg][degenerate])
-        out[reg] = member
-    return out
-
-
-def _triad(a1, b1, a2, b2) -> np.ndarray:
-    """Orthonormal-frame fallback: build right-handed frames on each pair
-    and convert the frame-to-frame matrix back to a Gibbs vector."""
-    e1 = a1 / _norms(a1)[:, None]
-    w = a2 - _dot(a2, e1)[:, None] * e1
-    e2 = w / _norms(w)[:, None]
-    e3 = _cross(e1, e2)
-    f1 = b1 / _norms(b1)[:, None]
-    x = b2 - _dot(b2, f1)[:, None] * f1
-    f2 = x / _norms(x)[:, None]
-    f3 = _cross(f1, f2)
-    m = (
-        f1[:, :, None] * e1[:, None, :]
-        + f2[:, :, None] * e2[:, None, :]
-        + f3[:, :, None] * e3[:, None, :]
+    c = _cross(p1, p2)
+    a, b, n = _cross(np.stack([p2, c, q1]), np.stack([c, p1, q2]))
+    # k U = q1 a^T + q2 b^T + n c^T, one outer product per column of Q
+    ku = (
+        q1[..., :, None] * a[..., None, :]
+        + q2[..., :, None] * b[..., None, :]
+        + n[..., :, None] * c[..., None, :]
     )
-    return matrix_to_gibbs(m, check=False)
+    return _pivot_row(_columns(ku, 2), _dot(c, c))
 
 
 def _verify_rows(out, idx, a1, b1, a2, b2, n_a1, n_a2, tol) -> None:
-    """Residual check for the rows ``idx`` solved by a degenerate branch:
-    the result must actually map both pairs.  The preconditions admit
+    """Residual check for the rows ``idx`` solved off the gamma path: the
+    result must actually map both pairs.  The preconditions admit
     inputs perturbed at ``tol``, so the gate is a comfortable multiple of
     it."""
-    r = out[idx]
-    res1 = _norms(rotate_vector(r, a1[idx]) - b1[idx]) / n_a1[idx]
-    res2 = _norms(rotate_vector(r, a2[idx]) - b2[idx]) / n_a2[idx]
+    p, q = np.stack([a1[idx], a2[idx]]), np.stack([b1[idx], b2[idx]])
+    res1, res2 = _norms(rotate_vector(out[idx], p) - q) / np.stack([n_a1[idx], n_a2[idx]])
     gate = max(1e3 * tol, 1e-8)
     bad = (res1 > gate) | (res2 > gate)
     if bad.any():
         k = int(np.argmax(bad))
+        i = int(idx[k])
         raise InvalidPairError(
-            f"pairs at index {int(idx[k])} pass the length checks but admit no "
+            f"pairs at index {i} pass the length checks but admit no "
             f"common rotation (residuals {float(res1[k]):.3e}, "
             f"{float(res2[k]):.3e})",
             condition="ANGLE_MISMATCH",
+            index=i,
         )
 
 
@@ -516,9 +480,9 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     try:
         steps = align_pair(that[:-1], that[1:], nhat[:-1], nhat[1:], tol=tol)
     except InvalidPairError as e:
-        step = _locate_bad_step(that, nhat, tol)
+        step = e.index
         err = InvalidPairError(
-            f"step {step} -> {step + 1}: {e}", condition=e.condition
+            f"step {step} -> {step + 1}: {e}", condition=e.condition, index=step
         )
         err.step = step
         raise err from e
@@ -527,12 +491,3 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     cumulative[1:] = compose_scan(steps)
     return TransportResult(steps, cumulative)
 
-
-def _locate_bad_step(that: np.ndarray, nhat: np.ndarray, tol: float) -> int:
-    """Find the first step the batched alignment choked on."""
-    for i in range(that.shape[0] - 1):
-        try:
-            align_pair(that[i], that[i + 1], nhat[i], nhat[i + 1], tol=tol)
-        except InvalidPairError:
-            return i
-    return that.shape[0] - 2

@@ -436,20 +436,24 @@ def _matrix_from_gibbs_direct(r):
     return _matrix_from_pair(1, np.moveaxis(r, -1, 0))
 
 
-def _pivot_table(u):
+def _pivot_table(u, scale=1):
     """Shepperd's table of the nine component columns ``u`` of a batch
     (``u00, u01, ..., u22``, as :func:`_columns` gives them): the
     ``(4, 4) + batch`` array whose ``[k, :]`` is ``4 q_k (w, x, y, z)``,
     its diagonal ``1 + tr`` and ``1 + 2 u_kk - tr``.  Ten distinct
     entries, each a signed sum of named matrix entries; exact on
     ``fractions.Fraction``.  Elementary arithmetic only.
+
+    ``u`` may be a rotation matrix times ``scale`` (a scalar or a batch
+    column): the table, every entry homogeneous in ``(u, scale)``, is then
+    ``scale`` times the rotation's.
     """
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
     t = np.empty((4, 4) + u.shape[1:], u.dtype)
-    t[0, 0] = u00 + u11 + u22 + 1  # 4 w^2
-    t[1, 1] = u00 - u11 - u22 + 1  # 4 x^2
-    t[2, 2] = u11 - u00 - u22 + 1  # 4 y^2
-    t[3, 3] = u22 - u00 - u11 + 1  # 4 z^2
+    t[0, 0] = u00 + u11 + u22 + scale  # 4 w^2
+    t[1, 1] = u00 - u11 - u22 + scale  # 4 x^2
+    t[2, 2] = u11 - u00 - u22 + scale  # 4 y^2
+    t[3, 3] = u22 - u00 - u11 + scale  # 4 z^2
     t[0, 1] = t[1, 0] = u12 - u21  # 4 w x
     t[0, 2] = t[2, 0] = u20 - u02  # 4 w y
     t[0, 3] = t[3, 0] = u01 - u10  # 4 w z
@@ -463,18 +467,18 @@ def _pivot_table(u):
 _ROW_ENTRIES = np.arange(4)[:, None]
 
 
-def _pivot_row(u):
+def _pivot_row(u, scale=1):
     """The row of :func:`_pivot_table` with the largest own entry, for the
-    nine component columns ``u``: the ``(4,) + batch`` columns
-    ``4 q_k (w, x, y, z)``.
+    nine component columns ``u`` (a rotation matrix times ``scale``): the
+    ``(4,) + batch`` columns ``4 scale q_k (w, x, y, z)``.
 
-    The four own entries sum to 4, so the chosen row is never zero, and
-    its ratios are the quaternion up to scale: ``v / w`` is the Gibbs
-    vector.  Three comparisons pick the row, the lowest index on ties as
-    ``argmax`` would, and one flat gather reads it.  Elementary
-    arithmetic only.
+    The four own entries sum to ``4 scale``, so for a nonzero ``scale``
+    the chosen row is never zero, and its ratios are the quaternion up to
+    scale: ``v / w`` is the Gibbs vector.  Three comparisons pick the row,
+    the lowest index on ties as ``argmax`` would, and one flat gather
+    reads it.  Elementary arithmetic only.
     """
-    t = _pivot_table(u)
+    t = _pivot_table(u, scale)
     d0, d1, d2, d3 = t[0, 0], t[1, 1], t[2, 2], t[3, 3]
     hi = np.maximum(d2, d3) > np.maximum(d0, d1)
     k = (2 * hi + ((d3 > d2) & hi | (d1 > d0) & np.logical_not(hi))).reshape(-1)

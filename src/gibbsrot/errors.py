@@ -44,12 +44,16 @@ class InvalidPairError(InvalidInputError):
     """A pair-alignment precondition failed; ``condition`` names which one.
 
     ``condition`` is one of ``LENGTH_MISMATCH``, ``ANGLE_MISMATCH`` or
-    ``ANTIPODAL``.
+    ``ANTIPODAL``.  ``index`` is the flat batch row that failed, or
+    ``None`` when no row is named.
     """
 
-    def __init__(self, message: str, *, condition: str = "INVALID_PAIR"):
+    def __init__(
+        self, message: str, *, condition: str = "INVALID_PAIR", index: int | None = None
+    ):
         super().__init__(message, code=condition)
         self.condition = condition
+        self.index = index
 
 
 class SingularCayleyError(GibbsError):

@@ -51,3 +51,32 @@ def component_error(got: np.ndarray, want: np.ndarray) -> float:
     want = np.atleast_2d(want)
     scale = np.abs(want).max(axis=-1)
     return float((np.abs(got - want).max(axis=-1) / scale).max())
+
+
+def turn_about(axis: np.ndarray, angle, v: np.ndarray) -> np.ndarray:
+    """``matrix_about(axis, angle) @ v`` row by row, for stacks of unit
+    axes, angles and vectors (Rodrigues' formula)."""
+    c = np.cos(angle)[..., None]
+    s = np.sin(angle)[..., None]
+    along = np.sum(axis * v, axis=-1, keepdims=True) * axis
+    return c * v + (1.0 - c) * along + s * np.cross(v, axis)
+
+
+def tilted_pairs(rng, n: int, tilt: float, theta=None):
+    """Two-pair alignment inputs ``(p1, q1, p2, q2)``: Gaussian p1, p2
+    turned by ``theta`` (default uniform in [0.1, 3]) about an axis tilted
+    ``tilt`` radians out of the p1-p2 plane.
+
+    The axis's in-plane part is a random direction within 1.2 rad of p1,
+    so pair 1 stays clear of antipodal even near a half turn.
+    """
+    p1 = rng.normal(size=(n, 3))
+    p2 = rng.normal(size=(n, 3))
+    e1 = p1 / np.linalg.norm(p1, axis=-1, keepdims=True)
+    normal = np.cross(p1, p2)
+    normal /= np.linalg.norm(normal, axis=-1, keepdims=True)
+    e2 = np.cross(normal, e1)
+    phi = rng.uniform(-1.2, 1.2, size=(n, 1))
+    axis = np.cos(tilt) * (np.cos(phi) * e1 + np.sin(phi) * e2) + np.sin(tilt) * normal
+    angle = rng.uniform(0.1, 3.0, size=n) if theta is None else np.full(n, theta)
+    return p1, turn_about(axis, angle, p1), p2, turn_about(axis, angle, p2)

@@ -34,6 +34,7 @@ from gibbsrot.algebra import _compose_direct
 from gibbsrot.core import _gibbs_from_matrix_direct, _matrix_from_gibbs_direct
 from gibbsrot.cli import bench_rows
 
+from helpers import tilted_pairs
 from test_transcendental_free import AUDITED, rational_vectors, violations_in
 
 
@@ -159,6 +160,15 @@ def test_criterion_6_alignment_reconstruction_and_rejection():
         np.abs(rotate_vector(got, p1) - q1).max(),
         np.abs(rotate_vector(got, p2) - q2).max(),
     )
+    # and with the axis tilted toward the p1-p2 plane, down to lying in it
+    for tilt in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0):
+        a, c, b, d = tilted_pairs(rng, n // 10, tilt)
+        got = align_pair(a, c, b, d)
+        res_pair = max(
+            res_pair,
+            np.abs(rotate_vector(got, a) - c).max(),
+            np.abs(rotate_vector(got, b) - d).max(),
+        )
 
     # perturbed instances must be rejected
     rejected = 0
@@ -177,7 +187,8 @@ def test_criterion_6_alignment_reconstruction_and_rejection():
             rejected += 1
     print(
         f"PASS alignment: 10^5 line members residual {res_line:.3e}, "
-        f"10^5 pair reconstructions residual {res_pair:.3e} (bound 1e-9); "
+        f"10^5 pair reconstructions and 6 x 10^4 with the axis tilted toward "
+        f"the pair's plane, residual {res_pair:.3e} (bound 1e-9); "
         f"{rejected}/200 perturbed instances rejected"
     )
     assert res_line <= 1e-9

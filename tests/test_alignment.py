@@ -20,7 +20,8 @@ from gibbsrot import (
     pi_encode,
     rotate_vector,
 )
-from helpers import random_gibbs, random_units
+import gibbsrot.alignment
+from helpers import random_gibbs, random_units, tilted_pairs
 
 
 def residual(r, p, q):
@@ -234,8 +235,8 @@ def test_pair_parallel_second_pair_uses_minimal_member():
 
 
 def test_pair_indeterminate_instance_still_solved():
-    # a half turn about z with p2 chosen so both solver polynomials
-    # vanish: the frame-based fallback must still produce the rotation
+    # a half turn about z with p2 chosen so both gamma polynomials vanish:
+    # the pivot must still produce the rotation
     p1 = np.array([1.0, 0.0, 1.0])
     q1 = np.array([-1.0, 0.0, 1.0])
     p2 = np.array([1.0, 0.0, 0.0])
@@ -270,6 +271,59 @@ def test_pair_property(seed):
     got = align_pair(p1, q1, p2, q2)
     assert residual(got, p1, q1) <= 1e-8
     assert residual(got, p2, q2) <= 1e-8
+
+
+@pytest.mark.parametrize("tilt", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 0.0])
+def test_pair_axis_tilted_toward_the_plane_of_p1_and_p2(tilt):
+    # gamma's denominator (p1 + q1).(p2 - q2) vanishes as the axis tilts
+    # into the p1-p2 plane; the answer must stay accurate all the way in
+    p1, q1, p2, q2 = tilted_pairs(np.random.default_rng(71), 20_000, tilt)
+    got = align_pair(p1, q1, p2, q2)
+    assert residual(got, p1, q1) <= 1e-9
+    assert residual(got, p2, q2) <= 1e-9
+
+
+def test_pair_exact_in_plane_half_turns():
+    # q = 2 (a.p) a - p for a unit axis a in the p1-p2 plane
+    rng = np.random.default_rng(72)
+    n = 20_000
+    p1, p2 = rng.normal(size=(2, n, 3))
+    a = rng.normal(size=(n, 1)) * p1 + rng.normal(size=(n, 1)) * p2
+    a /= np.linalg.norm(a, axis=-1, keepdims=True)
+    q1, q2 = (2.0 * np.sum(a * p, axis=-1, keepdims=True) * a - p for p in (p1, p2))
+    # pair 1 clear of antipodal: a at least ~0.1 rad off perpendicular to p1
+    keep = np.sum(a * p1, axis=-1) ** 2 > 0.01 * np.sum(p1 * p1, axis=-1)
+    p1, q1, p2, q2 = p1[keep], q1[keep], p2[keep], q2[keep]
+    got = align_pair(p1, q1, p2, q2)
+    assert is_pi_encoded(got).all()
+    assert residual(got, p1, q1) <= 1e-9
+    assert residual(got, p2, q2) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100])
+def test_pair_in_plane_rows_at_extreme_magnitudes(scale):
+    # the pivot's entries are quartic in the inputs; each routed pair is
+    # brought to unit length first, so neither overflow nor underflow
+    p1, q1, p2, q2 = tilted_pairs(np.random.default_rng(74), 2000, 0.0)
+    for s1, s2 in ((scale, 1.0), (1.0, scale), (scale, scale)):
+        args = (s1 * p1, s1 * q1, s2 * p2, s2 * q2)
+        got = align_pair(*args)
+        assert residual(got, args[0], args[1]) <= 1e-9
+        assert residual(got, args[2], args[3]) <= 1e-9
+
+
+@pytest.mark.parametrize("k", range(1, 12))
+def test_pair_in_plane_turns_approaching_a_half_turn(k):
+    # theta = pi - 10^-k about axes in the p1-p2 plane: every row takes the
+    # pivot path, whose half-turn threshold must not snap these to pi
+    p1, q1, p2, q2 = tilted_pairs(np.random.default_rng(73 + k), 2000, 0.0, np.pi - 10.0**-k)
+    s1, d = p1 + q1, p2 - q2
+    cut = gibbsrot.alignment._GAMMA_CUT
+    scale = np.linalg.norm(s1, axis=-1) * np.linalg.norm(p2, axis=-1)
+    assert (np.abs(np.sum(s1 * d, axis=-1)) <= cut * scale).all()
+    got = align_pair(p1, q1, p2, q2)
+    assert residual(got, p1, q1) <= 1e-9
+    assert residual(got, p2, q2) <= 1e-9
 
 
 # --- frame transport -------------------------------------------------------
@@ -330,6 +384,17 @@ def test_transport_error_carries_step_index():
     frames = quarter_arc_frames(6)
     frames[3, 0] = -frames[2, 0]  # tangent reversal: antipodal pair
     frames[3, 1] = -frames[2, 1]
+    with pytest.raises(InvalidPairError) as exc:
+        frame_transport(frames)
+    assert exc.value.code == "ANTIPODAL"
+    assert exc.value.step == 2
+    assert "step 2 -> 3" in str(exc.value)
+
+
+def test_transport_error_names_the_first_bad_step():
+    frames = quarter_arc_frames(8)
+    for at in (5, 2):  # tangent reversals at two steps
+        frames[at + 1] = -frames[at]
     with pytest.raises(InvalidPairError) as exc:
         frame_transport(frames)
     assert exc.value.code == "ANTIPODAL"
@@ -398,10 +463,14 @@ def mixed_pair_batch():
         (m, q, z, z),  # pair 2 fixed
         (z, z, m, m),  # both fixed: the identity
         (0.75 * z, 0.75 * z, m, m * [-1.0, -1.0, 1.0]),  # fixed + antipodal
-        (x, y, y, x),  # vanishing gamma denominator: the half-turn limit
-        (x, y, 2.0 * x, 2.0 * y),  # 0/0 with p2 parallel to p1
-        ([1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], x, -x),  # 0/0: the triad
+        (x, y, y, x),  # in-plane half turn: the pivot
+        (x, y, 2.0 * x, 2.0 * y),  # p2 parallel to p1: the smallest member
+        ([1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], x, -x),  # in-plane half turn, pair 2 antipodal: the pivot
     ]
+    # axes at or near the p1-p2 plane: the pivot
+    for tilt, theta in ((1e-9, None), (0.0, None), (0.0, np.pi - 1e-3)):
+        p1, q1, p2, q2 = tilted_pairs(rng, 1, tilt, theta)
+        rows.append((p1[0], q1[0], p2[0], q2[0]))
     return [tuple(np.asarray(v, dtype=float) for v in row) for row in rows]
 
 
@@ -422,8 +491,9 @@ def test_pair_mixed_batch_matches_single_rows_bit_for_bit():
 def test_pair_mixed_batch_error_names_the_batch_index():
     # p2 parallel to p1 while q2 is y turned by eps about (x + y): lengths
     # and the angle agree within TOL_LEN, the gamma denominator vanishes,
-    # and the half-turn limit then misses q2 by ~eps, which the residual
-    # check rejects.  Fixed rows ahead of it must not shift the index.
+    # and the smallest member of pair 1's line then misses q2 by ~eps,
+    # which the residual check rejects.  Fixed rows ahead of it must not
+    # shift the index.
     eps = 3e-5
     n = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     y = np.array([0.0, 1.0, 0.0])
@@ -435,6 +505,25 @@ def test_pair_mixed_batch_error_names_the_batch_index():
         with pytest.raises(InvalidPairError, match=f"pairs at index {at} ") as exc:
             align_pair(*(np.stack(col) for col in zip(*batch)))
         assert exc.value.code == "ANGLE_MISMATCH"
+        assert exc.value.index == at
+
+
+@pytest.mark.parametrize(
+    "condition, row",
+    [
+        ("LENGTH_MISMATCH", ([1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0], [0, 0, 1.001])),
+        ("ANGLE_MISMATCH", ([1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0], [1.0, -1.0, 0])),
+        ("ANTIPODAL", ([1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 1.0], [-1.0, 0, 1.0])),
+    ],
+)
+def test_pair_error_index_is_the_flat_batch_row(condition, row):
+    rows = mixed_pair_batch()[:5]
+    rows.insert(3, tuple(np.asarray(v, dtype=float) for v in row))
+    cols = [np.stack(col)[:6].reshape(2, 3, 3) for col in zip(*rows)]
+    with pytest.raises(InvalidPairError) as exc:
+        align_pair(*cols)
+    assert exc.value.code == condition
+    assert exc.value.index == 3
 
 
 def test_pair_empty_batch():

@@ -15,8 +15,10 @@ import numpy as np
 import pytest
 
 import gibbsrot.algebra
+import gibbsrot.alignment
 import gibbsrot.core
 from gibbsrot.algebra import _compose_direct
+from gibbsrot.alignment import _pair_pivot_row
 from gibbsrot.core import (
     _columns,
     _gibbs_from_matrix_direct,
@@ -62,6 +64,10 @@ AUDITED = {
         "compose_sequence",
         "_compose_direct",
         "_hamilton",
+    ],
+    gibbsrot.alignment: [
+        "align_pair_unchecked",
+        "_pair_pivot_row",
     ],
 }
 
@@ -207,6 +213,26 @@ def test_exact_rotation_by_pair_matches_exact_matrix_action():
     want = np.matmul(_matrix_from_gibbs_direct(r), s[..., None])[..., 0]
     assert all(type(v) is Fraction for v in got.flat)
     assert (got == want).all()
+
+
+def test_exact_pair_alignment_through_the_pivot():
+    # q = U(r) p exactly; the two-pair kernel recovers r exactly, through
+    # every pivot row
+    r = rational_vectors(200, 37)
+    p1 = rational_vectors(200, 38)
+    p2 = rational_vectors(200, 39)
+    c = np.cross(p1, p2)
+    keep = np.array([any(v != 0 for v in row) for row in c])  # p1, p2 not parallel
+    r, p1, p2 = r[keep], p1[keep], p2[keep]
+    assert len(r) >= 150
+    u = _matrix_from_gibbs_direct(r)
+    q1 = np.matmul(u, p1[..., None])[..., 0]
+    q2 = np.matmul(u, p2[..., None])[..., 0]
+    row = _pair_pivot_row(p1, q1, p2, q2)
+    assert all(type(v) is Fraction for v in row.flat)
+    assert (row[1:] / row[0] == r.T).all()
+    pivots = {int(np.argmax([abs(x) for x in (1, *v)])) for v in r}
+    assert pivots == {0, 1, 2, 3}
 
 
 def test_floats_never_contaminate_the_fraction_path():
