@@ -13,23 +13,33 @@ ratio map.
 
 Every composition runs on one kernel.  A Gibbs vector ``r`` is the ratio
 ``v / w`` of a homogeneous pair ``(w : v)``, the meeting point ``core``
-shares with the matrix conversions; each row is mapped to
-``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``, and half turns to ``w = 0``
-exactly.  Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``,
-so the result never vanishes) and are divided once at the end: ``v / w``,
-or the half-turn encoding along ``v`` where ``w`` vanished.  The
-operands are unpacked once into component columns, and the Hamilton
-product takes and returns ``v`` as its three columns.  The same kernel
-with ``w = 1`` is the textbook quotient rule, exact on
-``fractions.Fraction``.  :func:`compose_scan` chains the kernel into an
-inclusive prefix scan of ``ceil(log2 n)`` batched rounds.
+shares with the matrix conversions.  :func:`compose` chooses each
+operand row's pair by the row rule ``gibbs_to_matrix`` uses: ``(1, r)``
+while every component stays below ``_PAIR_LIMIT``, else ``(1/c, r/c)``
+with ``c = max(|r|_inf, 1)``, and ``w = 0`` exactly for half turns.
+Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``, so the
+result never vanishes) and are divided once at the end: ``v / w``, or
+the half-turn encoding along ``v`` where ``w`` vanished.  The operands
+are unpacked once into component columns, and the Hamilton product takes
+and returns ``v`` as its three columns.  The same kernel with ``w = 1``
+is the textbook quotient rule, exact on ``fractions.Fraction``.
+:func:`compose_scan` chains the kernel into an inclusive prefix scan of
+``ceil(log2 n)`` batched rounds, on scaled pairs throughout.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import _as_vec3, _columns, _dehomogenize, _homogeneous, _max_abs
+from .core import (
+    _as_vec3,
+    _columns,
+    _dehomogenize,
+    _homogeneous,
+    _is_one,
+    _max_abs,
+    _row_pairs,
+)
 from .errors import InvalidInputError
 
 __all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"]
@@ -38,22 +48,45 @@ __all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"
 # composite is a half turn).
 TOL_COMPOSE_SINGULAR = 1e-12
 
+# Largest |component| an operand row enters the product with as the pair
+# (1, r).  The composite's components are then below 2 L + 2 L^2 and its
+# w below 1 + 3 L^2, so the squares _dehomogenize sums stay far from
+# overflow (the bound is reached near L = 5e76).  Larger rows, and half
+# turns, enter as their max-abs scaled pair.
+_PAIR_LIMIT = 1e50
+
+
 def _hamilton(w1, v1, w2, v2):
     """Hamilton product of homogeneous pairs in :func:`compose` order:
     the pair for "apply ``(w2 : v2)``, then ``(w1 : v1)``".
 
     ``w = w1 w2 - v1.v2`` and ``v = w2 v1 + w1 v2 - v1 x v2``, with each
-    ``v`` given and returned as three component columns.  Elementary
+    ``v`` given and returned as three component columns; the weights may
+    be scalars, and scalar weights 1 skip their products.  Elementary
     arithmetic only; exact on ``fractions.Fraction``.
     """
     x1, y1, z1 = v1
     x2, y2, z2 = v2
-    w = w1 * w2 - (x1 * x2 + y1 * y2 + z1 * z2)
-    return w, (
-        w2 * x1 + w1 * x2 - (y1 * z2 - z1 * y2),
-        w2 * y1 + w1 * y2 - (z1 * x2 - x1 * z2),
-        w2 * z1 + w1 * z2 - (x1 * y2 - y1 * x2),
-    )
+    d = x1 * x2
+    d += y1 * y2
+    d += z1 * z2
+    w = w1 * w2 - d
+    one = _is_one(w1) and _is_one(w2)
+    v = []
+    # component i: w2 a1 + w1 a2 - (b1 c2 - c1 b2), (a, b, c) cycling x, y, z
+    for a1, a2, b1, c2, c1, b2 in (
+        (x1, x2, y1, z2, z1, y2), (y1, y2, z1, x2, x1, z2), (z1, z2, x1, y2, y1, x2),
+    ):
+        if one:
+            e = a1 + a2
+        else:
+            e = w2 * a1
+            e += w1 * a2
+        c = b1 * c2
+        c -= c1 * b2
+        e -= c
+        v.append(e)
+    return w, tuple(v)
 
 
 def _compose_direct(r, s):
@@ -86,11 +119,10 @@ def compose(r, s) -> np.ndarray:
         raise InvalidInputError(
             f"shapes do not broadcast: r {a.shape}, s {b.shape}"
         ) from None
-    w1, v1 = _homogeneous(_columns(a.reshape(-1, 3), 1))
-    w2, v2 = _homogeneous(_columns(b.reshape(-1, 3), 1))
-    w, v = _hamilton(w1, v1, w2, v2)
-    out = _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
-    return out.reshape(a.shape)
+    w1, v1 = _row_pairs(a, _PAIR_LIMIT)
+    w2, v2 = _row_pairs(b, _PAIR_LIMIT)
+    w, v = _hamilton(w1, _columns(v1, 1), w2, _columns(v2, 1))
+    return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 
 
 def compose_scan(vectors) -> np.ndarray:

@@ -76,6 +76,16 @@ TOL_ALIGN_SINGULAR = 1e-12
 # error also grows as p2 nears the axis and barely moves.
 _GAMMA_CUT = 2e-5
 
+# align_pair solves rows whose squared norms (summed over all four
+# inputs, and of p1 and of p2 alone) lie within these bounds as given.
+# Inside them no product the checks or the gamma formula form, up to
+# cubic in a pair's length and times TOL_LEN, overflows or goes
+# subnormal.  Other rows have each pair scaled by the exact power of two
+# that brings max|p| into [0.5, 1): every rule is homogeneous in each
+# pair, so that changes no result.
+_SQ_NORM_HI = 2.0**400
+_SQ_NORM_LO = 2.0**-400
+
 
 @dataclass(frozen=True, eq=False)
 class AlignmentLine:
@@ -111,24 +121,40 @@ class TransportResult(NamedTuple):
 # validation helpers
 
 
-def _as_vectors(v, name: str) -> np.ndarray:
+def _as_vectors(v, name: str, finite: bool = True) -> np.ndarray:
     a = _as_float(v, name)
     if a.ndim == 0 or a.shape[-1] != 3:
         raise InvalidInputError(f"{name} must have shape (..., 3), got {a.shape}")
-    if not np.isfinite(a).all():
+    if finite and not np.isfinite(a).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return a
 
 
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis summed as :func:`_dot` sums them,
+    without its trailing ``+ 0``: the same value, except that three -0
+    products give -0.  For squared norms, which are never -0, and for
+    sums only compared or divided by where zero, whose sign then reaches
+    no result."""
+    s = a[..., 0] * b[..., 0]
+    s += a[..., 1] * b[..., 1]
+    s += a[..., 2] * b[..., 2]
+    return s
+
+
 def _norms(flat: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis: the square root of
-    ``_dot(flat, flat)``, whose trailing ``+ 0`` a sum of squares (never
-    -0) does not need."""
-    x, y, z = flat[..., 0], flat[..., 1], flat[..., 2]
-    s = x * x
-    s += y * y
-    s += z * z
-    return np.sqrt(s)
+    """Euclidean norms over the last axis."""
+    return np.sqrt(_inner(flat, flat))
+
+
+def _in_input_units(x: np.ndarray, e, i: int) -> float:
+    """``x[i]`` times ``2**e[i]``: for ``x`` formed from rows scaled so
+    that it shrank by ``2**-e``, its value in the caller's units.  ``e``
+    is None when no row was scaled."""
+    if e is None:
+        return x[i]
+    with np.errstate(over="ignore"):
+        return np.ldexp(x[i], e[i])
 
 
 def _first(mask: np.ndarray) -> int:
@@ -149,18 +175,21 @@ def _perp_basis(p: np.ndarray) -> np.ndarray:
 
 
 def _check_pair_lengths(
-    p: np.ndarray, q: np.ndarray, np_: np.ndarray, nq: np.ndarray, tol: float, label: str
+    np_: np.ndarray, nq: np.ndarray, tol: float, label: str, e=None
 ) -> None:
-    if (np_ == 0.0).any():
-        raise InvalidInputError(f"{label}: zero vector at index {_first(np_ == 0.0)}")
-    if (nq == 0.0).any():
-        raise InvalidInputError(f"{label}: zero vector at index {_first(nq == 0.0)}")
+    """Raise unless every row's lengths ``np_`` and ``nq`` are nonzero and
+    agree within ``tol``; ``e`` is the rows' scaling (see
+    :func:`_in_input_units`) for the message."""
+    for n in (np_, nq):
+        if not n.all():
+            raise InvalidInputError(f"{label}: zero vector at index {_first(n == 0.0)}")
     bad = np.abs(np_ - nq) > tol * np_
     if bad.any():
         i = _first(bad)
         raise InvalidPairError(
-            f"{label}: lengths differ at index {i}: |p| = {np_[i]:.17g}, "
-            f"|q| = {nq[i]:.17g} (relative tolerance {tol:g})",
+            f"{label}: lengths differ at index {i}: "
+            f"|p| = {_in_input_units(np_, e, i):.17g}, "
+            f"|q| = {_in_input_units(nq, e, i):.17g} (relative tolerance {tol:g})",
             condition="LENGTH_MISMATCH",
             index=i,
         )
@@ -191,7 +220,7 @@ def _line_denominators(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
     """The denominators ``p . (p + q)`` of (n, 3) pairs' alignment lines,
     after the length and antipodal checks."""
     np_, nq = _norms(p), _norms(q)
-    _check_pair_lengths(p, q, np_, nq, tol, "align")
+    _check_pair_lengths(np_, nq, tol, "align")
     den = _dot(p, p + q)
     anti = den <= tol * np_ * np_
     if anti.any():
@@ -295,13 +324,19 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
 
     Batched: all four arguments broadcast together over leading axes.
     """
-    a1 = _as_vectors(p1, "p1")
-    b1 = _as_vectors(q1, "q1")
-    a2 = _as_vectors(p2, "p2")
-    b2 = _as_vectors(q2, "q2")
+    # Finiteness is checked on the squared norms below; on any failure the
+    # full per-input checks run again, in argument order, so the error
+    # raised is the one they give.
     try:
+        a1 = _as_vectors(p1, "p1", finite=False)
+        b1 = _as_vectors(q1, "q1", finite=False)
+        a2 = _as_vectors(p2, "p2", finite=False)
+        b2 = _as_vectors(q2, "q2", finite=False)
         a1, b1, a2, b2 = np.broadcast_arrays(a1, b1, a2, b2)
-    except ValueError:
+    except (InvalidInputError, ValueError) as exc:
+        _require_finite(p1, q1, p2, q2)
+        if isinstance(exc, InvalidInputError):
+            raise
         raise InvalidInputError(
             f"pair shapes do not broadcast: {a1.shape}, {b1.shape}, "
             f"{a2.shape}, {b2.shape}"
@@ -311,26 +346,45 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     # below is contiguous
     a1, b1, a2, b2 = (_columns(x.reshape(-1, 3), 1).T for x in (a1, b1, a2, b2))
 
-    n_a1, n_b1 = _norms(a1), _norms(b1)
-    n_a2, n_b2 = _norms(a2), _norms(b2)
-    _check_pair_lengths(a1, b1, n_a1, n_b1, tol, "pair 1")
-    _check_pair_lengths(a2, b2, n_a2, n_b2, tol, "pair 2")
+    e1 = e2 = None
+    with np.errstate(over="ignore"):
+        sq_a1, sq_b1, sq_a2, sq_b2 = (_inner(x, x) for x in (a1, b1, a2, b2))
+        total = sq_a1 + sq_b1
+        total += sq_a2
+        total += sq_b2
+        if total.size and not (
+            total.max() <= _SQ_NORM_HI and min(sq_a1.min(), sq_a2.min()) >= _SQ_NORM_LO
+        ):
+            _require_finite(p1, q1, p2, q2)
+            far = np.flatnonzero(
+                (total > _SQ_NORM_HI) | (np.minimum(sq_a1, sq_a2) < _SQ_NORM_LO)
+            )
+            e1 = _rescale_pair(a1, b1, far)
+            e2 = _rescale_pair(a2, b2, far)
+            sq_a1, sq_b1, sq_a2, sq_b2 = (_inner(x, x) for x in (a1, b1, a2, b2))
+
+    n_a1, n_b1, n_a2, n_b2 = map(np.sqrt, (sq_a1, sq_b1, sq_a2, sq_b2))
+    _check_pair_lengths(n_a1, n_b1, tol, "pair 1", e1)
+    _check_pair_lengths(n_a2, n_b2, tol, "pair 2", e2)
 
     tol_a1 = tol * n_a1
-    dot_p = _dot(a1, a2)
-    dot_q = _dot(b1, b2)
+    dot_p = _inner(a1, a2)
+    dot_q = _inner(b1, b2)
     bad = np.abs(dot_p - dot_q) > tol_a1 * n_a2
     if bad.any():
         i = _first(bad)
+        e = None if e1 is None else e1 + e2
         raise InvalidPairError(
-            f"subtended angles differ at index {i}: p1.p2 = {dot_p[i]:.17g} "
-            f"but q1.q2 = {dot_q[i]:.17g} (relative tolerance {tol:g})",
+            f"subtended angles differ at index {i}: "
+            f"p1.p2 = {_in_input_units(dot_p, e, i):.17g} "
+            f"but q1.q2 = {_in_input_units(dot_q, e, i):.17g} "
+            f"(relative tolerance {tol:g})",
             condition="ANGLE_MISMATCH",
             index=i,
         )
 
     s1 = a1 + b1
-    den1 = _dot(a1, s1)
+    den1 = _inner(a1, s1)
     anti1 = den1 <= tol_a1 * n_a1
     if anti1.any():
         i = _first(anti1)
@@ -342,13 +396,16 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
         )
 
     d = a2 - b2
-    c1 = _cross(b1, a1)
-    den_g = _dot(s1, d)
-    out = np.empty(c1.shape)
+    den_g = _inner(s1, d)
+    # (c1 + gamma s1) / den1 with gamma = -(c1.d) / den_g, the sign of
+    # gamma carried by the subtraction; folded into c1, which becomes the
+    # output
+    out = _cross(b1, a1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = -_dot(c1, d) / den_g
-        for i in range(3):
-            np.divide(c1[:, i] + gamma * s1[:, i], den1, out=out[:, i])
+        gamma = _dot(out, d)
+        gamma /= den_g
+        out -= gamma[:, None] * s1
+        out /= den1[:, None]
 
     # Off the gamma path: rows with pair 1 fixed, whose line holds every
     # rotation about p1, and rows whose gamma denominator is small against
@@ -362,6 +419,25 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
         )
         _verify_rows(out, off, a1, b1, a2, b2, n_a1, n_a2, tol)
     return out.reshape(shape)
+
+
+def _require_finite(*vectors) -> None:
+    """Run :func:`align_pair`'s per-input checks on ``p1, q1, p2, q2`` in
+    argument order; raise the first error they give."""
+    for v, name in zip(vectors, ("p1", "q1", "p2", "q2")):
+        _as_vectors(v, name)
+
+
+def _rescale_pair(p: np.ndarray, q: np.ndarray, rows: np.ndarray):
+    """Scale ``rows`` of the pair ``(p, q)`` in place by the power of two
+    ``2**-e`` that brings each row's max|p| into [0.5, 1) (rows with
+    p = 0 stay); return ``e`` for every row, 0 outside ``rows``."""
+    e = np.zeros(len(p), dtype=int)
+    e[rows] = np.frexp(np.abs(p[rows]).max(axis=-1))[1]
+    k = -e[rows, None]
+    p[rows] = np.ldexp(p[rows], k)
+    q[rows] = np.ldexp(q[rows], k)
+    return e
 
 
 def _solve_off_gamma(p1, q1, p2, q2, fixed1, tol):

@@ -128,17 +128,23 @@ def canonicalize_quaternion(q) -> np.ndarray:
     idempotent bit for bit.
     """
     a = _as_quaternion(q)
-    flat = a.reshape(-1, 4)
+    return _canonical_signs(a.reshape(-1, 4)).reshape(a.shape)
+
+
+def _canonical_signs(flat: np.ndarray) -> np.ndarray:
+    """:func:`canonicalize_quaternion` of an (n, 4) array the caller owns
+    and knows to be unit: its rows' signs flipped in place, and returned."""
     w = flat[:, 0]
     flip = w < 0.0
-    on_zero = w == 0.0
-    if on_zero.any():
+    on_zero = np.flatnonzero(w == 0.0)
+    if on_zero.size:
         v = flat[on_zero, 1:]
         first = np.argmax(v != 0.0, axis=-1)
         lead = np.take_along_axis(v, first[:, None], axis=-1)[:, 0]
         flip[on_zero] = lead < 0.0
-    flat[flip] = -flat[flip]
-    return flat.reshape(a.shape)
+    rows = np.flatnonzero(flip)
+    flat[rows] = -flat[rows]
+    return flat
 
 
 def quaternion_multiply(a, b) -> np.ndarray:
@@ -151,17 +157,24 @@ def quaternion_multiply(a, b) -> np.ndarray:
     """
     a = _as_quaternion(a, "a")
     b = _as_quaternion(b, "b")
-    aw, ax, ay, az = (a[..., i] for i in range(4))
-    bw, bx, by, bz = (b[..., i] for i in range(4))
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by + ay * bw + az * bx - ax * bz,
-            aw * bz + az * bw + ax * by - ay * bx,
-        ],
-        axis=-1,
-    )
+    # one quaternion unpacks into scalars (see core._rotate_by_pair)
+    aw, ax, ay, az = (a[..., i][()] for i in range(4))
+    bw, bx, by, bz = (b[..., i][()] for i in range(4))
+    w = aw * bw
+    w -= ax * bx
+    w -= ay * by
+    w -= az * bz
+    out = [w]
+    # aw b_i + a_i bw + a_j b_k - a_k b_j, (i, j, k) cycling x, y, z
+    for ai, bi, aj, bk, ak, bj in (
+        (ax, bx, ay, bz, az, by), (ay, by, az, bx, ax, bz), (az, bz, ax, by, ay, bx),
+    ):
+        c = aw * bi
+        c += ai * bw
+        c += aj * bk
+        c -= ak * bj
+        out.append(c)
+    return np.stack(out, axis=-1)
 
 
 def gibbs_to_quaternion(r) -> np.ndarray:
@@ -178,7 +191,7 @@ def gibbs_to_quaternion(r) -> np.ndarray:
     q[:, 0] = w
     q[:, 1:] = v.T
     q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
-    return canonicalize_quaternion(q.reshape(a.shape[:-1] + (4,)))
+    return _canonical_signs(q).reshape(a.shape[:-1] + (4,))
 
 
 def quaternion_to_gibbs(q) -> np.ndarray:
@@ -204,20 +217,27 @@ def quaternion_to_matrix(q) -> np.ndarray:
     column-vector convention (matches ``gibbs_to_matrix`` of the
     corresponding Gibbs vector, half turns included)."""
     a = _as_quaternion(q)
-    flat = a.reshape(-1, 4)
-    w, x, y, z = (flat[:, i] for i in range(4))
-    k = 2.0 * w * w - 1.0
-    u = np.empty((flat.shape[0], 3, 3))
-    u[:, 0, 0] = k + 2.0 * x * x
-    u[:, 0, 1] = 2.0 * (x * y + w * z)
-    u[:, 0, 2] = 2.0 * (x * z - w * y)
-    u[:, 1, 0] = 2.0 * (x * y - w * z)
-    u[:, 1, 1] = k + 2.0 * y * y
-    u[:, 1, 2] = 2.0 * (y * z + w * x)
-    u[:, 2, 0] = 2.0 * (x * z + w * y)
-    u[:, 2, 1] = 2.0 * (y * z - w * x)
-    u[:, 2, 2] = k + 2.0 * z * z
-    return u.reshape(a.shape[:-1] + (3, 3))
+    w, x, y, z = (a[..., i][()] for i in range(4))
+    k = 2.0 * w
+    k *= w
+    k -= 1.0  # 2 w^2 - 1
+    u = np.empty(a.shape[:-1] + (3, 3))
+    for i, c in enumerate((x, y, z)):
+        d = 2.0 * c
+        d *= c
+        d += k  # 2 c^2 + 2 w^2 - 1
+        u[..., i, i] = d
+    # 2 (a b + w c) goes to entry (i, j), 2 (a b - w c) to (j, i)
+    for a_, b_, c, i, j in ((x, y, z, 0, 1), (x, z, y, 2, 0), (y, z, x, 1, 2)):
+        p = a_ * b_
+        t = w * c
+        d = p + t
+        d *= 2.0
+        u[..., i, j] = d
+        p -= t
+        p *= 2.0
+        u[..., j, i] = p
+    return u
 
 
 def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT) -> np.ndarray:
@@ -235,7 +255,7 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
         _require_rotation(cols, ortho_tol)
     q = _pivot_row(cols).reshape(4, -1).T.copy()
     q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
-    return canonicalize_quaternion(q.reshape(a.shape[:-2] + (4,)))
+    return _canonical_signs(q).reshape(a.shape[:-2] + (4,))
 
 
 # ---------------------------------------------------------------------------

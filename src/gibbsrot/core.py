@@ -25,7 +25,11 @@ call first unpacks its input once into contiguous component columns
 (``_columns``: a (3, n) array for vectors, (9, n) for matrices), runs the
 kernel's formula on those columns and writes its output once.  A single
 matrix unpacks into scalars, and each row of a batch equals the call on
-that row alone, byte for byte.
+that row alone, byte for byte.  Inside a kernel each intermediate is
+made by one out-of-place operation and every later term is folded in
+with augmented assignment (``s = a * b; s += c * d``), in the order of
+the written formula, so no pass allocates a fresh batch-sized temporary
+it need not.
 
 Convention
 ----------
@@ -42,7 +46,6 @@ consistent with this single choice.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -205,23 +208,36 @@ def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
     if u.size == 0:
         return RotationCheck(True, 0.0, 0.0)
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
+    cols = ((u00, u10, u20), (u01, u11, u21), (u02, u12, u22))
     # the six distinct entries of U^T U - I: dot products of the columns,
     # summed over the rows in order, as the full Gram product sums them
-    gram = (
-        u00 * u00 + u10 * u10 + u20 * u20 - 1.0,
-        u01 * u01 + u11 * u11 + u21 * u21 - 1.0,
-        u02 * u02 + u12 * u12 + u22 * u22 - 1.0,
-        u00 * u01 + u10 * u11 + u20 * u21,
-        u00 * u02 + u10 * u12 + u20 * u22,
-        u01 * u02 + u11 * u12 + u21 * u22,
-    )
-    det = (
-        u00 * (u11 * u22 - u12 * u21)
-        - u01 * (u10 * u22 - u12 * u20)
-        + u02 * (u10 * u21 - u11 * u20)
-    )
-    res = float(functools.reduce(np.maximum, map(np.abs, gram)).max())
-    dev = float(np.abs(det - 1.0).max())
+    gram = []
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        (a0, a1, a2), (b0, b1, b2) = cols[i], cols[j]
+        g = a0 * b0
+        g += a1 * b1
+        g += a2 * b2
+        if i == j:
+            g -= 1.0
+        gram.append(g)
+    # det U by the first row: u00 (u11 u22 - u12 u21) - u01 (...) + u02 (...)
+    det = u11 * u22
+    det -= u12 * u21
+    det *= u00
+    m = u10 * u22
+    m -= u12 * u20
+    m *= u01
+    det -= m
+    m = u10 * u21
+    m -= u11 * u20
+    m *= u02
+    det += m
+    det -= 1.0
+    # one array of the six entries, so one max reads them all (and keeps
+    # a NaN entry as the residual)
+    gram = np.array(gram)
+    res = float(np.abs(gram, out=gram).max())
+    dev = float(np.abs(det).max())
     return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
 
 
@@ -277,10 +293,14 @@ def pi_encode(axis) -> np.ndarray:
     a = _as_vec3(axis, "axis")
     if not np.isfinite(a).all():
         raise InvalidInputError("axis has non-finite components")
-    m = _max_abs(a)
-    if (m == 0.0).any():
+    if (_max_abs(a) == 0.0).any():
         raise InvalidInputError("axis must be nonzero")
-    return (a / m[..., None]) * PI_ENCODING_MAGNITUDE
+    return _pi_encode_rows(a)
+
+
+def _pi_encode_rows(a: np.ndarray) -> np.ndarray:
+    """:func:`pi_encode` of rows already known finite and nonzero."""
+    return (a / _max_abs(a)[..., None]) * PI_ENCODING_MAGNITUDE
 
 
 # ---------------------------------------------------------------------------
@@ -322,46 +342,61 @@ def _dehomogenize(w: np.ndarray, v, rel_sq: float) -> np.ndarray:
     ``w^2 <= rel_sq (w^2 + |v|^2)``."""
     x, y, z = v
     ww = w * w
-    singular = ww <= rel_sq * (ww + (x * x + y * y + z * z))
+    # rel_sq (w^2 + |v|^2), with |v|^2 summed x^2 + y^2 + z^2 first
+    lim = x * x
+    lim += y * y
+    lim += z * z
+    lim += ww
+    lim *= rel_sq
+    singular = ww <= lim
     d = np.where(singular, 1.0, w)
     out = np.empty(d.shape + (3,))
     np.divide(x, d, out=out[..., 0])
     np.divide(y, d, out=out[..., 1])
     np.divide(z, d, out=out[..., 2])
-    if singular.any():
-        out[singular] = pi_encode(np.stack([x[singular], y[singular], z[singular]], axis=-1))
+    half = np.flatnonzero(singular)
+    if half.size:
+        # the singular rows were divided by 1, so they hold v itself
+        rows = out.reshape(-1, 3)
+        rows[half] = _pi_encode_rows(rows[half])
     return out
 
 
 # ---------------------------------------------------------------------------
 # rational kernels (elementary arithmetic only; no sqrt, no trig)
 
-# Largest |component| fed to the kernels as the pair (1, r): products of
-# two components stay <= 1e200, far from overflow.  Larger rows, and half
-# turns, go through the max-abs scaled pair instead.
+# Largest |component| fed to the matrix and rotation kernels as the pair
+# (1, r): products of two components stay <= 1e200, far from overflow.
+# Larger rows, and half turns, go through the max-abs scaled pair instead.
 _FUSED_MAGNITUDE_LIMIT = 1e100
 
 
-def _row_pairs(r):
+def _row_pairs(r, limit=_FUSED_MAGNITUDE_LIMIT):
     """Homogeneous pairs ``(w, v)`` of Gibbs rows ``r``, chosen row by row.
 
     Every row gets ``(1, r)``; rows with a component at or beyond
-    ``_FUSED_MAGNITUDE_LIMIT`` (half turns included) are replaced by their
-    max-abs scaled pair from :func:`_homogeneous`, so each row's pair
-    depends on that row alone.  ``v`` has the shape of ``r`` and ``w``
-    that shape less its last axis, or ``w`` is the scalar 1.0 when no row
-    is replaced.  Elementary arithmetic only.
+    ``limit`` (half turns included) are replaced by their max-abs scaled
+    pair from :func:`_homogeneous`, so each row's pair depends on that row
+    alone.  ``v`` has the shape of ``r`` and ``w`` that shape less its
+    last axis, or ``w`` is the scalar 1.0 when no row is replaced.
+    Elementary arithmetic only.
     """
-    if not r.size or np.abs(r).max() < _FUSED_MAGNITUDE_LIMIT:
+    if not r.size or np.abs(r).max() < limit:
         return 1.0, r
     flat = r.reshape(-1, 3)
-    big = np.flatnonzero(_max_abs(flat) >= _FUSED_MAGNITUDE_LIMIT)
+    big = np.flatnonzero(_max_abs(flat) >= limit)
     w = np.ones(len(flat))
     v = flat.copy()
     wb, vb = _homogeneous(flat[big].T)
     w[big] = wb
     v[big] = vb.T
     return w.reshape(r.shape[:-1]), v.reshape(r.shape)
+
+
+def _is_one(w) -> bool:
+    """True for a scalar pair weight ``w = 1``: the kernels skip its
+    products, since ``x * 1 == x`` bit for bit."""
+    return isinstance(w, (int, float)) and w == 1
 
 
 def _matrix_from_pair(w, v):
@@ -378,22 +413,26 @@ def _matrix_from_pair(w, v):
     only.
     """
     x, y, z = v
-    wx, wy, wz = w * x, w * y, w * z
+    wx, wy, wz = (x, y, z) if _is_one(w) else (w * x, w * y, w * z)
     xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz = x * y, x * z, y * z
-    sq = xx + yy + zz
+    den = xx + yy
+    den += zz
     ww = w * w
-    k = ww - sq
-    den = ww + sq
-    out = np.empty(np.shape(den) + (3, 3), np.asarray(den).dtype)
-    for (i, j), p in (
-        ((0, 1), xy + wz), ((1, 0), xy - wz),
-        ((0, 2), xz - wy), ((2, 0), xz + wy),
-        ((1, 2), yz + wx), ((2, 1), yz - wx),
-    ):
-        np.divide(p + p, den, out=out[..., i, j])
+    k = ww - den
+    den += ww  # w^2 + |v|^2
+    out = np.empty(getattr(den, "shape", ()) + (3, 3), np.asarray(den).dtype)
+    # v_i v_j + w v_k goes to entry (i, j), v_i v_j - w v_k to (j, i)
+    for p, q, i, j in ((x * y, wz, 0, 1), (x * z, wy, 2, 0), (y * z, wx, 1, 2)):
+        a = p + q
+        a += a
+        np.divide(a, den, out=out[..., i, j])
+        p -= q
+        p += p
+        np.divide(p, den, out=out[..., j, i])
     for i, p in enumerate((xx, yy, zz)):
-        np.divide(p + p + k, den, out=out[..., i, i])
+        p += p
+        p += k
+        np.divide(p, den, out=out[..., i, i])
     return out
 
 
@@ -409,20 +448,37 @@ def _rotate_by_pair(w, v, s):
     ``|s|``.  Exact on ``fractions.Fraction`` (with ``w = 1``); elementary
     arithmetic only.
     """
-    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
-    s0, s1, s2 = s[..., 0], s[..., 1], s[..., 2]
+    # [()] turns the 0-d views of a single row into scalars, whose
+    # arithmetic costs a fraction of a 0-d array's
+    v0, v1, v2 = v[..., 0][()], v[..., 1][()], v[..., 2][()]
+    s0, s1, s2 = s[..., 0][()], s[..., 1][()], s[..., 2][()]
+    one = _is_one(w)
     ww = w * w
-    vv = v0 * v0 + v1 * v1 + v2 * v2
-    h = 1 / (ww + vv)
-    k = (ww - vv) * h
+    h = v0 * v0
+    h += v1 * v1
+    h += v2 * v2
+    k = ww - h
+    h += ww
+    h = 1 / h  # 1 / (w^2 + |v|^2)
+    k *= h
     h += h
     # p = 2 v / (w^2 + |v|^2): the last two terms are (p.s) v and w (s x p)
     p0, p1, p2 = v0 * h, v1 * h, v2 * h
-    t = p0 * s0 + p1 * s1 + p2 * s2
+    t = p0 * s0
+    t += p1 * s1
+    t += p2 * s2
     out = np.empty(np.broadcast_shapes(v.shape, s.shape), np.result_type(v, s))
-    out[..., 0] = k * s0 + t * v0 + w * (s1 * p2 - s2 * p1)
-    out[..., 1] = k * s1 + t * v1 + w * (s2 * p0 - s0 * p2)
-    out[..., 2] = k * s2 + t * v2 + w * (s0 * p1 - s1 * p0)
+    for i, (si, vi, a, b, c, d) in enumerate((
+        (s0, v0, s1, p2, s2, p1), (s1, v1, s2, p0, s0, p2), (s2, v2, s0, p1, s1, p0),
+    )):
+        e = a * b
+        e -= c * d
+        if not one:
+            e *= w
+        o = k * si
+        o += t * vi
+        o += e
+        out[..., i] = o
     return out
 
 
@@ -450,10 +506,16 @@ def _pivot_table(u, scale=1):
     """
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
     t = np.empty((4, 4) + u.shape[1:], u.dtype)
-    t[0, 0] = u00 + u11 + u22 + scale  # 4 w^2
-    t[1, 1] = u00 - u11 - u22 + scale  # 4 x^2
-    t[2, 2] = u11 - u00 - u22 + scale  # 4 y^2
-    t[3, 3] = u22 - u00 - u11 + scale  # 4 z^2
+    d = u00 + u11
+    d += u22
+    d += scale
+    t[0, 0] = d  # 4 w^2
+    # 4 x^2, 4 y^2, 4 z^2: u_kk minus the other two, plus scale
+    for k, (a, b, c) in enumerate(((u00, u11, u22), (u11, u00, u22), (u22, u00, u11)), 1):
+        d = a - b
+        d -= c
+        d += scale
+        t[k, k] = d
     t[0, 1] = t[1, 0] = u12 - u21  # 4 w x
     t[0, 2] = t[2, 0] = u20 - u02  # 4 w y
     t[0, 3] = t[3, 0] = u01 - u10  # 4 w z

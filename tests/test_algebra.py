@@ -2,6 +2,8 @@
 half-turn composites and operands, the sequence fold and the prefix
 scan."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,8 @@ from gibbsrot import (
     quaternion_multiply,
     quaternion_to_matrix,
 )
+from gibbsrot.algebra import TOL_COMPOSE_SINGULAR, _compose_direct, _hamilton
+from gibbsrot.core import _columns, _dehomogenize, _homogeneous
 from helpers import random_gibbs, random_units
 
 
@@ -180,6 +184,67 @@ def test_compose_at_extreme_finite_magnitudes():
     assert is_pi_encoded(out[0]) and is_pi_encoded(out[1])
     want = gibbs_to_matrix(r) @ gibbs_to_matrix(s)
     assert np.abs(gibbs_to_matrix(out) - want).max() <= 1e-12
+
+
+def scaled_pair_route(r, s):
+    """compose with every operand row as its max-abs scaled pair
+    (1/c, r/c), c = max(|r|_inf, 1)."""
+    w1, v1 = _homogeneous(_columns(r, 1))
+    w2, v2 = _homogeneous(_columns(s, 1))
+    w, v = _hamilton(w1, v1, w2, v2)
+    return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR**2)
+
+
+def test_compose_rows_within_unit_magnitude_equal_the_scaled_pair_route():
+    # rows with |r|_inf, |s|_inf <= 1 have c = 1, so the (1, r) pair compose
+    # uses is the scaled pair itself: the same bits, in batches with and
+    # without rows past the pair limit
+    rng = np.random.default_rng(31)
+    r = rng.uniform(-1.0, 1.0, size=(3000, 3)) * 10.0 ** rng.integers(-300, 1, size=(3000, 1))
+    s = rng.uniform(-1.0, 1.0, size=(3000, 3))
+    r[::11] = [1.0, -0.0, -1.0]
+    s[1::13] = [0.0, -0.0, 0.0]
+    r[2::17] = s[2::17] * [-1.0, -1.0, 1.0]  # composites near half turns
+    small = (np.abs(r).max(axis=-1) <= 1.0) & (np.abs(s).max(axis=-1) <= 1.0)
+    big = r.copy()
+    big[::5] = [3e60, -1.0, 0.5]
+    big[1::7] = pi_encode([1.0, 2.0, -3.0])
+    for a in (r, big):
+        keep = small & (np.abs(a).max(axis=-1) <= 1.0)
+        assert keep.sum() >= 2000
+        got, want = compose(a, s), scaled_pair_route(a, s)
+        assert got[keep].tobytes() == want[keep].tobytes()
+        for k in np.flatnonzero(keep)[:20]:
+            assert compose(a[k], s[k]).tobytes() == want[k].tobytes()
+
+
+def exact_errors(got, r, s):
+    """Per-row |got - exact|_inf / |exact|_inf against the exact rational
+    composite of the float operands."""
+    frac = np.vectorize(Fraction, otypes=[object])
+    exact = _compose_direct(frac(r), frac(s))
+    return np.array([
+        max(abs(Fraction(float(g)) - e) for g, e in zip(got[i], exact[i])) / max(map(abs, exact[i]))
+        for i in range(len(r))
+    ])
+
+
+def test_compose_errs_within_its_conditioning_of_the_exact_product():
+    # The (1, r) pair rounds differently from the scaled pair, so either
+    # route's worst row may be the other's best; both stay within one
+    # rounding unit times the row's condition number: that of w = 1 - r.s
+    # and of v = r + s - r x s against their roundoff.
+    rng = np.random.default_rng(32)
+    r = random_gibbs(rng, 800, 1e-3, 1e3)
+    s = random_gibbs(rng, 800, 1e-3, 1e3)
+    nr, ns = np.linalg.norm(r, axis=-1), np.linalg.norm(s, axis=-1)
+    v = np.abs(r + s - np.cross(r, s)).max(axis=-1)
+    kappa = (1.0 + nr * ns) / np.abs(1.0 - (r * s).sum(axis=-1)) + (nr + ns + nr * ns) / v
+    eps = np.finfo(float).eps
+    new, old = exact_errors(compose(r, s), r, s), exact_errors(scaled_pair_route(r, s), r, s)
+    assert (old <= eps * kappa).all()
+    assert (new <= eps * kappa).all()
+    assert np.median(new) <= 1.1 * np.median(old) <= 2 * eps
 
 
 def test_compose_scan_empty_and_single():

@@ -1,6 +1,8 @@
 """Vector alignment: the one-parameter family, two-pair solving with all
 its degeneracies, and frame transport along curves."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +23,7 @@ from gibbsrot import (
     rotate_vector,
 )
 import gibbsrot.alignment
-from helpers import random_gibbs, random_units, tilted_pairs
+from helpers import component_error, random_gibbs, random_units, tilted_pairs
 
 
 def residual(r, p, q):
@@ -529,3 +531,66 @@ def test_pair_error_index_is_the_flat_batch_row(condition, row):
 def test_pair_empty_batch():
     empty = np.zeros((0, 3))
     assert align_pair(empty, empty, empty, empty).shape == (0, 3)
+
+
+# k = 1e103 ... 1e150 gave NaN rows (the cubic gamma numerator overflowed),
+# 1e160 and 1e300 the identity or a false ANTIPODAL (squared norms
+# overflowed), 1e-150 a wrong rotation, 1e-160 a false LENGTH_MISMATCH and
+# 1e-300 a false "zero vector" (squared norms underflowed)
+EXTREME_SCALES = [1e-300, 1e-160, 1e-150, 1e103, 1e120, 1e150, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("k", EXTREME_SCALES)
+def test_pair_recovers_the_rotation_at_extreme_magnitudes(k):
+    rng = np.random.default_rng(83)
+    true = random_gibbs(rng, 400, 1e-3, 1e3)
+    p1, p2 = k * rng.normal(size=(400, 3)), k * rng.normal(size=(400, 3))
+    got = align_pair(p1, rotate_vector(true, p1), p2, rotate_vector(true, p2))
+    assert component_error(got, true) <= 1e-9
+
+
+def test_pair_rows_in_range_keep_their_bytes_next_to_extreme_rows():
+    # the solution does not change when either pair is scaled, so only the
+    # rows out of range are rescaled (by powers of two), and every other
+    # row is solved exactly as in a batch without them
+    rng = np.random.default_rng(84)
+    true = random_gibbs(rng, 60, 1e-3, 1e3)
+    p1, p2 = rng.normal(size=(60, 3)), rng.normal(size=(60, 3))
+    k = np.ones((60, 1))
+    k[::3] = 1e300
+    k[1::6] = 1e-300
+    s1, s2 = k * p1, np.roll(k, 1, axis=0) * p2
+    got = align_pair(s1, rotate_vector(true, s1), s2, rotate_vector(true, s2))
+    plain = align_pair(p1, rotate_vector(true, p1), p2, rotate_vector(true, p2))
+    same = (k[:, 0] == 1.0) & (np.roll(k, 1, axis=0)[:, 0] == 1.0)
+    assert same.sum() >= 10
+    assert got[same].tobytes() == plain[same].tobytes()
+    assert component_error(got, true) <= 1e-9
+
+
+def test_pair_errors_on_rescaled_rows_report_input_units():
+    p1 = 1e300 * np.array([1.0, 0.0, 0.0])
+    q1 = 1e300 * np.array([0.0, 1.001, 0.0])
+    p2 = np.array([0.0, 0.0, 1.0])
+    with pytest.raises(InvalidPairError) as exc:
+        align_pair(p1, q1, p2, p2)
+    assert exc.value.code == "LENGTH_MISMATCH"
+    lengths = re.search(r"\|p\| = (\S+), \|q\| = (\S+) ", str(exc.value)).groups()
+    assert np.allclose([float(x) for x in lengths], [1e300, 1.001e300], rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("at", range(4))
+def test_pair_non_finite_input_names_the_first_bad_argument(bad, at):
+    args = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]),
+            np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0])]
+    args[at] = args[at].copy()
+    args[at][1] = bad
+    name = ("p1", "q1", "p2", "q2")[at]
+    with pytest.raises(InvalidInputError, match=f"^{name} has non-finite entries"):
+        align_pair(*args)
+    # ahead of a later argument's shape error, as each input is checked in turn
+    if at < 3:
+        args[3] = np.zeros(4)
+        with pytest.raises(InvalidInputError, match=f"^{name} has non-finite entries"):
+            align_pair(*args)

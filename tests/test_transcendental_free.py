@@ -16,6 +16,7 @@ import pytest
 
 import gibbsrot.algebra
 import gibbsrot.alignment
+import gibbsrot.bridges
 import gibbsrot.core
 from gibbsrot.algebra import _compose_direct
 from gibbsrot.alignment import _pair_pivot_row
@@ -57,6 +58,9 @@ AUDITED = {
         "rotate_vector",
         "_rotate_by_pair",
         "_row_pairs",
+        "_is_one",
+        "pi_encode",
+        "_pi_encode_rows",
     ],
     gibbsrot.algebra: [
         "compose",
@@ -68,6 +72,13 @@ AUDITED = {
     gibbsrot.alignment: [
         "align_pair_unchecked",
         "_pair_pivot_row",
+        "_inner",
+        "_rescale_pair",
+    ],
+    gibbsrot.bridges: [
+        "quaternion_multiply",
+        "quaternion_to_matrix",
+        "_canonical_signs",
     ],
 }
 
