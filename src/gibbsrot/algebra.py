@@ -32,7 +32,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
+    _as_float,
     _as_vec3,
+    _broadcast,
     _columns,
     _dehomogenize,
     _homogeneous,
@@ -111,14 +113,7 @@ def compose(r, s) -> np.ndarray:
     >>> compose([1.0, 0, 0], [0, 1.0, 0]).tolist()
     [1.0, 1.0, -1.0]
     """
-    a = _as_vec3(r, "r")
-    b = _as_vec3(s, "s")
-    try:
-        a, b = np.broadcast_arrays(a, b)
-    except ValueError:
-        raise InvalidInputError(
-            f"shapes do not broadcast: r {a.shape}, s {b.shape}"
-        ) from None
+    a, b = _broadcast(r=_as_vec3(r, "r"), s=_as_vec3(s, "s"))
     w1, v1 = _row_pairs(a, _PAIR_LIMIT)
     w2, v2 = _row_pairs(b, _PAIR_LIMIT)
     w, v = _hamilton(w1, _columns(v1, 1), w2, _columns(v2, 1))
@@ -163,7 +158,7 @@ def compose_sequence(vectors) -> np.ndarray:
     :func:`compose_scan` over the reversed sequence.  An empty sequence
     raises :class:`InvalidInputError`.
     """
-    arr = np.atleast_2d(vectors)
+    arr = np.atleast_2d(_as_float(vectors, "vectors"))
     if arr.shape[0] == 0:
         raise InvalidInputError("cannot compose an empty sequence")
     return compose_scan(arr[::-1])[-1]

@@ -11,13 +11,15 @@ out to the half turn about p + q in the limit gamma -> +/-inf.  A second
 pair selects one member of that line, giving the unique rotation that
 carries a rigid pair onto a rigid pair — which is exactly one alignment
 step of a moving frame, so a whole curve's worth of frames chains into
-:func:`frame_transport`.
+:func:`frame_transport`.  The frames of a sampled curve (a polyline) come
+from ``_polyline_frames``: central-difference tangents and projected
+curvature normals, which ``gibbsrot sweep`` feeds to the transport.
 
 Every solver here is rational in its inputs.  Square roots appear only in
 validation and preprocessing (the norms behind the tolerance checks, the
-row routing, the unit scaling of routed rows and of ``frame_transport``'s
-frames, and the basis an :class:`AntipodalError` carries), never in a
-solution formula.
+row routing, the unit scaling of routed rows, of ``frame_transport``'s
+frames and of polyline tangents and normals, and the basis an
+:class:`AntipodalError` carries), never in a solution formula.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import numpy as np
 from .algebra import compose, compose_scan
 from .core import (
     _as_float,
+    _broadcast,
     _columns,
     _cross,
     _dehomogenize,
@@ -246,17 +249,11 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     g = _as_float(gamma, "gamma")
     if not np.isfinite(g).all():
         raise InvalidInputError("gamma must be finite")
-    try:
-        pp, qq = np.broadcast_arrays(pp, qq)
-        g = np.broadcast_to(g, pp.shape[:-1])
-    except ValueError:
-        raise InvalidInputError(
-            f"shapes do not broadcast: p {pp.shape}, q {qq.shape}, gamma {g.shape}"
-        ) from None
+    pp, qq, g = _broadcast(p=pp, q=qq, gamma=g[..., None])
     shape = pp.shape
     flat_p = pp.reshape(-1, 3)
     flat_q = qq.reshape(-1, 3)
-    flat_g = g.reshape(-1)
+    flat_g = g[..., 0].reshape(-1)
     den = _line_denominators(flat_p, flat_q, tol)
     num = _cross(flat_q, flat_p) + flat_g[:, None] * (flat_p + flat_q)
     return (num / den[:, None]).reshape(shape)
@@ -276,14 +273,12 @@ def align_pair_unchecked(p1, q1, p2, q2) -> np.ndarray:
     vanishing denominator yields non-finite output.  Prefer
     :func:`align_pair`, which validates and handles every degeneracy.
     """
-    a1 = _as_vectors(p1, "p1")
-    b1 = _as_vectors(q1, "q1")
-    a2 = _as_vectors(p2, "p2")
-    b2 = _as_vectors(q2, "q2")
-    try:
-        a1, b1, a2, b2 = np.broadcast_arrays(a1, b1, a2, b2)
-    except ValueError:
-        raise InvalidInputError("pair shapes do not broadcast") from None
+    a1, b1, a2, b2 = _broadcast(
+        p1=_as_vectors(p1, "p1"),
+        q1=_as_vectors(q1, "q1"),
+        p2=_as_vectors(p2, "p2"),
+        q2=_as_vectors(q2, "q2"),
+    )
     d = a2 - b2
     c1 = _cross(b1, a1)
     s1 = a1 + b1
@@ -328,19 +323,15 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     # full per-input checks run again, in argument order, so the error
     # raised is the one they give.
     try:
-        a1 = _as_vectors(p1, "p1", finite=False)
-        b1 = _as_vectors(q1, "q1", finite=False)
-        a2 = _as_vectors(p2, "p2", finite=False)
-        b2 = _as_vectors(q2, "q2", finite=False)
-        a1, b1, a2, b2 = np.broadcast_arrays(a1, b1, a2, b2)
-    except (InvalidInputError, ValueError) as exc:
+        a1, b1, a2, b2 = _broadcast(
+            p1=_as_vectors(p1, "p1", finite=False),
+            q1=_as_vectors(q1, "q1", finite=False),
+            p2=_as_vectors(p2, "p2", finite=False),
+            q2=_as_vectors(q2, "q2", finite=False),
+        )
+    except InvalidInputError:
         _require_finite(p1, q1, p2, q2)
-        if isinstance(exc, InvalidInputError):
-            raise
-        raise InvalidInputError(
-            f"pair shapes do not broadcast: {a1.shape}, {b1.shape}, "
-            f"{a2.shape}, {b2.shape}"
-        ) from None
+        raise
     shape = a1.shape
     # (n, 3) views of contiguous component columns: every component read
     # below is contiguous
@@ -507,6 +498,59 @@ def _verify_rows(out, idx, a1, b1, a2, b2, n_a1, n_a2, tol) -> None:
 
 # ---------------------------------------------------------------------------
 # frame transport
+
+
+def _polyline_frames(points: np.ndarray) -> np.ndarray:
+    """(tangent, normal) frames of an (n, 3) polyline, n >= 2, as an
+    (n, 2, 3) array for :func:`frame_transport`.
+
+    Tangents by central differences (one-sided at the ends), normals by
+    the curvature projected off the tangent.  Straight samples and the
+    endpoints inherit the nearest curved sample's normal, carried
+    backward over the leading run so the whole curve shares one
+    orientation; a curve with no resolvable bend starts from the first
+    vector of :func:`_perp_basis`.  Coincident neighbours leave a zero
+    tangent and raise :class:`InvalidInputError`.
+    """
+    n = points.shape[0]
+    tangents = np.empty_like(points)
+    tangents[0] = points[1] - points[0]
+    tangents[-1] = points[-1] - points[-2]
+    if n > 2:
+        tangents[1:-1] = points[2:] - points[:-2]
+    norms = np.linalg.norm(tangents, axis=-1)
+    if (norms == 0.0).any():
+        raise InvalidInputError(
+            f"polyline has coincident points near sample {_first(norms == 0.0)}"
+        )
+    that = tangents / norms[:, None]
+
+    curvature = np.zeros_like(points)
+    if n > 2:
+        curvature[1:-1] = points[2:] - 2.0 * points[1:-1] + points[:-2]
+    cand = curvature - np.sum(curvature * that, axis=-1, keepdims=True) * that
+    size = np.linalg.norm(cand, axis=-1)
+    has_curvature = size > 1e-9 * norms
+
+    def carry(prev, t):
+        w = prev - (prev @ t) * t
+        size = np.linalg.norm(w)
+        if size <= 1e-12:
+            return _perp_basis(t)[0]
+        return w / size
+
+    normals = np.empty_like(points)
+    normals[has_curvature] = cand[has_curvature] / size[has_curvature, None]
+    curved = np.flatnonzero(has_curvature)
+    first = int(curved[0]) if curved.size else 0
+    if not curved.size:
+        normals[first] = _perp_basis(that[first])[0]
+    for i in range(first - 1, -1, -1):
+        normals[i] = carry(normals[i + 1], that[i])
+    # Only the normal carry across straight runs is sequential.
+    for i in np.flatnonzero(~has_curvature[first + 1 :]) + first + 1:
+        normals[i] = carry(normals[i - 1], that[i])
+    return np.stack([that, normals], axis=1)
 
 
 def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:

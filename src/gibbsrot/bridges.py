@@ -38,6 +38,7 @@ from .core import (
     _as_float,
     _as_matrix3,
     _as_vec3,
+    _broadcast,
     _columns,
     _homogeneous,
     _pivot_row,
@@ -97,13 +98,14 @@ class EulerAngles(NamedTuple):
 def _norm_sq(q: np.ndarray) -> np.ndarray:
     """``|q|^2`` over a last axis of length 4, component by component:
     bit for bit ``np.sum(q * q, axis=-1)``, which adds a row's four
-    squares in order, without numpy's generic reduction."""
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    squares in order, without numpy's generic reduction.  One quaternion
+    unpacks into scalars (see ``core._rotate_by_pair``)."""
+    w, x, y, z = (q[..., i][()] for i in range(4))
     return w * w + x * x + y * y + z * z
 
 
 def _as_quaternion(q, name: str = "q") -> np.ndarray:
-    """Validate shape and unit norm; return a float copy."""
+    """Validate shape and unit norm; return the float array."""
     a = _as_float(q, name)
     if a.ndim == 0 or a.shape[-1] != 4:
         raise InvalidInputError(
@@ -117,7 +119,7 @@ def _as_quaternion(q, name: str = "q") -> np.ndarray:
             f"{name} is not unit length: |q|^2 - 1 = {float(err.max()):.3e} "
             f"exceeds {TOL_QUATERNION_NORM:g}"
         )
-    return a.copy()
+    return a
 
 
 def canonicalize_quaternion(q) -> np.ndarray:
@@ -128,7 +130,7 @@ def canonicalize_quaternion(q) -> np.ndarray:
     idempotent bit for bit.
     """
     a = _as_quaternion(q)
-    return _canonical_signs(a.reshape(-1, 4)).reshape(a.shape)
+    return _canonical_signs(a.reshape(-1, 4).copy()).reshape(a.shape)
 
 
 def _canonical_signs(flat: np.ndarray) -> np.ndarray:
@@ -157,6 +159,7 @@ def quaternion_multiply(a, b) -> np.ndarray:
     """
     a = _as_quaternion(a, "a")
     b = _as_quaternion(b, "b")
+    _broadcast(a=a, b=b)
     # one quaternion unpacks into scalars (see core._rotate_by_pair)
     aw, ax, ay, az = (a[..., i][()] for i in range(4))
     bw, bx, by, bz = (b[..., i][()] for i in range(4))
@@ -296,21 +299,16 @@ def axis_angle_to_gibbs(axis, angle=None) -> np.ndarray:
     if angle is None:
         axis, angle = axis
     a = _as_vec3(axis, "axis")
-    ang = np.asarray(angle, dtype=float)
+    ang = _as_float(angle, "angle")
     if not np.isfinite(ang).all():
         raise InvalidInputError("angle must be finite")
-    try:
-        ang = np.broadcast_to(ang, a.shape[:-1])
-    except ValueError:
-        raise InvalidInputError(
-            f"angle shape {ang.shape} does not broadcast against axis shape {a.shape}"
-        ) from None
+    a, ang = _broadcast(axis=a, angle=ang[..., None])
     flat = a.reshape(-1, 3)
     norm2 = np.sum(flat * flat, axis=-1)
     if (np.abs(norm2 - 1.0) > 1e-9).any():
         raise InvalidInputError("axis must be unit length (within 1e-9 on |axis|^2)")
     flat = flat / np.sqrt(norm2)[:, None]
-    th = np.remainder(ang.reshape(-1) + np.pi, 2.0 * np.pi) - np.pi
+    th = np.remainder(ang[..., 0].reshape(-1) + np.pi, 2.0 * np.pi) - np.pi
     th[th == -np.pi] = np.pi
     out = np.empty_like(flat)
     half = th == np.pi
@@ -334,16 +332,16 @@ def euler_to_matrix(yaw, pitch=None, roll=None) -> np.ndarray:
     ``[yaw, pitch, roll]``, or three separate angle arrays.
     """
     if pitch is None:
-        arr = np.asarray(yaw, dtype=float)
+        arr = _as_float(yaw, "angles")
         if arr.shape[-1:] != (3,):
             raise InvalidInputError(
                 f"expected [yaw, pitch, roll] along the last axis, got {arr.shape}"
             )
         yaw, pitch, roll = arr[..., 0], arr[..., 1], arr[..., 2]
-    a, b, c = np.broadcast_arrays(
-        np.asarray(yaw, dtype=float),
-        np.asarray(pitch, dtype=float),
-        np.asarray(roll, dtype=float),
+    a, b, c = _broadcast(
+        yaw=_as_float(yaw, "yaw"),
+        pitch=_as_float(pitch, "pitch"),
+        roll=_as_float(roll, "roll"),
     )
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise InvalidInputError("angles must be finite")

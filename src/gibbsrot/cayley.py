@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PI_ENCODING_THRESHOLD, _as_vec3
+from .core import PI_ENCODING_THRESHOLD, TOL_ORTHO_INPUT, _as_float, _as_vec3
 from .errors import InvalidInputError, OutOfDomainError, SingularCayleyError
 
 __all__ = [
@@ -30,9 +30,6 @@ __all__ = [
 # Relative |det(U + I)| threshold (against the 2**n scale of U + I for an
 # orthogonal U) below which the map is reported singular.
 TOL_CAYLEY_SINGULAR = 1e-12
-
-# Orthogonality tolerance for accepting input matrices.
-_TOL_ORTHO_INPUT = 1e-9
 
 # Antisymmetry drift tolerated before packing a computed S into storage.
 _TOL_ANTISYMMETRY = 1e-12
@@ -49,7 +46,7 @@ class SkewMatrix:
     __slots__ = ("n", "_packed")
 
     def __init__(self, n: int, packed):
-        packed = np.asarray(packed, dtype=float)
+        packed = _as_float(packed, "packed")
         want = n * (n - 1) // 2
         if n < 1 or packed.shape != (want,):
             raise InvalidInputError(
@@ -69,11 +66,7 @@ class SkewMatrix:
         zero, scaled by the largest entry; it is discarded so the stored
         matrix is exactly antisymmetric.
         """
-        a = np.asarray(a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInputError(f"expected a square matrix, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise InvalidInputError("matrix has non-finite entries")
+        a = _as_square(a, "matrix")
         n = a.shape[0]
         scale = max(1.0, float(np.abs(a).max()))
         residue = float(np.abs(a + a.T).max()) / 2.0
@@ -107,7 +100,7 @@ class SkewMatrix:
 
 
 def _as_square(u, name: str) -> np.ndarray:
-    a = np.asarray(u, dtype=float)
+    a = _as_float(u, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -126,7 +119,7 @@ def _require_special_orthogonal(u: np.ndarray, tol: float) -> None:
         )
 
 
-def cayley_forward(u, *, tol: float = _TOL_ORTHO_INPUT) -> SkewMatrix:
+def cayley_forward(u, *, tol: float = TOL_ORTHO_INPUT) -> SkewMatrix:
     """Antisymmetric image ``(U - I)(U + I)^-1`` of a rotation matrix.
 
     Raises :class:`SingularCayleyError` when ``U + I`` is singular (the

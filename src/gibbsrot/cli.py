@@ -1,6 +1,14 @@
 """Command-line interface: conversion, composition, alignment, curve
 sweeps, benchmarking, and a self-test.
 
+This module parses arguments, reads input, calls the library and
+formats what it returns; the geometry, the frames of a polyline
+included, lives in the library modules.  Each result kind's JSON fields
+and text lines are built in one place (``_records``).  Besides the
+subcommands it holds the ``bench`` table (:func:`bench_rows`), the
+``selftest`` checks (:func:`selftest_checks`) and the OBJ tube writer
+behind ``sweep --obj``.
+
 Exit codes: 0 on success, 1 on computation errors (reported to stderr as
 one machine-parseable line ``error: <CODE>: <detail>``), 2 on usage or
 parse errors.  All numeric text output uses ``repr`` of the float, the
@@ -19,10 +27,16 @@ import time
 import numpy as np
 
 from .algebra import compose, compose_sequence
-from .alignment import TOL_LEN, align_family, align_line, align_pair, frame_transport
+from .alignment import (
+    TOL_LEN,
+    _polyline_frames,
+    align_family,
+    align_line,
+    align_pair,
+    frame_transport,
+)
 from .bridges import (
     axis_angle_to_gibbs,
-    canonicalize_quaternion,
     euler_to_matrix,
     gibbs_to_axis_angle,
     gibbs_to_quaternion,
@@ -40,7 +54,7 @@ from .core import (
     matrix_to_gibbs,
     rotate_vector,
 )
-from .errors import GibbsError
+from .errors import GibbsError, InvalidInputError
 
 __all__ = ["main", "bench_rows", "selftest_checks"]
 
@@ -141,84 +155,56 @@ def _gibbs_to_output(rep: str, r: np.ndarray):
     return "euler", matrix_to_euler(gibbs_to_matrix(r), check=False)
 
 
-def _print_result(kind: str, payload, as_json: bool) -> None:
-    for line in _format_result(kind, payload, as_json):
-        print(line)
-
-
-def _gibbs_lines(rows: np.ndarray, as_json: bool) -> list[str]:
-    """One output line per Gibbs vector of the (n, 3) ``rows``: its value,
-    or the axis of a half turn.  The half-turn mask is taken once for all
-    rows."""
-    pi = is_pi_encoded(rows)
-    lines = []
-    for r, half in zip(rows, pi.tolist()):
-        if half:
-            axis = gibbs_to_axis_angle(r).axis
-            if as_json:
-                lines.append(json.dumps({"kind": "gibbs", "pi": True, "axis": _floats(axis)}))
-            else:
-                lines.append(f"pi-rotation axis={_fmt_vec(axis)}")
-        elif as_json:
-            lines.append(json.dumps({"kind": "gibbs", "value": r.tolist()}))
-        else:
-            lines.append(_fmt_vec(r.tolist()))
-    return lines
-
-
-def _format_result(kind: str, payload, as_json: bool) -> list[str]:
+def _records(kind: str, payload):
+    """Each output record of a result as (its JSON fields, its text
+    lines); a text line is a (prefix, numbers) pair, printed as the prefix
+    followed by the comma-separated numbers.  A ``gibbs`` payload holds
+    one or more rows, one record each: its value, or the axis of a half
+    turn (the half-turn mask is taken once for all rows)."""
     if kind == "gibbs":
-        return _gibbs_lines(np.reshape(payload, (1, 3)), as_json)
-    if kind == "matrix":
-        if as_json:
-            rows = [_floats(row) for row in payload]
-            return [json.dumps({"kind": "matrix", "value": rows})]
-        return [_fmt_vec(row) for row in payload]
-    if kind == "quaternion":
-        if as_json:
-            return [json.dumps({"kind": "quaternion", "value": _floats(payload)})]
-        return [_fmt_vec(payload)]
-    if kind == "axis_angle":
-        axis, angle = payload
-        if as_json:
-            return [
-                json.dumps(
-                    {"kind": "axis_angle", "axis": _floats(axis), "angle": float(angle)}
-                )
-            ]
-        return [_fmt_vec(list(axis) + [angle])]
-    if kind == "euler":
-        yaw, pitch, roll = payload
-        if as_json:
-            return [
-                json.dumps(
-                    {
-                        "kind": "euler",
-                        "yaw": float(yaw),
-                        "pitch": float(pitch),
-                        "roll": float(roll),
-                    }
-                )
-            ]
-        return [_fmt_vec([yaw, pitch, roll])]
-    if kind == "line":
-        if as_json:
-            return [
-                json.dumps(
-                    {
-                        "kind": "line",
-                        "base": _floats(payload.base),
-                        "direction": _floats(payload.direction),
-                        "valid_domain": payload.valid_domain,
-                    }
-                )
-            ]
-        return [
-            f"base: {_fmt_vec(payload.base)}",
-            f"direction: {_fmt_vec(payload.direction)}",
-            f"valid-gamma: {payload.valid_domain}",
+        rows = np.reshape(payload, (-1, 3))
+        for r, half in zip(rows.tolist(), is_pi_encoded(rows).tolist()):
+            if half:
+                axis = _floats(gibbs_to_axis_angle(r).axis)
+                yield {"pi": True, "axis": axis}, [("pi-rotation axis=", axis)]
+            else:
+                yield {"value": r}, [("", r)]
+    elif kind == "matrix":
+        rows = np.asarray(payload).tolist()
+        yield {"value": rows}, [("", row) for row in rows]
+    elif kind == "quaternion":
+        q = _floats(payload)
+        yield {"value": q}, [("", q)]
+    elif kind == "axis_angle":
+        axis, angle = _floats(payload.axis), float(payload.angle)
+        yield {"axis": axis, "angle": angle}, [("", axis + [angle])]
+    elif kind == "euler":
+        yaw, pitch, roll = map(float, payload)
+        yield {"yaw": yaw, "pitch": pitch, "roll": roll}, [("", [yaw, pitch, roll])]
+    elif kind == "line":
+        base, direction = _floats(payload.base), _floats(payload.direction)
+        fields = {"base": base, "direction": direction, "valid_domain": payload.valid_domain}
+        yield fields, [
+            ("base: ", base),
+            ("direction: ", direction),
+            (f"valid-gamma: {payload.valid_domain}", []),
         ]
-    raise AssertionError(f"unknown kind {kind}")
+    else:
+        raise AssertionError(f"unknown kind {kind}")
+
+
+def _print_result(kind: str, payload, as_json: bool) -> None:
+    """Print a result: one ``kind``-tagged JSON object per record under
+    ``--json``, else every record's text lines."""
+    if as_json:
+        lines = [json.dumps({"kind": kind, **fields}) for fields, _ in _records(kind, payload)]
+    else:
+        lines = [
+            prefix + _fmt_vec(numbers)
+            for _, text in _records(kind, payload)
+            for prefix, numbers in text
+        ]
+    print("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +228,11 @@ def _cmd_compose(args) -> int:
 def _cmd_align(args) -> int:
     p = np.asarray(_need(args.p, "gibbs"), dtype=float)
     q = np.asarray(_need(args.q, "gibbs"), dtype=float)
-    tol = TOL_LEN if args.tol is None else args.tol
     if args.gamma is None:
-        line = align_family(p, q, tol=tol)
+        line = align_family(p, q, tol=args.tol)
         _print_result("line", line, args.json)
     else:
-        r = align_line(p, q, args.gamma, tol=tol)
+        r = align_line(p, q, args.gamma, tol=args.tol)
         _print_result("gibbs", r, args.json)
     return 0
 
@@ -257,8 +242,7 @@ def _cmd_align_pair(args) -> int:
         np.asarray(_need(getattr(args, name), "gibbs"), dtype=float)
         for name in ("p1", "q1", "p2", "q2")
     ]
-    tol = TOL_LEN if args.tol is None else args.tol
-    r = align_pair(*vals, tol=tol)
+    r = align_pair(*vals, tol=args.tol)
     _print_result("gibbs", r, args.json)
     return 0
 
@@ -282,61 +266,6 @@ def _read_polyline(stream) -> np.ndarray:
     if len(points) < 2:
         raise _UsageError("sweep needs at least 2 polyline points on stdin")
     return np.asarray(points, dtype=float)
-
-
-def _perp_seed(t: np.ndarray) -> np.ndarray:
-    """A deterministic unit vector perpendicular to ``t``."""
-    seed = np.zeros(3)
-    seed[np.argmin(np.abs(t))] = 1.0
-    w = np.cross(t, seed)
-    return w / np.linalg.norm(w)
-
-
-def _polyline_frames(points: np.ndarray) -> np.ndarray:
-    """Tangents by central differences, normals by projected curvature;
-    straight (or end) samples inherit the previous normal."""
-    n = points.shape[0]
-    tangents = np.empty_like(points)
-    tangents[0] = points[1] - points[0]
-    tangents[-1] = points[-1] - points[-2]
-    if n > 2:
-        tangents[1:-1] = points[2:] - points[:-2]
-    norms = np.linalg.norm(tangents, axis=-1)
-    if (norms == 0.0).any():
-        bad = int(np.flatnonzero(norms == 0.0)[0])
-        raise _UsageError(f"polyline has coincident points near sample {bad}")
-    that = tangents / norms[:, None]
-
-    curvature = np.zeros_like(points)
-    if n > 2:
-        curvature[1:-1] = points[2:] - 2.0 * points[1:-1] + points[:-2]
-
-    # Curvature normals where the bend is resolvable; straight samples and
-    # the endpoints inherit the nearest curved sample's normal (backward for
-    # the leading run so the whole curve shares one orientation).
-    cand = curvature - np.sum(curvature * that, axis=-1, keepdims=True) * that
-    size = np.linalg.norm(cand, axis=-1)
-    has_curvature = size > 1e-9 * norms
-
-    def carry(prev, t):
-        w = prev - (prev @ t) * t
-        size = np.linalg.norm(w)
-        if size <= 1e-12:
-            return _perp_seed(t)
-        return w / size
-
-    normals = np.empty_like(points)
-    normals[has_curvature] = cand[has_curvature] / size[has_curvature, None]
-    curved = np.flatnonzero(has_curvature)
-    first = int(curved[0]) if curved.size else 0
-    if not curved.size:
-        normals[first] = _perp_seed(that[first])
-    for i in range(first - 1, -1, -1):
-        normals[i] = carry(normals[i + 1], that[i])
-    # Only the normal carry across straight runs is sequential.
-    for i in np.flatnonzero(~has_curvature[first + 1 :]) + first + 1:
-        normals[i] = carry(normals[i - 1], that[i])
-    return np.stack([that, normals], axis=1)
 
 
 def _emit_tube(points, frames, transport, profile: str) -> list[str]:
@@ -381,15 +310,15 @@ def _cmd_sweep(args) -> int:
     if args.obj and not args.profile:
         raise _UsageError("--obj needs --profile circle:R:K")
     points = _read_polyline(sys.stdin)
-    frames = _polyline_frames(points)
-    tol = TOL_LEN if args.tol is None else args.tol
-    result = frame_transport(frames, tol=tol)
+    try:
+        frames = _polyline_frames(points)
+    except InvalidInputError as e:  # coincident points: a fault of the input file
+        raise _UsageError(str(e)) from None
+    result = frame_transport(frames, tol=args.tol)
     if args.obj:
         print("\n".join(_emit_tube(points, frames, result, args.profile)))
-        return 0
-    lines = _gibbs_lines(result.steps, args.json)
-    if lines:
-        print("\n".join(lines))
+    else:
+        _print_result("gibbs", result.steps, args.json)
     return 0
 
 
@@ -702,7 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
     al.add_argument("--p", type=_csv_floats, required=True)
     al.add_argument("--q", type=_csv_floats, required=True)
     al.add_argument("--gamma", type=float, default=None, help="family parameter; omit for the whole line")
-    al.add_argument("--tol", type=float, default=None, help="relative validity tolerance")
+    al.add_argument("--tol", type=float, default=TOL_LEN, help="relative validity tolerance")
     al.add_argument("--json", action="store_true")
     al.set_defaults(func=_cmd_align)
 
@@ -711,7 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--q1", type=_csv_floats, required=True)
     ap.add_argument("--p2", type=_csv_floats, required=True)
     ap.add_argument("--q2", type=_csv_floats, required=True)
-    ap.add_argument("--tol", type=float, default=None)
+    ap.add_argument("--tol", type=float, default=TOL_LEN)
     ap.add_argument("--json", action="store_true")
     ap.set_defaults(func=_cmd_align_pair)
 
@@ -721,7 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sw.add_argument("--obj", action="store_true", help="emit a swept tube mesh in OBJ format")
     sw.add_argument("--profile", default=None, help="tube cross-section, circle:R:K")
-    sw.add_argument("--tol", type=float, default=None)
+    sw.add_argument("--tol", type=float, default=TOL_LEN)
     sw.add_argument("--json", action="store_true")
     sw.set_defaults(func=_cmd_sweep)
 

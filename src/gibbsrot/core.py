@@ -140,6 +140,22 @@ def _as_float(x, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} is not numeric: {exc}") from exc
 
 
+def _broadcast(**operands: np.ndarray) -> list[np.ndarray]:
+    """The named arrays broadcast to their common shape: an operand
+    already of that shape comes back as is, the others as read-only
+    views.  Shapes that do not broadcast are an
+    :class:`InvalidInputError` naming each operand with its shape."""
+    arrays = list(operands.values())
+    if len({a.shape for a in arrays}) == 1:
+        return arrays
+    try:
+        shape = np.broadcast(*arrays).shape
+    except ValueError:
+        detail = ", ".join(f"{name} {a.shape}" for name, a in operands.items())
+        raise InvalidInputError(f"shapes do not broadcast: {detail}") from None
+    return [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
+
+
 def _as_vec3(x, name: str) -> np.ndarray:
     """Coerce to a float array with last axis 3; reject NaN components."""
     a = _as_float(x, name)
@@ -628,12 +644,9 @@ def rotate_vector(r, s) -> np.ndarray:
     b = _as_vec3(s, "s")
     if not np.isfinite(b).all():
         raise InvalidInputError("s has non-finite components")
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise InvalidInputError(
-            f"shapes do not broadcast: r {a.shape}, s {b.shape}"
-        ) from None
+    # the check only: the kernel broadcasts itself, and an expanded r
+    # would repeat its pair's work for every row of s
+    _broadcast(r=a, s=b)
     return _rotate_by_pair(*_row_pairs(a), b)
 
 

@@ -60,7 +60,7 @@ def test_family_object_matches_align_line():
     p = rng.normal(size=3)
     q = np.linalg.norm(p) * random_units(rng, 1)[0]
     line = align_family(p, q)
-    for g in (-3.0, 0.0, 0.25, 7.0):
+    for g in (-3.0, 0.0, 0.25, 7.0, np.array([-3.0, 0.0, 0.25, 7.0])):
         assert np.allclose(line.member(g), align_line(p, q, g))
     # base is the minimal member, direction spans the family
     assert np.allclose(line.member(0.0), line.base)
@@ -417,6 +417,35 @@ def test_transport_input_validation():
     with pytest.raises(InvalidInputError) as exc:
         frame_transport(frames)
     assert "frame 2" in str(exc.value)
+
+
+def test_transport_rejects_empty_frames():
+    with pytest.raises(InvalidInputError, match="frames is empty"):
+        frame_transport(np.zeros((0, 2, 3)))
+
+
+def test_family_rejects_a_batch():
+    with pytest.raises(InvalidInputError, match="use align_line for batches"):
+        align_family(np.eye(3), np.eye(3))
+
+
+def test_line_and_pair_reject_shapes_that_do_not_broadcast():
+    p, q = np.eye(3)[:2], np.eye(3)[1:]
+    with pytest.raises(InvalidInputError, match="shapes do not broadcast"):
+        align_line(np.zeros((4, 3)) + p[0], np.zeros((5, 3)) + q[0], 0.0)
+    with pytest.raises(InvalidInputError, match="shapes do not broadcast"):
+        align_line(p, q, np.zeros(3))
+    pair = [np.tile(p[0], (4, 1)), np.tile(q[0], (4, 1)), np.tile(p[1], (5, 1)), np.tile(q[1], (5, 1))]
+    named = r"^shapes do not broadcast: p1 \(4, 3\), q1 \(4, 3\), p2 \(5, 3\), q2 \(5, 3\)$"
+    with pytest.raises(InvalidInputError, match=named):
+        align_pair(*pair)
+    with pytest.raises(InvalidInputError, match=named):
+        align_pair_unchecked(*pair)
+    # a non-finite input is named ahead of the shapes
+    pair[2] = pair[2].copy()
+    pair[2][3, 0] = np.nan
+    with pytest.raises(InvalidInputError, match="^p2 has non-finite entries"):
+        align_pair(*pair)
 
 
 def test_transport_cumulative_is_step_fold():

@@ -165,6 +165,17 @@ def test_non_numeric_quaternion_is_a_typed_error():
         quaternion_multiply([1.0, 0.0, 0.0, 0.0], [1.0, "x", 0.0, 0.0])
 
 
+def test_products_and_angles_reject_shapes_that_do_not_broadcast():
+    # numpy's own broadcasting error used to escape from both
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))
+    with pytest.raises(InvalidInputError, match=r"^shapes do not broadcast: a \(4, 4\), b \(5, 4\)$"):
+        quaternion_multiply(q, np.tile(q[0], (5, 1)))
+    with pytest.raises(
+        InvalidInputError, match=r"^shapes do not broadcast: yaw \(2,\), pitch \(3,\), roll \(\)$"
+    ):
+        euler_to_matrix(np.zeros(2), np.zeros(3), 0.0)
+
+
 # --- axis-angle --------------------------------------------------------------
 
 
@@ -199,6 +210,9 @@ def test_angle_reduction():
     r3 = axis_angle_to_gibbs([0.0, 0.0, 1.0], 0.3 - 4.0 * np.pi)
     assert np.abs(r1 - r2).max() < 1e-12
     assert np.abs(r1 - r3).max() < 1e-12
+    # the angles broadcast against the axis as any operand does
+    turns = 0.3 + 2.0 * np.pi * np.array([0.0, 1.0, -2.0])
+    assert np.abs(axis_angle_to_gibbs([0.0, 0.0, 1.0], turns) - r1).max() < 1e-12
 
 
 def test_exact_half_turn_angles_encode():

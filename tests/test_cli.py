@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import gibbsrot
-from gibbsrot.cli import _build_parser, _polyline_frames, bench_rows, main, selftest_checks
+from gibbsrot.alignment import _polyline_frames
+from gibbsrot.cli import _build_parser, bench_rows, main, selftest_checks
 
 BENCH_HEADER = "operation,representation,iterations,total_ns,ns_per_op,max_roundtrip_err"
 
@@ -156,6 +157,57 @@ def test_convert_rejects_sloppy_quaternion():
     assert code == 1 and err.startswith("error: INVALID_INPUT")
 
 
+# The exact stdout of each output kind, text and --json: the formatter
+# must keep every byte.
+GOLDEN = [
+    (["convert", "--from", "gibbs", "--to", "gibbs", "--value", "0.25,-0.5,1.5"],
+     "0.25,-0.5,1.5\n",
+     '{"kind": "gibbs", "value": [0.25, -0.5, 1.5]}\n'),
+    (["convert", "--from", "gibbs", "--to", "gibbs", "--value", "-0.0,0,2"],
+     "-0.0,0.0,2.0\n",
+     '{"kind": "gibbs", "value": [-0.0, 0.0, 2.0]}\n'),
+    (["convert", "--from", "gibbs", "--to", "matrix", "--value", "0.25,-0.5,1.5"],
+     "-0.40350877192982454,0.7719298245614035,0.49122807017543857\n"
+     "-0.9122807017543859,-0.2982456140350877,-0.2807017543859649\n"
+     "-0.07017543859649122,-0.5614035087719298,0.8245614035087719\n",
+     '{"kind": "matrix", "value": [[-0.40350877192982454, 0.7719298245614035, '
+     "0.49122807017543857], [-0.9122807017543859, -0.2982456140350877, "
+     "-0.2807017543859649], [-0.07017543859649122, -0.5614035087719298, "
+     '0.8245614035087719]]}\n'),
+    (["convert", "--from", "gibbs", "--to", "quaternion", "--value", "0.25,-0.5,1.5"],
+     "0.5298129428260175,0.13245323570650439,-0.26490647141300877,0.7947194142390264\n",
+     '{"kind": "quaternion", "value": [0.5298129428260175, 0.13245323570650439, '
+     '-0.26490647141300877, 0.7947194142390264]}\n'),
+    (["convert", "--from", "gibbs", "--to", "axis-angle", "--value", "0.25,-0.5,1.5"],
+     "0.15617376188860604,-0.3123475237772121,0.9370425713316364,2.024832666307421\n",
+     '{"kind": "axis_angle", "axis": [0.15617376188860604, -0.3123475237772121, '
+     '0.9370425713316364], "angle": 2.024832666307421}\n'),
+    (["convert", "--from", "gibbs", "--to", "euler", "--value", "0.25,-0.5,1.5"],
+     "1.9872349439864885,-0.07023316418132715,0.5977583915930821\n",
+     '{"kind": "euler", "yaw": 1.9872349439864885, "pitch": -0.07023316418132715, '
+     '"roll": 0.5977583915930821}\n'),
+    (["convert", "--from", "axis-angle", "--to", "gibbs", "--value",
+      "0,0.6,-0.8,3.141592653589793"],
+     "pi-rotation axis=0.0,0.5999999999999999,-0.8\n",
+     '{"kind": "gibbs", "pi": true, "axis": [0.0, 0.5999999999999999, -0.8]}\n'),
+    (["align", "--p", "1,2,2", "--q", "2,-1,2"],
+     "base: -0.46153846153846156,-0.15384615384615385,0.38461538461538464\n"
+     "direction: 0.23076923076923078,0.07692307692307693,0.3076923076923077\n"
+     "valid-gamma: all finite gamma; the limit gamma -> +/-inf is the half turn "
+     "about p + q\n",
+     '{"kind": "line", "base": [-0.46153846153846156, -0.15384615384615385, '
+     '0.38461538461538464], "direction": [0.23076923076923078, 0.07692307692307693, '
+     '0.3076923076923077], "valid_domain": "all finite gamma; the limit gamma -> '
+     '+/-inf is the half turn about p + q"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,text,as_json", GOLDEN)
+def test_golden_stdout(argv, text, as_json):
+    assert run_cli(argv) == (0, text, "")
+    assert run_cli(argv + ["--json"]) == (0, as_json, "")
+
+
 # --- compose / align --------------------------------------------------------
 
 
@@ -290,6 +342,49 @@ def test_sweep_straight_segments_inherit_normal():
     assert abs(angles.sum() - 90.0) < 1.0  # total turn of the corner
 
 
+def polyline_text(pts):
+    return "\n".join(",".join(repr(float(x)) for x in p) for p in pts)
+
+
+def assert_orthonormal_frames(frames, tol):
+    t, n = frames[:, 0], frames[:, 1]
+    assert np.abs(np.linalg.norm(t, axis=-1) - 1.0).max() <= tol
+    assert np.abs(np.linalg.norm(n, axis=-1) - 1.0).max() <= tol
+    assert np.abs(np.sum(t * n, axis=-1)).max() <= tol
+
+
+def test_sweep_straight_polyline_seeds_one_normal():
+    # no sample has curvature, so the first normal is a seed perpendicular
+    # to the tangent and every later one carries it unchanged
+    pts = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)]
+    frames = _polyline_frames(np.array(pts, dtype=float))
+    assert_orthonormal_frames(frames, 1e-15)
+    assert (frames == frames[0]).all()
+    assert run_cli(["sweep"], stdin=polyline_text(pts)) == (0, "0.0,0.0,0.0\n" * 3, "")
+
+
+def test_sweep_normal_parallel_to_the_next_tangent_is_reseeded():
+    # the carried normal of sample 1 is the tangent of sample 2, so sample
+    # 2's normal is a fresh seed: a half turn between the last two frames
+    pts = [(0, 0, 0), (1, 0, 0), (0.5, 0.5, 0)]
+    frames = _polyline_frames(np.array(pts, dtype=float))
+    assert_orthonormal_frames(frames, 1e-15)
+    assert np.abs(frames[1, 1] - frames[2, 0]).max() <= 1e-15
+    code, out, err = run_cli(["sweep"], stdin=polyline_text(pts))
+    assert code == 0, err
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert not lines[0].startswith("pi-rotation")
+    assert lines[1].startswith("pi-rotation axis=")
+
+
+def test_sweep_coincident_points_are_a_usage_error():
+    pts = [(0, 0, 0), (1, 0, 0), (0, 0, 0)]
+    code, out, err = run_cli(["sweep"], stdin=polyline_text(pts))
+    assert (code, out) == (2, "")
+    assert err == "error: USAGE: polyline has coincident points near sample 1\n"
+
+
 def per_row_gibbs_lines(steps, as_json):
     """The sweep output as it was printed one step at a time: each step's
     half-turn test and formatting done on that step alone."""
@@ -336,7 +431,7 @@ def helix_with_straight_run(n=60):
 
 
 def test_polyline_frames_match_per_sample_reference():
-    from gibbsrot.cli import _perp_seed, _polyline_frames
+    from gibbsrot.alignment import _perp_basis, _polyline_frames
 
     pts = helix_with_straight_run()
     frames = _polyline_frames(pts)
@@ -357,7 +452,7 @@ def test_polyline_frames_match_per_sample_reference():
     def carry(prev, t):
         w = prev - (prev @ t) * t
         size = np.linalg.norm(w)
-        return _perp_seed(t) if size <= 1e-12 else w / size
+        return _perp_basis(t)[0] if size <= 1e-12 else w / size
 
     for i in range(first - 1, -1, -1):
         want[i] = carry(want[i + 1], that[i])
@@ -369,8 +464,8 @@ def test_polyline_frames_match_per_sample_reference():
 
 
 def test_emit_tube_matches_per_sample_rotation():
-    from gibbsrot.alignment import frame_transport
-    from gibbsrot.cli import _emit_tube, _polyline_frames
+    from gibbsrot.alignment import _polyline_frames, frame_transport
+    from gibbsrot.cli import _emit_tube
 
     pts = helix_with_straight_run()
     frames = _polyline_frames(pts)
@@ -400,8 +495,8 @@ def test_emit_tube_matches_per_sample_rotation():
 
 
 def test_sweep_obj_prints_one_line_per_record():
-    from gibbsrot.alignment import frame_transport
-    from gibbsrot.cli import _emit_tube, _polyline_frames
+    from gibbsrot.alignment import _polyline_frames, frame_transport
+    from gibbsrot.cli import _emit_tube
 
     pts = helix_with_straight_run(20)
     poly = "\n".join(f"{x!r},{y!r},{z!r}" for x, y, z in pts.tolist())

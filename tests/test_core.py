@@ -19,6 +19,7 @@ from gibbsrot import (
     pi_encode,
     rotate_vector,
 )
+import gibbsrot
 from gibbsrot.algebra import compose
 from gibbsrot.alignment import align_pair
 from gibbsrot.core import _pivot_row, _pivot_table
@@ -443,6 +444,34 @@ def test_empty_batch_is_a_rotation_check_pass():
 def test_empty_batch_with_check_extracts_nothing():
     assert matrix_to_gibbs(np.zeros((0, 3, 3))).shape == (0, 3)
     assert matrix_to_gibbs(np.zeros((2, 0, 3, 3))).shape == (2, 0, 3)
+
+
+def test_non_finite_matrix_and_vector_inputs_are_rejected():
+    u = np.eye(3)
+    u[1, 2] = np.inf
+    with pytest.raises(InvalidInputError, match="matrix has non-finite entries"):
+        is_rotation_matrix(u)
+    with pytest.raises(InvalidInputError, match="s has non-finite components"):
+        rotate_vector([0.1, 0.2, 0.3], [1.0, np.inf, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gibbsrot.euler_to_matrix("abc"),
+    lambda: gibbsrot.euler_to_matrix("a", "b", "c"),
+    lambda: gibbsrot.axis_angle_to_gibbs([1.0, 0.0, 0.0], "x"),
+    lambda: gibbsrot.cayley_forward("x"),
+    lambda: gibbsrot.cayley_inverse("x"),
+    lambda: gibbsrot.vector_from_skew("x"),
+    lambda: gibbsrot.SkewMatrix(3, ["a", "b", "c"]),
+    lambda: gibbsrot.compose_sequence([[1, 2, 3], [1, 2]]),
+], ids=[
+    "euler_to_matrix", "euler_to_matrix-3", "axis_angle_to_gibbs", "cayley_forward",
+    "cayley_inverse", "vector_from_skew", "SkewMatrix", "compose_sequence",
+])
+def test_non_numeric_input_is_a_typed_error(call):
+    # numpy's own conversion error used to escape from each of these
+    with pytest.raises(InvalidInputError, match="is not numeric"):
+        call()
 
 
 def test_rotate_vector_rejects_non_broadcasting_shapes():
