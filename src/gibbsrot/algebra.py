@@ -13,10 +13,10 @@ ratio map.
 
 Every composition runs on one kernel.  A Gibbs vector ``r`` is the ratio
 ``v / w`` of a homogeneous pair ``(w : v)``, the meeting point ``core``
-shares with the matrix conversions.  :func:`compose` chooses each
-operand row's pair by the row rule ``gibbs_to_matrix`` uses: ``(1, r)``
-while every component stays below ``_PAIR_LIMIT``, else ``(1/c, r/c)``
-with ``c = max(|r|_inf, 1)``, and ``w = 0`` exactly for half turns.
+shares with the matrix conversions.  :func:`compose` takes each operand
+row's pair from ``core._row_pairs``, as ``gibbs_to_matrix`` does:
+``(1, r)`` below ``core._PAIR_LIMIT``, else ``(1/c, r/c)`` with
+``c = max(|r|_inf, 1)``, and ``w = 0`` exactly for half turns.
 Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``, so the
 result never vanishes) and are divided once at the end: ``v / w``, or
 the half-turn encoding along ``v`` where ``w`` vanished.  The operands
@@ -49,13 +49,6 @@ __all__ = ["TOL_COMPOSE_SINGULAR", "compose", "compose_scan", "compose_sequence"
 # Relative threshold deciding that the composite's w vanished (the
 # composite is a half turn).
 TOL_COMPOSE_SINGULAR = 1e-12
-
-# Largest |component| an operand row enters the product with as the pair
-# (1, r).  The composite's components are then below 2 L + 2 L^2 and its
-# w below 1 + 3 L^2, so the squares _dehomogenize sums stay far from
-# overflow (the bound is reached near L = 5e76).  Larger rows, and half
-# turns, enter as their max-abs scaled pair.
-_PAIR_LIMIT = 1e50
 
 
 def _hamilton(w1, v1, w2, v2):
@@ -114,8 +107,8 @@ def compose(r, s) -> np.ndarray:
     [1.0, 1.0, -1.0]
     """
     a, b = _broadcast(r=_as_vec3(r, "r"), s=_as_vec3(s, "s"))
-    w1, v1 = _row_pairs(a, _PAIR_LIMIT)
-    w2, v2 = _row_pairs(b, _PAIR_LIMIT)
+    w1, v1 = _row_pairs(a)
+    w2, v2 = _row_pairs(b)
     w, v = _hamilton(w1, _columns(v1, 1), w2, _columns(v2, 1))
     return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 

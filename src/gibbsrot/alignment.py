@@ -419,10 +419,10 @@ def _require_finite(*vectors) -> None:
         _as_vectors(v, name)
 
 
-def _rescale_pair(p: np.ndarray, q: np.ndarray, rows: np.ndarray):
-    """Scale ``rows`` of the pair ``(p, q)`` in place by the power of two
-    ``2**-e`` that brings each row's max|p| into [0.5, 1) (rows with
-    p = 0 stay); return ``e`` for every row, 0 outside ``rows``."""
+def _rescale_pair(p: np.ndarray, q: np.ndarray, rows):
+    """Scale ``rows`` (indices or a slice) of the pair ``(p, q)`` in place by
+    ``2**-e``, the power of two bringing each row's max|p| into [0.5, 1)
+    (rows with p = 0 stay); return ``e`` for every row, 0 outside ``rows``."""
     e = np.zeros(len(p), dtype=int)
     e[rows] = np.frexp(np.abs(p[rows]).max(axis=-1))[1]
     k = -e[rows, None]
@@ -510,14 +510,19 @@ def _polyline_frames(points: np.ndarray) -> np.ndarray:
     backward over the leading run so the whole curve shares one
     orientation; a curve with no resolvable bend starts from the first
     vector of :func:`_perp_basis`.  Coincident neighbours leave a zero
-    tangent and raise :class:`InvalidInputError`.
+    tangent and raise :class:`InvalidInputError`; neighbours merely close
+    (1e-300 apart, say) do not.
     """
     n = points.shape[0]
     tangents = np.empty_like(points)
     tangents[0] = points[1] - points[0]
     tangents[-1] = points[-1] - points[-2]
+    curvature = np.zeros_like(points)
     if n > 2:
         tangents[1:-1] = points[2:] - points[:-2]
+        curvature[1:-1] = points[2:] - 2.0 * points[1:-1] + points[:-2]
+    # one power of two per sample: no length underflows, no bit of a direction changes
+    _rescale_pair(tangents, curvature, slice(None))
     norms = np.linalg.norm(tangents, axis=-1)
     if (norms == 0.0).any():
         raise InvalidInputError(
@@ -525,9 +530,6 @@ def _polyline_frames(points: np.ndarray) -> np.ndarray:
         )
     that = tangents / norms[:, None]
 
-    curvature = np.zeros_like(points)
-    if n > 2:
-        curvature[1:-1] = points[2:] - 2.0 * points[1:-1] + points[:-2]
     cand = curvature - np.sum(curvature * that, axis=-1, keepdims=True) * that
     size = np.linalg.norm(cand, axis=-1)
     has_curvature = size > 1e-9 * norms

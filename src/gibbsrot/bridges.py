@@ -34,6 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    PI_ENCODING_THRESHOLD,
     TOL_ORTHO_INPUT,
     _as_float,
     _as_matrix3,
@@ -41,9 +42,9 @@ from .core import (
     _broadcast,
     _columns,
     _homogeneous,
+    _pi_encode_rows,
     _pivot_row,
     _require_rotation,
-    pi_encode,
 )
 from .errors import InvalidInputError
 
@@ -71,7 +72,7 @@ TOL_QUATERNION_NORM = 1e-12
 # turns.  The value is the reciprocal of PI_ENCODING_THRESHOLD so the
 # quaternion and Gibbs encodings of "as close to a half turn as a float
 # can express" hand off to each other exactly.
-TOL_QUATERNION_REAL = 4.0 / np.finfo(np.float64).max
+TOL_QUATERNION_REAL = 1.0 / PI_ENCODING_THRESHOLD
 
 
 
@@ -149,6 +150,16 @@ def _canonical_signs(flat: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _unit_quaternion(w, v) -> np.ndarray:
+    """Canonical unit quaternions, as (n, 4) rows, of the pairs
+    ``(w : v)`` given as ``w`` (n,) and component columns ``v`` (3, n)."""
+    q = np.empty((len(w), 4))
+    q[:, 0] = w
+    q[:, 1:] = v.T
+    q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
+    return _canonical_signs(q)
+
+
 def quaternion_multiply(a, b) -> np.ndarray:
     """Quaternion product ``a * b`` (scalar-first layout, broadcasting).
 
@@ -190,11 +201,7 @@ def gibbs_to_quaternion(r) -> np.ndarray:
     """
     a = _as_vec3(r, "r")
     w, v = _homogeneous(_columns(a.reshape(-1, 3), 1))
-    q = np.empty((len(w), 4))
-    q[:, 0] = w
-    q[:, 1:] = v.T
-    q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
-    return _canonical_signs(q).reshape(a.shape[:-1] + (4,))
+    return _unit_quaternion(w, v).reshape(a.shape[:-1] + (4,))
 
 
 def quaternion_to_gibbs(q) -> np.ndarray:
@@ -203,16 +210,11 @@ def quaternion_to_gibbs(q) -> np.ndarray:
     half turns and produce the encoding about the imaginary direction.
     """
     a = _as_quaternion(q)
-    flat = a.reshape(-1, 4)
-    out = np.empty((flat.shape[0], 3))
-    w = flat[:, 0]
+    w = a[..., 0]
     half = np.abs(w) <= TOL_QUATERNION_REAL
-    if half.any():
-        out[half] = pi_encode(flat[half, 1:])
-    fin = ~half
-    if fin.any():
-        out[fin] = flat[fin, 1:] / w[fin, None]
-    return out.reshape(a.shape[:-1] + (3,))
+    out = a[..., 1:] / np.where(half, 1.0, w)[..., None]
+    out[half] = _pi_encode_rows(out[half])
+    return out
 
 
 def quaternion_to_matrix(q) -> np.ndarray:
@@ -256,9 +258,8 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     cols = _columns(a, 2)
     if check:
         _require_rotation(cols, ortho_tol)
-    q = _pivot_row(cols).reshape(4, -1).T.copy()
-    q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
-    return _canonical_signs(q).reshape(a.shape[:-2] + (4,))
+    row = _pivot_row(cols).reshape(4, -1)
+    return _unit_quaternion(row[0], row[1:]).reshape(a.shape[:-2] + (4,))
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +311,9 @@ def axis_angle_to_gibbs(axis, angle=None) -> np.ndarray:
     flat = flat / np.sqrt(norm2)[:, None]
     th = np.remainder(ang[..., 0].reshape(-1) + np.pi, 2.0 * np.pi) - np.pi
     th[th == -np.pi] = np.pi
-    out = np.empty_like(flat)
+    out = np.tan(th[:, None] / 2.0) * flat
     half = th == np.pi
-    if half.any():
-        out[half] = pi_encode(flat[half])
-    fin = ~half
-    if fin.any():
-        out[fin] = np.tan(th[fin, None] / 2.0) * flat[fin]
+    out[half] = _pi_encode_rows(flat[half])
     return out.reshape(a.shape)
 
 

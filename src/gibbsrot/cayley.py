@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PI_ENCODING_THRESHOLD, TOL_ORTHO_INPUT, _as_float, _as_vec3
+from .core import TOL_ORTHO_INPUT, _as_float, _as_vec3, is_pi_encoded
 from .errors import InvalidInputError, OutOfDomainError, SingularCayleyError
 
 __all__ = [
@@ -161,16 +161,14 @@ def skew_from_vector(r) -> SkewMatrix:
     """3x3 antisymmetric carrier of a finite Gibbs vector.
 
     The dense form satisfies ``S @ v == cross(v, r)``, matching the
-    package's matrix convention.  Pi-encoded input has no finite carrier
-    and raises :class:`OutOfDomainError`.
+    package's matrix convention.  Input :func:`is_pi_encoded` flags has no
+    finite carrier and raises :class:`OutOfDomainError`.
     """
     a = _as_vec3(r, "r")
     if a.shape != (3,):
         raise InvalidInputError(f"r must be a single 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all() or np.abs(a).max() >= PI_ENCODING_THRESHOLD:
-        raise OutOfDomainError(
-            "half-turn encodings have no finite antisymmetric carrier"
-        )
+    if is_pi_encoded(a):
+        raise OutOfDomainError("half-turn encodings have no finite antisymmetric carrier")
     x, y, z = a
     return SkewMatrix(3, np.array([-z, y, -x]))
 

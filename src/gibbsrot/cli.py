@@ -10,8 +10,9 @@ subcommands it holds the ``bench`` table (:func:`bench_rows`), the
 behind ``sweep --obj``.
 
 Exit codes: 0 on success, 1 on computation errors (reported to stderr as
-one machine-parseable line ``error: <CODE>: <detail>``), 2 on usage or
-parse errors.  All numeric text output uses ``repr`` of the float, the
+one machine-parseable line ``error: <CODE>: <detail>``) and when the
+reader closes stdout early (nothing is reported), 2 on usage or parse
+errors.  All numeric text output uses ``repr`` of the float, the
 shortest string that parses back to the same value.  ``--json`` switches
 every result to one JSON object per line with a ``kind`` tag.
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -29,6 +31,7 @@ import numpy as np
 from .algebra import compose, compose_sequence
 from .alignment import (
     TOL_LEN,
+    _first,
     _polyline_frames,
     align_family,
     align_line,
@@ -251,7 +254,7 @@ def _cmd_align_pair(args) -> int:
 
 
 def _read_polyline(stream) -> np.ndarray:
-    points = []
+    points, linenos = [], []
     for lineno, raw in enumerate(stream, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -263,9 +266,14 @@ def _read_polyline(stream) -> np.ndarray:
         if len(vals) != 3:
             raise _UsageError(f"line {lineno}: a point takes 3 numbers, got {len(vals)}")
         points.append(vals)
+        linenos.append(lineno)
     if len(points) < 2:
         raise _UsageError("sweep needs at least 2 polyline points on stdin")
-    return np.asarray(points, dtype=float)
+    a = np.asarray(points, dtype=float)
+    bad = ~np.isfinite(a).all(axis=-1)
+    if bad.any():
+        raise _UsageError(f"line {linenos[_first(bad)]}: a point takes finite numbers")
+    return a
 
 
 def _emit_tube(points, frames, transport, profile: str) -> list[str]:
@@ -675,7 +683,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``gibbsrot ... | head``): end
+        # quietly, with the interpreter's final flush sent to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except _UsageError as e:
         print(f"error: USAGE: {e}", file=sys.stderr)
         return 2

@@ -9,8 +9,9 @@ regime").
 
 Every conversion meets at the homogeneous pair ``(w : v)``, the
 quaternion up to scale: the Gibbs vector is ``v / w`` and a half turn is
-``w = 0``.  Each row's pair is chosen from that row alone: ``(1, r)``,
-or the max-abs scaled pair for rows of huge magnitude and half turns.
+``w = 0``.  This module alone decides, row by row, whether a row is a
+half turn and which pair it takes: ``(1, r)`` below ``_PAIR_LIMIT``,
+else the max-abs scaled pair of :func:`_homogeneous`.
 ``gibbs_to_matrix`` runs one rational kernel on the pair, and
 ``rotate_vector`` applies the pair to the vector without forming a
 matrix.  ``matrix_to_gibbs`` reads the pair off the largest row of
@@ -274,29 +275,19 @@ def _require_rotation(u: np.ndarray, tol: float) -> None:
 # pi-encoding regime
 
 
-def _pi_mask(r: np.ndarray) -> np.ndarray:
-    """Boolean mask of rows with |r| >= PI_ENCODING_THRESHOLD.
-
-    Works at any magnitude: the norm comparison is done on components
-    scaled by the largest one, so nothing overflows below the ceiling.
-    """
-    m = _max_abs(r)
-    inf = np.isinf(m)
-    safe = np.where(m == 0.0, 1.0, m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = r / safe[..., None]
-        q = _dot(z, z)
-        lim = np.square(PI_ENCODING_THRESHOLD / safe)
-    lim = np.where(m == 0.0, np.inf, lim)
-    with np.errstate(invalid="ignore"):
-        mask = q >= lim
-    return mask | inf
+def _pi_mask(v: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Half turns among rows given as max-abs scaled columns ``v`` (3, n)
+    and their nonzero max-abs ``m``: ``|v|^2 >= (PI_ENCODING_THRESHOLD /
+    m)^2``, free of overflow; infinite rows (``v`` their signs) pass."""
+    return _dot(v.T, v.T) >= np.square(PI_ENCODING_THRESHOLD / m)
 
 
 def is_pi_encoded(r) -> bool | np.ndarray:
-    """True where ``r`` lies in the half-turn (pi-encoding) regime."""
+    """True where ``r`` lies in the half-turn (pi-encoding) regime: the
+    rows whose homogeneous pair has ``w = 0``."""
     a = _as_vec3(r, "r")
-    mask = _pi_mask(a)
+    w, _ = _homogeneous(_columns(a.reshape(-1, 3), 1))
+    mask = (w == 0.0).reshape(a.shape[:-1])
     return bool(mask) if mask.ndim == 0 else mask
 
 
@@ -343,11 +334,11 @@ def _homogeneous(r: np.ndarray):
         v = r / c
     big = np.flatnonzero(m >= _HALF_TURN_SCREEN)
     if big.size:
-        rb = r[:, big]
-        w[big[_pi_mask(rb.T)]] = 0.0
-        inf = np.isinf(m[big])
-        ri = rb[:, inf]
-        v[:, big[inf]] = np.where(np.isinf(ri), np.sign(ri), 0.0)
+        mb = m[big]
+        inf = big[np.isinf(mb)]
+        ri = r[:, inf]
+        v[:, inf] = np.where(np.isinf(ri), np.sign(ri), 0.0)
+        w[big[_pi_mask(v[:, big], mb)]] = 0.0
     return w, v
 
 
@@ -381,26 +372,28 @@ def _dehomogenize(w: np.ndarray, v, rel_sq: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # rational kernels (elementary arithmetic only; no sqrt, no trig)
 
-# Largest |component| fed to the matrix and rotation kernels as the pair
-# (1, r): products of two components stay <= 1e200, far from overflow.
-# Larger rows, and half turns, go through the max-abs scaled pair instead.
-_FUSED_MAGNITUDE_LIMIT = 1e100
+# Largest |component| a row enters the matrix, rotation and composition
+# kernels with as the pair (1, r): a composite of two such pairs has
+# components below 2 L + 2 L^2 and w below 1 + 3 L^2, whose squares
+# overflow only near L = 5e76.  Larger rows, and half turns, enter as
+# their max-abs scaled pair, which is correct at every magnitude.
+_PAIR_LIMIT = 1e50
 
 
-def _row_pairs(r, limit=_FUSED_MAGNITUDE_LIMIT):
+def _row_pairs(r):
     """Homogeneous pairs ``(w, v)`` of Gibbs rows ``r``, chosen row by row.
 
     Every row gets ``(1, r)``; rows with a component at or beyond
-    ``limit`` (half turns included) are replaced by their max-abs scaled
-    pair from :func:`_homogeneous`, so each row's pair depends on that row
-    alone.  ``v`` has the shape of ``r`` and ``w`` that shape less its
-    last axis, or ``w`` is the scalar 1.0 when no row is replaced.
-    Elementary arithmetic only.
+    ``_PAIR_LIMIT`` (half turns included) are replaced by their max-abs
+    scaled pair from :func:`_homogeneous`, so each row's pair depends on
+    that row alone.  ``v`` has the shape of ``r`` and ``w`` that shape
+    less its last axis, or ``w`` is the scalar 1.0 when no row is
+    replaced.  Elementary arithmetic only.
     """
-    if not r.size or np.abs(r).max() < limit:
+    if not r.size or np.abs(r).max() < _PAIR_LIMIT:
         return 1.0, r
     flat = r.reshape(-1, 3)
-    big = np.flatnonzero(_max_abs(flat) >= limit)
+    big = np.flatnonzero(_max_abs(flat) >= _PAIR_LIMIT)
     w = np.ones(len(flat))
     v = flat.copy()
     wb, vb = _homogeneous(flat[big].T)

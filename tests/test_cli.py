@@ -385,6 +385,13 @@ def test_sweep_coincident_points_are_a_usage_error():
     assert err == "error: USAGE: polyline has coincident points near sample 1\n"
 
 
+def test_sweep_non_finite_coordinate_is_a_usage_error():
+    for bad in ("1,inf,0", "nan,0,0", "0,0,-inf"):
+        code, out, err = run_cli(["sweep"], stdin=f"# curve\n0,0,0\n{bad}\n2,0,0\n")
+        assert (code, out) == (2, "")
+        assert err == "error: USAGE: line 3: a point takes finite numbers\n"
+
+
 def per_row_gibbs_lines(steps, as_json):
     """The sweep output as it was printed one step at a time: each step's
     half-turn test and formatting done on that step alone."""
@@ -461,6 +468,17 @@ def test_polyline_frames_match_per_sample_reference():
             want[i] = carry(want[i - 1], that[i])
     assert 0 < first and len(curved) < len(pts) - first - 1  # both kinds of run
     assert np.abs(frames[:, 1] - want).max() <= 1e-15
+
+
+def test_sweep_frames_do_not_depend_on_the_curve_scale():
+    # samples 1e-200 apart are not coincident, and a curve scaled by a
+    # power of two sweeps to the same steps, bit for bit
+    assert run_cli(["sweep"], stdin="0,0,0\n1e-200,0,0\n") == (0, "0.0,0.0,0.0\n", "")
+    pts = helix_with_straight_run()
+    want = run_cli(["sweep"], stdin=polyline_text(pts))
+    assert want[0] == 0 and want[1].count("\n") == len(pts) - 1
+    for k in (-700, -500, 500):
+        assert run_cli(["sweep"], stdin=polyline_text(np.ldexp(pts, k))) == want
 
 
 def test_emit_tube_matches_per_sample_rotation():
@@ -608,3 +626,24 @@ def test_console_script_end_to_end():
     obj = json.loads(proc.stdout)
     assert obj["kind"] == "quaternion"
     assert np.allclose(obj["value"], [np.sqrt(0.5), 0.0, 0.0, np.sqrt(0.5)])
+
+
+def test_console_script_quiet_when_the_reader_closes_stdout(tmp_path):
+    # "gibbsrot sweep --obj ... | head -1": the tube is far larger than a
+    # pipe buffer, so the writer meets the closed pipe mid-output
+    t = np.linspace(0.0, 20.0 * np.pi, 2000)
+    path = tmp_path / "helix.csv"
+    path.write_text(polyline_text(np.stack([np.cos(t), np.sin(t), 0.05 * t], axis=-1)))
+    command, env = console_script_command()
+    with path.open() as stdin:
+        proc = subprocess.Popen(
+            command + ["sweep", "--obj", "--profile", "circle:0.05:16"],
+            stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        code = proc.wait(timeout=60)
+    assert first == "# swept tube: one ring per polyline sample\n"
+    assert (code, err) == (1, "")

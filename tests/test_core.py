@@ -1,6 +1,8 @@
 """Core conversions: gibbs <-> matrix, rotation action, the half-turn
 encoding, and input validation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from gibbsrot import (
     PI_ENCODING_THRESHOLD,
     TOL_ORTHO_OUTPUT,
     InvalidInputError,
+    OutOfDomainError,
     axis_angle_to_gibbs,
     gibbs_to_matrix,
     invert,
@@ -18,10 +21,12 @@ from gibbsrot import (
     matrix_to_gibbs,
     pi_encode,
     rotate_vector,
+    skew_from_vector,
 )
 import gibbsrot
 from gibbsrot.algebra import compose
 from gibbsrot.alignment import align_pair
+from gibbsrot.cli import main
 from gibbsrot.core import _pivot_row, _pivot_table
 from helpers import component_error, matrix_about, random_gibbs, random_units
 
@@ -96,11 +101,13 @@ def test_round_trip_matrix_side_at_extreme_magnitudes():
 
 def mixed_rows(rng):
     """A shuffled batch over every regime of the pair choice: finite rows
-    of |r| 1e-3 .. 1e3, rows beyond the scaled-pair limit (+-1e300, 1e150),
-    infinite rows, pi-encoded rows and signed zeros."""
+    of |r| 1e-3 .. 1e3, rows at 1e49 .. 1e100 and beyond the scaled-pair
+    limit (+-1e300, 1e150), infinite rows, pi-encoded rows and signed zeros."""
     rows = [
         random_gibbs(rng, 150, 1e-3, 1e3),
         [[1e300, -2e299, 5e298], [-1e300, 0.0, 1.0], [3e150, 1e-3, -2e149]],
+        # on either side of the pair limit (1e50) and near 1e100
+        [[1e49, -2e48, 3.0], [1e50, 1.0, -1e49], [-1e99, 5e98, 0.0], [1e100, 0.0, -1e100]],
         [[np.inf, 0.0, -np.inf], [0.0, -np.inf, 0.0], [np.inf, 1.0, 2.0]],
         pi_encode(random_units(rng, 10)),
         -pi_encode(random_units(rng, 5)),
@@ -300,6 +307,61 @@ def test_invert_preserves_half_turns():
 
 
 # --- the half-turn encoding ------------------------------------------------
+
+
+def _threshold_norm_rows(rel):
+    """Rows of |r| = T (1 + rel) along directions whose max-abs stays
+    below T (T = PI_ENCODING_THRESHOLD)."""
+    d = np.array([[1.0, 1.0, 1.0], [1.0, -2.0, 0.5], [0.0, 3.0, -4.0], [-1e-3, 1.0, 1.0]])
+    d /= np.linalg.norm(d, axis=-1, keepdims=True)
+    return d * (PI_ENCODING_THRESHOLD * (1.0 + rel))
+
+
+T = PI_ENCODING_THRESHOLD
+HALF_TURN_ROWS = {
+    "norm-just-above-threshold": _threshold_norm_rows(1e-15),
+    "norm-just-below-threshold": _threshold_norm_rows(-1e-15),
+    "max-abs-at-threshold": [[T, 0.0, 0.0], [-T, 0.0, 0.0], [0.0, T, 1.0], [T, -T, T]],
+    "infinite": [
+        [np.inf, 0.0, 0.0], [-np.inf, 1.0, 2.0], [np.inf, -np.inf, 0.0], [1.0, 2.0, -np.inf],
+    ],
+    "pi-encoded": np.concatenate([
+        pi_encode(random_units(np.random.default_rng(30), 4)),
+        -pi_encode([[0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]),
+    ]),
+    "finite-near-1e307": [
+        [1e307, 1e307, 1e307], [3e307, 3e307, 0.0], [3e307, 3.5e307, 0.0],
+        [0.6 * T] * 3, [-0.5 * T, 0.5 * T, 0.5 * T], [0.5 * T, 0.5 * T, 0.0],
+    ],
+}
+
+
+def exact_half_turn(row) -> bool:
+    """The half-turn rule in exact arithmetic: |r| >= T, or some
+    component is infinite."""
+    if np.isinf(row).any():
+        return True
+    return sum(Fraction(float(x)) ** 2 for x in row) >= Fraction(PI_ENCODING_THRESHOLD) ** 2
+
+
+@pytest.mark.parametrize("kind", HALF_TURN_ROWS)
+def test_one_half_turn_rule_for_the_predicate_cayley_and_cli(kind, capsys):
+    rows = np.asarray(HALF_TURN_ROWS[kind], dtype=float)
+    want = [exact_half_turn(r) for r in rows]
+    if kind.startswith("norm-"):
+        assert all(want) == kind.endswith("above-threshold")
+        assert (np.abs(rows).max(axis=-1) < PI_ENCODING_THRESHOLD).all()
+    assert is_pi_encoded(rows).tolist() == want
+    for r, half in zip(rows, want):
+        assert is_pi_encoded(r) is half
+        if half:
+            with pytest.raises(OutOfDomainError):
+                skew_from_vector(r)
+        else:
+            skew_from_vector(r)
+        value = ",".join(repr(float(x)) for x in r)
+        assert main(["convert", "--from", "gibbs", "--to", "gibbs", "--value", value]) == 0
+        assert capsys.readouterr().out.startswith("pi-rotation axis=") is half
 
 
 def test_pi_encode_magnitude_and_direction():
