@@ -8,10 +8,11 @@ appears anywhere on the core paths, so exact inputs stay exact and
 error growth is governed by plain arithmetic.
 
 The half turn, where ``tan(theta/2)`` diverges, is kept representable by
-an explicit encoding: a vector whose largest component magnitude reaches
-:data:`PI_ENCODING_THRESHOLD` is read as "a rotation by pi about the
-direction of this vector".  Every operation accepts and produces such
-encodings, so chains of compositions pass through half turns unharmed.
+an explicit encoding: a vector with ``|r| >= PI_ENCODING_THRESHOLD``
+(``[0.6 * PI_ENCODING_THRESHOLD] * 3`` is one; see :func:`is_pi_encoded`)
+or an infinite component is read as "a rotation by pi about the direction
+of this vector".  Every operation accepts and produces such encodings, so
+chains of compositions pass through half turns unharmed.
 
 Modules
 -------

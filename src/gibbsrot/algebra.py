@@ -107,9 +107,7 @@ def compose(r, s) -> np.ndarray:
     [1.0, 1.0, -1.0]
     """
     a, b = _broadcast(r=_as_vec3(r, "r"), s=_as_vec3(s, "s"))
-    w1, v1 = _row_pairs(a)
-    w2, v2 = _row_pairs(b)
-    w, v = _hamilton(w1, _columns(v1, 1), w2, _columns(v2, 1))
+    w, v = _hamilton(*_row_pairs(_columns(a, 1)), *_row_pairs(_columns(b, 1)))
     return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 
 

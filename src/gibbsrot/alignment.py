@@ -40,6 +40,7 @@ from .core import (
     _cross,
     _dehomogenize,
     _dot,
+    _max_abs,
     _pivot_row,
     rotate_vector,
 )
@@ -419,10 +420,10 @@ def _require_finite(*vectors) -> None:
         _as_vectors(v, name)
 
 
-def _rescale_pair(p: np.ndarray, q: np.ndarray, rows):
-    """Scale ``rows`` (indices or a slice) of the pair ``(p, q)`` in place by
-    ``2**-e``, the power of two bringing each row's max|p| into [0.5, 1)
-    (rows with p = 0 stay); return ``e`` for every row, 0 outside ``rows``."""
+def _rescale_pair(p: np.ndarray, q: np.ndarray, rows: np.ndarray):
+    """Scale ``rows`` of the pair ``(p, q)`` in place by the power of two
+    ``2**-e`` that brings each row's max|p| into [0.5, 1) (rows with
+    p = 0 stay); return ``e`` for every row, 0 outside ``rows``."""
     e = np.zeros(len(p), dtype=int)
     e[rows] = np.frexp(np.abs(p[rows]).max(axis=-1))[1]
     k = -e[rows, None]
@@ -466,13 +467,12 @@ def _pair_pivot_row(p1, q1, p2, q2):
     """
     c = _cross(p1, p2)
     a, b, n = _cross(np.stack([p2, c, q1]), np.stack([c, p1, q2]))
-    # k U = q1 a^T + q2 b^T + n c^T, one outer product per column of Q
-    ku = (
-        q1[..., :, None] * a[..., None, :]
-        + q2[..., :, None] * b[..., None, :]
-        + n[..., :, None] * c[..., None, :]
-    )
-    return _pivot_row(_columns(ku, 2), _dot(c, c))
+    # k U = q1 a^T + q2 b^T + n c^T; entry (i, j) is component column 3 i + j
+    ku = np.array([
+        q1[..., i] * a[..., j] + q2[..., i] * b[..., j] + n[..., i] * c[..., j]
+        for i in range(3) for j in range(3)
+    ])
+    return _pivot_row(ku, _dot(c, c))
 
 
 def _verify_rows(out, idx, a1, b1, a2, b2, n_a1, n_a2, tol) -> None:
@@ -513,16 +513,18 @@ def _polyline_frames(points: np.ndarray) -> np.ndarray:
     tangent and raise :class:`InvalidInputError`; neighbours merely close
     (1e-300 apart, say) do not.
     """
-    n = points.shape[0]
-    tangents = np.empty_like(points)
+    # below 2^1022 no difference or curvature term (at most 4 max|p|) overflows
+    points = np.ldexp(points, min(0, 1022 - np.frexp(np.abs(points).max())[1]))
+    tc = np.zeros((2,) + points.shape)
+    tangents, curvature = tc
     tangents[0] = points[1] - points[0]
     tangents[-1] = points[-1] - points[-2]
-    curvature = np.zeros_like(points)
-    if n > 2:
+    if len(points) > 2:
         tangents[1:-1] = points[2:] - points[:-2]
         curvature[1:-1] = points[2:] - 2.0 * points[1:-1] + points[:-2]
-    # one power of two per sample: no length underflows, no bit of a direction changes
-    _rescale_pair(tangents, curvature, slice(None))
+    # each row of t and c scaled by its own power of two: exact, no over/underflow
+    e = np.frexp(_max_abs(tc))[1]
+    tangents, curvature = np.ldexp(tc, -e[..., None])
     norms = np.linalg.norm(tangents, axis=-1)
     if (norms == 0.0).any():
         raise InvalidInputError(
@@ -532,7 +534,9 @@ def _polyline_frames(points: np.ndarray) -> np.ndarray:
 
     cand = curvature - np.sum(curvature * that, axis=-1, keepdims=True) * that
     size = np.linalg.norm(cand, axis=-1)
-    has_curvature = size > 1e-9 * norms
+    # |cand| > 1e-9 |t| in c's units; a bound past the float range is inf
+    with np.errstate(over="ignore"):
+        has_curvature = size > np.ldexp(1e-9 * norms, e[0] - e[1])
 
     def carry(prev, t):
         w = prev - (prev @ t) * t

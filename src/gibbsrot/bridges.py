@@ -100,7 +100,7 @@ def _norm_sq(q: np.ndarray) -> np.ndarray:
     """``|q|^2`` over a last axis of length 4, component by component:
     bit for bit ``np.sum(q * q, axis=-1)``, which adds a row's four
     squares in order, without numpy's generic reduction.  One quaternion
-    unpacks into scalars (see ``core._rotate_by_pair``)."""
+    unpacks into scalars, cheaper to compute with than 0-d arrays."""
     w, x, y, z = (q[..., i][()] for i in range(4))
     return w * w + x * x + y * y + z * z
 
@@ -171,7 +171,7 @@ def quaternion_multiply(a, b) -> np.ndarray:
     a = _as_quaternion(a, "a")
     b = _as_quaternion(b, "b")
     _broadcast(a=a, b=b)
-    # one quaternion unpacks into scalars (see core._rotate_by_pair)
+    # one quaternion unpacks into scalars (see _norm_sq)
     aw, ax, ay, az = (a[..., i][()] for i in range(4))
     bw, bx, by, bz = (b[..., i][()] for i in range(4))
     w = aw * bw

@@ -288,17 +288,15 @@ def _emit_tube(points, frames, transport, profile: str) -> list[str]:
     if radius <= 0 or segments < 3:
         raise _UsageError("--profile needs R > 0 and K >= 3")
 
-    # Transported frames: rotate the first frame's normal/binormal along
-    # the curve so the tube never flips where curvature changes sign.
+    # The first frame's normal and binormal turned by each cumulative
+    # rotation: the frames' own normals to rounding, so the tube turns
+    # over with them where a planar curve's curvature changes sign.
     t0, n0 = frames[0]
-    b0 = np.cross(t0, n0)
-    normals = rotate_vector(transport.cumulative, n0)
-    binormals = rotate_vector(transport.cumulative, b0)
+    nb = rotate_vector(transport.cumulative[:, None], np.stack([n0, np.cross(t0, n0)]))
     angles = 2.0 * np.pi * np.arange(segments) / segments
-    ring = np.stack([np.cos(angles), np.sin(angles)], axis=-1)
     # One ring of `segments` vertices per sample, all rings in one broadcast.
     verts = points[:, None, :] + radius * (
-        ring[:, :1] * normals[:, None, :] + ring[:, 1:] * binormals[:, None, :]
+        np.cos(angles)[:, None] * nb[:, None, 0] + np.sin(angles)[:, None] * nb[:, None, 1]
     )
     lines = ["# swept tube: one ring per polyline sample"]
     lines.extend(f"v {x!r} {y!r} {z!r}" for x, y, z in verts.reshape(-1, 3).tolist())

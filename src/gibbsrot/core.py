@@ -4,8 +4,9 @@ vector <-> matrix conversions.
 A rotation is stored as a plain 3-vector ``r`` parallel to the rotation
 axis with ``|r| = tan(theta/2)``.  Half turns (theta = pi) have no finite
 encoding; they are stored with the largest component at the float ceiling
-and are detected by ``|r| >= PI_ENCODING_THRESHOLD`` (the "pi-encoding
-regime").
+and are detected by ``|r| >= PI_ENCODING_THRESHOLD`` or an infinite
+component (the "pi-encoding regime"), in floating point: a row within a
+few ulp of the threshold can fall either way, but every decider runs it.
 
 Every conversion meets at the homogeneous pair ``(w : v)``, the
 quaternion up to scale: the Gibbs vector is ``v / w`` and a half turn is
@@ -283,8 +284,10 @@ def _pi_mask(v: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 def is_pi_encoded(r) -> bool | np.ndarray:
-    """True where ``r`` lies in the half-turn (pi-encoding) regime: the
-    rows whose homogeneous pair has ``w = 0``."""
+    """True where ``r`` is a half turn, ``|r| >= PI_ENCODING_THRESHOLD``
+    or an infinite component (homogeneous pair ``w = 0``).  ``|r|`` is
+    compared in floating point: a row within a few ulp of the threshold
+    may fall either way, and every operation decides by this same test."""
     a = _as_vec3(r, "r")
     w, _ = _homogeneous(_columns(a.reshape(-1, 3), 1))
     mask = (w == 0.0).reshape(a.shape[:-1])
@@ -381,25 +384,22 @@ _PAIR_LIMIT = 1e50
 
 
 def _row_pairs(r):
-    """Homogeneous pairs ``(w, v)`` of Gibbs rows ``r``, chosen row by row.
+    """Homogeneous pairs ``(w, v)`` of Gibbs rows, chosen row by row, for
+    the caller's private component columns ``r`` (from :func:`_columns`).
 
     Every row gets ``(1, r)``; rows with a component at or beyond
-    ``_PAIR_LIMIT`` (half turns included) are replaced by their max-abs
-    scaled pair from :func:`_homogeneous`, so each row's pair depends on
-    that row alone.  ``v`` has the shape of ``r`` and ``w`` that shape
-    less its last axis, or ``w`` is the scalar 1.0 when no row is
-    replaced.  Elementary arithmetic only.
+    ``_PAIR_LIMIT`` (half turns included) get their max-abs scaled pair
+    from :func:`_homogeneous`, written into ``r``, so each row's pair
+    depends on that row alone.  ``v`` is ``r``; ``w`` has its batch shape,
+    or is the scalar 1.0 when no row is replaced.  Elementary arithmetic only.
     """
     if not r.size or np.abs(r).max() < _PAIR_LIMIT:
         return 1.0, r
-    flat = r.reshape(-1, 3)
-    big = np.flatnonzero(_max_abs(flat) >= _PAIR_LIMIT)
-    w = np.ones(len(flat))
-    v = flat.copy()
-    wb, vb = _homogeneous(flat[big].T)
-    w[big] = wb
-    v[big] = vb.T
-    return w.reshape(r.shape[:-1]), v.reshape(r.shape)
+    flat = r.reshape(3, -1)
+    big = np.flatnonzero(_max_abs(flat.T) >= _PAIR_LIMIT)
+    w = np.ones(flat.shape[1])
+    w[big], flat[:, big] = _homogeneous(flat[:, big])
+    return w.reshape(r.shape[1:]), r
 
 
 def _is_one(w) -> bool:
@@ -451,16 +451,16 @@ def _rotate_by_pair(w, v, s):
         U s = ((w^2 - |v|^2) s + 2 (v.s) v + 2 w (s x v)) / (w^2 + |v|^2)
 
     the action of :func:`_matrix_from_pair`'s ``U`` without forming it.
-    ``w`` is a scalar or has ``v``'s shape less its last axis; ``v`` and
-    ``s`` broadcast over their leading axes.  The denominator divides
-    ``v`` before ``v`` meets ``s``, so no intermediate exceeds a few times
-    ``|s|``.  Exact on ``fractions.Fraction`` (with ``w = 1``); elementary
-    arithmetic only.
+    ``v`` is three component columns, ``s`` rows and ``w`` a scalar or of
+    ``v``'s batch shape; the batch shapes broadcast.  The denominator
+    divides ``v`` before ``v`` meets ``s``, so no intermediate exceeds a
+    few times ``|s|``.  Exact on ``fractions.Fraction`` (with ``w = 1``);
+    elementary arithmetic only.
     """
-    # [()] turns the 0-d views of a single row into scalars, whose
-    # arithmetic costs a fraction of a 0-d array's
-    v0, v1, v2 = v[..., 0][()], v[..., 1][()], v[..., 2][()]
-    s0, s1, s2 = s[..., 0][()], s[..., 1][()], s[..., 2][()]
+    # s's components as views, like v's (np.moveaxis costs ~3 us on one row)
+    s = s.transpose(-1, *range(s.ndim - 1))
+    v0, v1, v2 = v[0], v[1], v[2]
+    s0, s1, s2 = s[0], s[1], s[2]
     one = _is_one(w)
     ww = w * w
     h = v0 * v0
@@ -476,7 +476,7 @@ def _rotate_by_pair(w, v, s):
     t = p0 * s0
     t += p1 * s1
     t += p2 * s2
-    out = np.empty(np.broadcast_shapes(v.shape, s.shape), np.result_type(v, s))
+    out = np.empty(np.broadcast_shapes(v.shape[1:], s.shape[1:]) + (3,), np.result_type(v, s))
     for i, (si, vi, a, b, c, d) in enumerate((
         (s0, v0, s1, p2, s2, p1), (s1, v1, s2, p0, s0, p2), (s2, v2, s0, p1, s1, p0),
     )):
@@ -589,9 +589,7 @@ def gibbs_to_matrix(r) -> np.ndarray:
     >>> gibbs_to_matrix([0.0, 0.0, 0.0]).tolist()
     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     """
-    a = _as_vec3(r, "r")
-    w, v = _row_pairs(a)
-    return _matrix_from_pair(w, _columns(v, 1))
+    return _matrix_from_pair(*_row_pairs(_columns(_as_vec3(r, "r"), 1)))
 
 
 def matrix_to_gibbs(
@@ -640,7 +638,7 @@ def rotate_vector(r, s) -> np.ndarray:
     # the check only: the kernel broadcasts itself, and an expanded r
     # would repeat its pair's work for every row of s
     _broadcast(r=a, s=b)
-    return _rotate_by_pair(*_row_pairs(a), b)
+    return _rotate_by_pair(*_row_pairs(_columns(a, 1)), b)
 
 
 def invert(r) -> np.ndarray:

@@ -34,6 +34,12 @@ def test_skew_matrix_round_trip():
     assert s.n == 3
     assert np.array_equal(s.to_array(), a)
     assert SkewMatrix.from_array(s.to_array()) == s
+    # the dense form through numpy, equality with other types, repr
+    f32 = np.asarray(s, dtype=np.float32)
+    assert f32.dtype == np.float32 and np.array_equal(f32, a)
+    assert s != 1.0 and s != "s"
+    assert repr(s) == "SkewMatrix(n=3, packed=[-1.0, 2.0, -3.0])"
+    assert eval(repr(s), {"SkewMatrix": SkewMatrix}) == s
 
 
 def test_skew_matrix_symmetrizes_roundoff():

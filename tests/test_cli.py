@@ -14,6 +14,7 @@ import pytest
 
 import gibbsrot
 from gibbsrot.alignment import _polyline_frames
+from gibbsrot import cli
 from gibbsrot.cli import _build_parser, bench_rows, main, selftest_checks
 
 BENCH_HEADER = "operation,representation,iterations,total_ns,ns_per_op,max_roundtrip_err"
@@ -319,6 +320,12 @@ def test_sweep_obj_tube():
 def test_sweep_usage_errors():
     assert run_cli(["sweep"], stdin="1,0,0\n")[0] == 2  # too short
     assert run_cli(["sweep"], stdin="1,0\n2,0\n")[0] == 2  # bad point
+    assert run_cli(["sweep"], stdin="0,0,0\n1,x,0\n") == (
+        2, "", "error: USAGE: line 2: not a comma-separated point: '1,x,0'\n"
+    )
+    assert run_cli(["sweep", "--obj", "--profile", "circle:x:8"], stdin=arc_polyline(4)) == (
+        2, "", "error: USAGE: --profile must look like circle:R:K, got 'circle:x:8'\n"
+    )
     assert run_cli(["sweep", "--obj"], stdin=arc_polyline(4))[0] == 2  # no profile
     assert run_cli(["sweep", "--obj", "--profile", "square:1:4"], stdin=arc_polyline(4))[0] == 2
     assert run_cli(["sweep", "--obj", "--profile", "circle:0:8"], stdin=arc_polyline(4))[0] == 2
@@ -472,13 +479,23 @@ def test_polyline_frames_match_per_sample_reference():
 
 def test_sweep_frames_do_not_depend_on_the_curve_scale():
     # samples 1e-200 apart are not coincident, and a curve scaled by a
-    # power of two sweeps to the same steps, bit for bit
+    # power of two sweeps to the same steps, bit for bit, up to the float
+    # ceiling (at 2^1022 the curve reaches 1.2e308)
     assert run_cli(["sweep"], stdin="0,0,0\n1e-200,0,0\n") == (0, "0.0,0.0,0.0\n", "")
     pts = helix_with_straight_run()
     want = run_cli(["sweep"], stdin=polyline_text(pts))
     assert want[0] == 0 and want[1].count("\n") == len(pts) - 1
-    for k in (-700, -500, 500):
+    for k in (-700, -500, 500, 1022):
         assert run_cli(["sweep"], stdin=polyline_text(np.ldexp(pts, k))) == want
+    # a fold at the ceiling (curvature 2e308 times the tangent), a fold
+    # 1e-300 wide, and a curvature 2^-1075 times its tangent
+    for text in (
+        "1e308,0,0\n-1e308,1,0\n1e308,2,0\n",
+        "1e300,0,0\n-1e300,1e-300,0\n1e300,2e-300,0\n",
+        "5e-324,0,0\n1,0,0\n2,0,0\n",
+    ):
+        code, out, err = run_cli(["sweep"], stdin=text)
+        assert (code, out.count("\n"), err) == (0, 2, "")
 
 
 def test_emit_tube_matches_per_sample_rotation():
@@ -558,6 +575,9 @@ def test_bench_runs_on_a_single_item():
     code, out, err = run_cli(["bench", "--iters", "1", "--seed", "0"])
     assert code == 0, err
     assert len(out.strip().splitlines()) == len(bench_rows(2, 0)) + 1
+    assert run_cli(["bench", "--iters", "0"]) == (
+        2, "", "error: USAGE: --iters must be at least 1\n"
+    )
 
 
 def test_bench_error_columns_deterministic_for_seed():
@@ -575,12 +595,15 @@ def test_bench_error_columns_deterministic_for_seed():
 # --- selftest ---------------------------------------------------------------
 
 
-def test_selftest_passes_and_reports():
+def test_selftest_passes_and_reports(monkeypatch):
     code, out, _ = run_cli(["selftest", "--seed", "3"])
     assert code == 0
     lines = out.strip().splitlines()
     assert all(l.startswith("ok   ") for l in lines[:-1])
     assert lines[-1].endswith("checks passed")
+    # a failing check is a FAIL line and exit 1
+    monkeypatch.setattr(cli, "selftest_checks", lambda seed: [("a", True, "x"), ("b", False, "y")])
+    assert run_cli(["selftest"]) == (1, "ok   a (x)\nFAIL b (y)\n1/2 checks passed\n", "")
 
 
 def test_selftest_checks_are_deterministic():

@@ -157,6 +157,38 @@ def test_batch_rows_equal_single_row_calls_byte_for_byte():
     assert out.shape == r.shape
     for i in range(len(r)):
         assert out[i].tobytes() == rotate_vector(r[i], s[1]).tobytes(), i
+    # two batch axes: r (k, 1, 3) against s (1, m, 3), and r as a (2, k/2) batch
+    assert_outer_rows_equal_single_calls(rotate_vector, r, s[:3])
+    assert gibbs_to_matrix(r.reshape(2, -1, 3)).tobytes() == u.tobytes()
+
+
+def assert_outer_rows_equal_single_calls(op, r, s):
+    """``op(r[:, None], s[None])`` row by row against ``op(r[i], s[j])``."""
+    out = op(r[:, None], s[None])
+    assert out.shape == (len(r), len(s), 3)
+    for i in range(len(r)):
+        for j in range(len(s)):
+            assert out[i, j].tobytes() == op(r[i], s[j]).tobytes(), (i, j)
+
+
+def test_public_ops_leave_read_only_inputs_unchanged():
+    # the pair choice rewrites huge and half-turn rows of a private copy;
+    # the caller's arrays, read-only here, come back bit for bit
+    rng = np.random.default_rng(41)
+    r = mixed_rows(rng)
+    s = rng.normal(size=r.shape)
+    before = r.tobytes(), s.tobytes()
+    big = np.flatnonzero(np.abs(r).max(axis=-1) >= 1e50)
+    assert len(big) >= 20
+    for a in (r, s):
+        a.setflags(write=False)
+    for x, y in [(r, s), (r[:, None], s[None, :4]), *((r[i], s[i]) for i in big)]:
+        gibbs_to_matrix(x)
+        rotate_vector(x, y)
+        compose(x, y)
+        compose(y, x)
+        is_pi_encoded(x)
+    assert (r.tobytes(), s.tobytes()) == before
 
 
 def near_half_turn_matrices(rng):
@@ -227,6 +259,9 @@ def test_compose_batch_rows_equal_single_calls_byte_for_byte():
     out = compose(r, s[3])
     for i in range(len(r)):
         assert out[i].tobytes() == compose(r[i], s[3]).tobytes(), i
+    # two batch axes, the half-turn and huge rows on either side
+    assert_outer_rows_equal_single_calls(compose, r, s[2:6])
+    assert_outer_rows_equal_single_calls(compose, s[2:6], r)
 
 
 def test_align_pair_batch_rows_equal_single_calls_byte_for_byte():
@@ -533,6 +568,28 @@ def test_non_finite_matrix_and_vector_inputs_are_rejected():
 def test_non_numeric_input_is_a_typed_error(call):
     # numpy's own conversion error used to escape from each of these
     with pytest.raises(InvalidInputError, match="is not numeric"):
+        call()
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: gibbsrot.align_line([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], np.inf),
+     "gamma must be finite"),
+    (lambda: gibbsrot.frame_transport([[[1.0, 0.0, 0.0], [0.0, np.nan, 0.0]]]),
+     "frames have non-finite entries"),
+    (lambda: gibbsrot.axis_angle_to_gibbs([1.0, 0.0, 0.0], -np.inf), "angle must be finite"),
+    (lambda: gibbsrot.euler_to_matrix([0.1, np.nan, 0.2]), "angles must be finite"),
+    (lambda: gibbsrot.euler_to_matrix(0.1, 0.2, np.inf), "angles must be finite"),
+    (lambda: gibbsrot.euler_to_matrix([0.1, 0.2]),
+     r"expected \[yaw, pitch, roll\] along the last axis, got \(2,\)"),
+    (lambda: gibbsrot.SkewMatrix(3, [1.0, 2.0]),
+     r"packed subdiagonal for n=3 must have shape \(3,\), got \(2,\)"),
+    (lambda: gibbsrot.SkewMatrix(3, [1.0, np.nan, 2.0]), "skew coefficients contain NaN"),
+], ids=[
+    "align_line-gamma", "frame_transport", "axis_angle_to_gibbs", "euler_to_matrix",
+    "euler_to_matrix-3", "euler_to_matrix-shape", "SkewMatrix-shape", "SkewMatrix-nan",
+])
+def test_non_finite_or_misshapen_input_is_a_typed_error(call, match):
+    with pytest.raises(InvalidInputError, match=match):
         call()
 
 

@@ -312,7 +312,9 @@ def test_rotate_by_pair_matches_its_textbook_form(sv, ss):
     v, s = kernel_rows(9, sv), kernel_rows(10, ss)
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for w in (1.0, kernel_rows(11, sv[:-1])):
-            assert same_bits(_rotate_by_pair(w, v, s), textbook_rotate_by_pair(w, v, s))
+            assert same_bits(
+                _rotate_by_pair(w, np.moveaxis(v, -1, 0), s), textbook_rotate_by_pair(w, v, s)
+            )
 
 
 def textbook_hamilton(w1, v1, w2, v2):

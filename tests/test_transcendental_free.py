@@ -220,7 +220,7 @@ def test_exact_rotation_by_pair_matches_exact_matrix_action():
     # the matrix-free action is the matrix kernel's U applied to s, exactly
     r = rational_vectors(100, 31)
     s = rational_vectors(100, 32)
-    got = _rotate_by_pair(1, r, s)
+    got = _rotate_by_pair(1, r.T, s)
     want = np.matmul(_matrix_from_gibbs_direct(r), s[..., None])[..., 0]
     assert all(type(v) is Fraction for v in got.flat)
     assert (got == want).all()
