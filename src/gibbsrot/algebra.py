@@ -38,6 +38,7 @@ from .core import (
     _columns,
     _dehomogenize,
     _homogeneous,
+    _inner,
     _is_one,
     _max_abs,
     _row_pairs,
@@ -62,10 +63,7 @@ def _hamilton(w1, v1, w2, v2):
     """
     x1, y1, z1 = v1
     x2, y2, z2 = v2
-    d = x1 * x2
-    d += y1 * y2
-    d += z1 * z2
-    w = w1 * w2 - d
+    w = w1 * w2 - _inner(v1, v2)
     one = _is_one(w1) and _is_one(w2)
     v = []
     # component i: w2 a1 + w1 a2 - (b1 c2 - c1 b2), (a, b, c) cycling x, y, z
@@ -133,8 +131,7 @@ def compose_scan(vectors) -> np.ndarray:
     d = 1
     while d < arr.shape[0]:
         wp, vp = _hamilton(w[d:], v[:, d:], w[:-d], v[:, :-d])
-        vp = np.array(vp)
-        scale = np.maximum(np.abs(wp), _max_abs(vp.T))
+        scale = np.maximum(np.abs(wp), _max_abs(vp))
         w[d:] = wp / scale
         v[:, d:] = vp / scale
         d *= 2

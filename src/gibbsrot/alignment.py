@@ -20,10 +20,16 @@ validation and preprocessing (the norms behind the tolerance checks, the
 row routing, the unit scaling of routed rows, of ``frame_transport``'s
 frames and of polyline tangents and normals, and the basis an
 :class:`AntipodalError` carries), never in a solution formula.
+
+As in ``core``, each public op unpacks every input once into component
+columns with the caller's batch shape kept, so one row runs on numpy
+scalars.  Flat ``(3, -1)`` views appear only where rows are picked by
+index: rescaled rows, rows solved off the gamma path, error messages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,9 +46,12 @@ from .core import (
     _cross,
     _dehomogenize,
     _dot,
+    _inner,
     _max_abs,
     _pivot_row,
-    rotate_vector,
+    _quotient_rows,
+    _rotate_by_pair,
+    _row_pairs,
 )
 from .errors import AntipodalError, InvalidInputError, InvalidPairError
 
@@ -107,9 +116,9 @@ class AlignmentLine:
     )
 
     def member(self, gamma) -> np.ndarray:
-        """Evaluate ``base + gamma * direction`` (broadcasting over gamma)."""
-        g = _as_float(gamma, "gamma")
-        return self.base + g[..., None] * self.direction
+        """Evaluate ``base + gamma * direction`` (broadcasting over gamma);
+        ``gamma`` must be finite, as for :func:`align_line`."""
+        return self.base + _as_gamma(gamma)[..., None] * self.direction
 
 
 class TransportResult(NamedTuple):
@@ -129,61 +138,65 @@ def _as_vectors(v, name: str, finite: bool = True) -> np.ndarray:
     a = _as_float(v, name)
     if a.ndim == 0 or a.shape[-1] != 3:
         raise InvalidInputError(f"{name} must have shape (..., 3), got {a.shape}")
-    if finite and not np.isfinite(a).all():
-        raise InvalidInputError(f"{name} has non-finite entries")
+    if finite:
+        _require_finite(a, name)
     return a
 
 
-def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis summed as :func:`_dot` sums them,
-    without its trailing ``+ 0``: the same value, except that three -0
-    products give -0.  For squared norms, which are never -0, and for
-    sums only compared or divided by where zero, whose sign then reaches
-    no result."""
-    s = a[..., 0] * b[..., 0]
-    s += a[..., 1] * b[..., 1]
-    s += a[..., 2] * b[..., 2]
-    return s
+def _require_finite(a: np.ndarray, name: str) -> None:
+    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} has non-finite entries")
 
 
-def _norms(flat: np.ndarray) -> np.ndarray:
-    """Euclidean norms over the last axis."""
-    return np.sqrt(_inner(flat, flat))
+def _as_gamma(gamma) -> np.ndarray:
+    g = _as_float(gamma, "gamma")
+    if not np.isfinite(g).all():
+        raise InvalidInputError("gamma must be finite")
+    return g
 
 
-def _in_input_units(x: np.ndarray, e, i: int) -> float:
-    """``x[i]`` times ``2**e[i]``: for ``x`` formed from rows scaled so
-    that it shrank by ``2**-e``, its value in the caller's units.  ``e``
-    is None when no row was scaled."""
+def _check_tol(tol) -> None:
+    """Raise unless ``tol`` is a finite number >= 0: NaN would pass every
+    check it bounds, -1 fail them all, inf pass all but the antipodal."""
+    if not 0 <= _as_float(tol, "tol") < math.inf:
+        raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
+def _norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norms of component columns."""
+    return np.sqrt(_inner(v, v))
+
+
+def _in_input_units(x, e, i: int) -> float:
+    """Flat batch row ``i`` of ``x`` times ``2**e[i]``: for ``x`` formed
+    from rows scaled so that it shrank by ``2**-e``, its value in the
+    caller's units.  ``e`` is None when no row was scaled."""
+    x = np.ravel(x)[i]
     if e is None:
-        return x[i]
+        return x
     with np.errstate(over="ignore"):
-        return np.ldexp(x[i], e[i])
+        return np.ldexp(x, e[i])
 
 
-def _first(mask: np.ndarray) -> int:
+def _first(mask) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
 def _perp_basis(p: np.ndarray) -> np.ndarray:
-    """Two orthonormal rows spanning the plane perpendicular to ``p``."""
-    unit = p / _norms(p[None, :])[0]
-    pick = np.argmin(np.abs(unit))
-    seed = np.zeros(3)
-    seed[pick] = 1.0
-    e1 = _cross(unit, seed)
-    e1 /= _norms(e1[None, :])[0]
+    """Two orthonormal rows spanning the plane perpendicular to the
+    3-vector ``p`` (one row, so its own component columns)."""
+    unit = p / _norms(p)
+    e1 = _cross(unit, np.eye(3)[np.argmin(np.abs(unit))])
+    e1 /= _norms(e1)
     e2 = _cross(unit, e1)
-    e2 /= _norms(e2[None, :])[0]
+    e2 /= _norms(e2)
     return np.stack([e1, e2])
 
 
-def _check_pair_lengths(
-    np_: np.ndarray, nq: np.ndarray, tol: float, label: str, e=None
-) -> None:
-    """Raise unless every row's lengths ``np_`` and ``nq`` are nonzero and
-    agree within ``tol``; ``e`` is the rows' scaling (see
-    :func:`_in_input_units`) for the message."""
+def _check_pair_lengths(np_, nq, tol: float, label: str, e=None) -> None:
+    """Raise unless every row's lengths ``np_`` and ``nq`` (of one batch
+    shape) are nonzero and agree within ``tol``; ``e`` is the rows'
+    scaling (see :func:`_in_input_units`) for the message."""
     for n in (np_, nq):
         if not n.all():
             raise InvalidInputError(f"{label}: zero vector at index {_first(n == 0.0)}")
@@ -210,19 +223,21 @@ def align_family(p, q, *, tol: float = TOL_LEN) -> AlignmentLine:
     carries an orthonormal basis of the perpendicular plane, every half
     turn about which is a solution.
     """
+    _check_tol(tol)
     pp = _as_vectors(p, "p")
     qq = _as_vectors(q, "q")
     if pp.shape != (3,) or qq.shape != (3,):
         raise InvalidInputError(
             "align_family takes single 3-vectors; use align_line for batches"
         )
-    den = _line_denominators(pp[None, :], qq[None, :], tol)[0]
+    # one row is its own component columns
+    den = _line_denominators(pp, qq, tol)
     return AlignmentLine(base=_cross(qq, pp) / den, direction=(pp + qq) / den)
 
 
-def _line_denominators(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
-    """The denominators ``p . (p + q)`` of (n, 3) pairs' alignment lines,
-    after the length and antipodal checks."""
+def _line_denominators(p: np.ndarray, q: np.ndarray, tol: float):
+    """The denominators ``p . (p + q)`` of the alignment lines of pairs
+    given as component columns, after the length and antipodal checks."""
     np_, nq = _norms(p), _norms(q)
     _check_pair_lengths(np_, nq, tol, "align")
     den = _dot(p, p + q)
@@ -232,7 +247,7 @@ def _line_denominators(p: np.ndarray, q: np.ndarray, tol: float) -> np.ndarray:
         raise AntipodalError(
             f"antipodal pair at index {i}: q is opposite to p, every half "
             "turn about the perpendicular plane is a solution",
-            basis=_perp_basis(p[i]),
+            basis=_perp_basis(p.reshape(3, -1)[:, i]),
         )
     return den
 
@@ -245,19 +260,15 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     finite ``g``; lengths must agree within ``tol`` and antipodal pairs
     raise :class:`AntipodalError`.
     """
-    pp = _as_vectors(p, "p")
-    qq = _as_vectors(q, "q")
-    g = _as_float(gamma, "gamma")
-    if not np.isfinite(g).all():
-        raise InvalidInputError("gamma must be finite")
-    pp, qq, g = _broadcast(p=pp, q=qq, gamma=g[..., None])
-    shape = pp.shape
-    flat_p = pp.reshape(-1, 3)
-    flat_q = qq.reshape(-1, 3)
-    flat_g = g[..., 0].reshape(-1)
-    den = _line_denominators(flat_p, flat_q, tol)
-    num = _cross(flat_q, flat_p) + flat_g[:, None] * (flat_p + flat_q)
-    return (num / den[:, None]).reshape(shape)
+    _check_tol(tol)
+    pp, qq, g = _broadcast(
+        p=_as_vectors(p, "p"), q=_as_vectors(q, "q"), gamma=_as_gamma(gamma)[..., None]
+    )
+    p, q = _columns(pp, 1), _columns(qq, 1)
+    den = _line_denominators(p, q, tol)
+    num = _cross(q, p)
+    num += g[..., 0] * (p + q)
+    return _quotient_rows(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +285,13 @@ def align_pair_unchecked(p1, q1, p2, q2) -> np.ndarray:
     vanishing denominator yields non-finite output.  Prefer
     :func:`align_pair`, which validates and handles every degeneracy.
     """
-    a1, b1, a2, b2 = _broadcast(
-        p1=_as_vectors(p1, "p1"),
-        q1=_as_vectors(q1, "q1"),
-        p2=_as_vectors(p2, "p2"),
-        q2=_as_vectors(q2, "q2"),
-    )
+    a1, b1, a2, b2 = (_columns(x, 1) for x in _broadcast_pairs((p1, q1, p2, q2)))
     d = a2 - b2
     c1 = _cross(b1, a1)
     s1 = a1 + b1
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = -_dot(c1, d) / _dot(s1, d)
-        num = c1 + gamma[..., None] * s1
-        return num / _dot(a1, s1)[..., None]
+        return _quotient_rows(c1 + gamma * s1, _dot(a1, s1))
 
 
 def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
@@ -320,24 +325,32 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
 
     Batched: all four arguments broadcast together over leading axes.
     """
-    # Finiteness is checked on the squared norms below; on any failure the
-    # full per-input checks run again, in argument order, so the error
-    # raised is the one they give.
+    _check_tol(tol)
+    # Finiteness is checked on the squared norms in _align_pairs; if the
+    # shapes fail, the full per-input checks run first, in argument order,
+    # so the error raised is the one they give.
     try:
-        a1, b1, a2, b2 = _broadcast(
-            p1=_as_vectors(p1, "p1", finite=False),
-            q1=_as_vectors(q1, "q1", finite=False),
-            p2=_as_vectors(p2, "p2", finite=False),
-            q2=_as_vectors(q2, "q2", finite=False),
-        )
+        pairs = _broadcast_pairs((p1, q1, p2, q2), finite=False)
     except InvalidInputError:
-        _require_finite(p1, q1, p2, q2)
+        for v, name in zip((p1, q1, p2, q2), _PAIR_NAMES):
+            _as_vectors(v, name)
         raise
-    shape = a1.shape
-    # (n, 3) views of contiguous component columns: every component read
-    # below is contiguous
-    a1, b1, a2, b2 = (_columns(x.reshape(-1, 3), 1).T for x in (a1, b1, a2, b2))
+    return _align_pairs(*(_columns(x, 1) for x in pairs), tol)
 
+
+_PAIR_NAMES = ("p1", "q1", "p2", "q2")
+
+
+def _broadcast_pairs(vectors, finite: bool = True) -> list[np.ndarray]:
+    """``p1, q1, p2, q2`` checked in turn and broadcast together."""
+    return _broadcast(**{n: _as_vectors(v, n, finite) for v, n in zip(vectors, _PAIR_NAMES)})
+
+
+def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
+    """:func:`align_pair` on the component columns of its four inputs,
+    ``(3,) + batch`` each, finiteness not yet checked; returns the rows
+    as a view of the solution's own component columns.  Reads its inputs
+    only, so they may be views of one array."""
     e1 = e2 = None
     with np.errstate(over="ignore"):
         sq_a1, sq_b1, sq_a2, sq_b2 = (_inner(x, x) for x in (a1, b1, a2, b2))
@@ -347,12 +360,13 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
         if total.size and not (
             total.max() <= _SQ_NORM_HI and min(sq_a1.min(), sq_a2.min()) >= _SQ_NORM_LO
         ):
-            _require_finite(p1, q1, p2, q2)
+            for x, name in zip((a1, b1, a2, b2), _PAIR_NAMES):
+                _require_finite(x, name)
             far = np.flatnonzero(
                 (total > _SQ_NORM_HI) | (np.minimum(sq_a1, sq_a2) < _SQ_NORM_LO)
             )
-            e1 = _rescale_pair(a1, b1, far)
-            e2 = _rescale_pair(a2, b2, far)
+            a1, b1, e1 = _rescale_pair(a1, b1, far)
+            a2, b2, e2 = _rescale_pair(a2, b2, far)
             sq_a1, sq_b1, sq_a2, sq_b2 = (_inner(x, x) for x in (a1, b1, a2, b2))
 
     n_a1, n_b1, n_a2, n_b2 = map(np.sqrt, (sq_a1, sq_b1, sq_a2, sq_b2))
@@ -396,8 +410,8 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = _dot(out, d)
         gamma /= den_g
-        out -= gamma[:, None] * s1
-        out /= den1[:, None]
+        out -= gamma * s1
+        out /= den1
 
     # Off the gamma path: rows with pair 1 fixed, whose line holds every
     # rotation about p1, and rows whose gamma denominator is small against
@@ -405,50 +419,45 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     fixed1 = _norms(a1 - b1) <= tol_a1
     off = np.flatnonzero(fixed1 | (np.abs(den_g) <= _GAMMA_CUT * _norms(s1) * n_a2))
     if off.size:
-        n1, n2 = n_a1[off, None], n_a2[off, None]
-        out[off] = _solve_off_gamma(
-            a1[off] / n1, b1[off] / n1, a2[off] / n2, b2[off] / n2, fixed1[off], tol
-        )
-        _verify_rows(out, off, a1, b1, a2, b2, n_a1, n_a2, tol)
-    return out.reshape(shape)
-
-
-def _require_finite(*vectors) -> None:
-    """Run :func:`align_pair`'s per-input checks on ``p1, q1, p2, q2`` in
-    argument order; raise the first error they give."""
-    for v, name in zip(vectors, ("p1", "q1", "p2", "q2")):
-        _as_vectors(v, name)
+        flat = [x.reshape(3, -1) for x in (out, a1, b1, a2, b2)]
+        n1, n2 = np.ravel(n_a1), np.ravel(n_a2)
+        unit = [x[:, off] / n[off] for x, n in zip(flat[1:], (n1, n1, n2, n2))]
+        flat[0][:, off] = _solve_off_gamma(*unit, np.ravel(fixed1)[off], tol)
+        _verify_rows(*flat, off, n1, n2, tol)
+    # rows laid out as the columns are, with no copy (np.moveaxis costs
+    # ~3 us on one row)
+    return out.transpose(*range(1, out.ndim), 0)
 
 
 def _rescale_pair(p: np.ndarray, q: np.ndarray, rows: np.ndarray):
-    """Scale ``rows`` of the pair ``(p, q)`` in place by the power of two
-    ``2**-e`` that brings each row's max|p| into [0.5, 1) (rows with
-    p = 0 stay); return ``e`` for every row, 0 outside ``rows``."""
-    e = np.zeros(len(p), dtype=int)
-    e[rows] = np.frexp(np.abs(p[rows]).max(axis=-1))[1]
-    k = -e[rows, None]
-    p[rows] = np.ldexp(p[rows], k)
-    q[rows] = np.ldexp(q[rows], k)
-    return e
+    """The pair's component columns ``p``, ``q`` with the flat batch
+    ``rows`` scaled by the power of two ``2**-e`` that brings each row's
+    max|p| into [0.5, 1) (rows with p = 0 stay), and ``e`` of every row,
+    flat, 0 outside ``rows``."""
+    e = np.zeros(p[0].size, dtype=int)
+    e[rows] = np.frexp(_max_abs(p.reshape(3, -1)[:, rows]))[1]
+    k = -e.reshape(p.shape[1:])
+    return np.ldexp(p, k), np.ldexp(q, k), e
 
 
 def _solve_off_gamma(p1, q1, p2, q2, fixed1, tol):
-    """Solutions of rows that leave the gamma path, each pair scaled to
-    unit |p| (every rule is homogeneous in each pair): zero where both
-    pairs are fixed, the smallest member of pair 1's line where p2 is
-    parallel to p1, and the pivot kernel on every other row."""
+    """Solutions of the (3, k) columns that leave the gamma path, as
+    columns, each pair scaled to unit |p| (every rule is homogeneous in
+    each pair): zero where both pairs are fixed, the smallest member of
+    pair 1's line where p2 is parallel to p1, and the pivot kernel on
+    every other row."""
     out = np.zeros(p1.shape)
     c, e = _cross(p1, p2), p2 - q2
     parallel = _dot(c, c) <= tol * tol
     both = fixed1 & (_dot(e, e) <= tol * tol)
     pivot = np.flatnonzero(~(parallel | both))
     if pivot.size:
-        row = _pair_pivot_row(p1[pivot], q1[pivot], p2[pivot], q2[pivot])
-        out[pivot] = _dehomogenize(row[0], row[1:], TOL_ALIGN_SINGULAR**2)
+        row = _pair_pivot_row(p1[:, pivot], q1[:, pivot], p2[:, pivot], q2[:, pivot])
+        out[:, pivot] = _dehomogenize(row[0], row[1:], TOL_ALIGN_SINGULAR**2).T
     smallest = np.flatnonzero(parallel & ~both)
     if smallest.size:
-        a, b = p1[smallest], q1[smallest]
-        out[smallest] = _cross(b, a) / _dot(a, a + b)[:, None]
+        a, b = p1[:, smallest], q1[:, smallest]
+        out[:, smallest] = _cross(b, a) / _dot(a, a + b)
     return out
 
 
@@ -462,26 +471,27 @@ def _pair_pivot_row(p1, q1, p2, q2):
     (Black's TRIAD without its normalizations).  It goes to Shepperd's
     table with ``k`` in place of 1; the largest row, as in
     :func:`matrix_to_gibbs`, is returned as ``(4,) + batch`` columns, and
-    its ``v / w`` is the Gibbs vector.  Rows of (..., 3) arrays; exact on
+    its ``v / w`` is the Gibbs vector.  Takes component columns; exact on
     ``fractions.Fraction``.  Elementary arithmetic only.
     """
     c = _cross(p1, p2)
-    a, b, n = _cross(np.stack([p2, c, q1]), np.stack([c, p1, q2]))
+    a, b, n = _cross(p2, c), _cross(c, p1), _cross(q1, q2)
     # k U = q1 a^T + q2 b^T + n c^T; entry (i, j) is component column 3 i + j
     ku = np.array([
-        q1[..., i] * a[..., j] + q2[..., i] * b[..., j] + n[..., i] * c[..., j]
-        for i in range(3) for j in range(3)
+        q1[i] * a[j] + q2[i] * b[j] + n[i] * c[j] for i in range(3) for j in range(3)
     ])
     return _pivot_row(ku, _dot(c, c))
 
 
-def _verify_rows(out, idx, a1, b1, a2, b2, n_a1, n_a2, tol) -> None:
-    """Residual check for the rows ``idx`` solved off the gamma path: the
-    result must actually map both pairs.  The preconditions admit
-    inputs perturbed at ``tol``, so the gate is a comfortable multiple of
-    it."""
-    p, q = np.stack([a1[idx], a2[idx]]), np.stack([b1[idx], b2[idx]])
-    res1, res2 = _norms(rotate_vector(out[idx], p) - q) / np.stack([n_a1[idx], n_a2[idx]])
+def _verify_rows(out, a1, b1, a2, b2, idx, n_a1, n_a2, tol) -> None:
+    """Residual check for the rows ``idx`` solved off the gamma path, all
+    given as flat component columns and norms: the result must actually
+    map both pairs.  The preconditions admit inputs perturbed at ``tol``,
+    so the gate is a comfortable multiple of it."""
+    p = np.stack([a1[:, idx], a2[:, idx]], axis=1)
+    q = np.stack([b1[:, idx], b2[:, idx]], axis=1)
+    moved = _rotate_by_pair(*_row_pairs(out[:, idx]), p)
+    res1, res2 = _norms(np.moveaxis(moved, -1, 0) - q) / np.stack([n_a1[idx], n_a2[idx]])
     gate = max(1e3 * tol, 1e-8)
     bad = (res1 > gate) | (res2 > gate)
     if bad.any():
@@ -523,7 +533,7 @@ def _polyline_frames(points: np.ndarray) -> np.ndarray:
         tangents[1:-1] = points[2:] - points[:-2]
         curvature[1:-1] = points[2:] - 2.0 * points[1:-1] + points[:-2]
     # each row of t and c scaled by its own power of two: exact, no over/underflow
-    e = np.frexp(_max_abs(tc))[1]
+    e = np.frexp(_max_abs(np.moveaxis(tc, -1, 0)))[1]
     tangents, curvature = np.ldexp(tc, -e[..., None])
     norms = np.linalg.norm(tangents, axis=-1)
     if (norms == 0.0).any():
@@ -572,6 +582,7 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     frame 0 onto frame i.  Alignment failures are re-raised with the
     offending step attached.
     """
+    _check_tol(tol)
     f = _as_float(frames, "frames")
     if f.ndim != 3 or f.shape[1:] != (2, 3):
         raise InvalidInputError(
@@ -582,29 +593,25 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     n = f.shape[0]
     if n == 0:
         raise InvalidInputError("frames is empty")
-    t = f[:, 0]
-    m = f[:, 1]
-    nt = _norms(t)
-    nm = _norms(m)
+    # tangent and normal component columns, (3, n) each
+    t, m = _columns(f, 2).reshape(2, 3, n)
+    nt, nm = _norms(t), _norms(m)
     for label, bad in (("tangent", nt == 0.0), ("normal", nm == 0.0)):
         if bad.any():
             raise InvalidInputError(f"zero {label} at frame {_first(bad)}")
-    that = t / nt[:, None]
-    w = m - _dot(m, that)[:, None] * that
+    that = t / nt
+    w = m - _dot(m, that) * that
     nw = _norms(w)
     sick = nw <= tol * nm
     if sick.any():
-        raise InvalidInputError(
-            f"normal parallel to tangent at frame {_first(sick)}"
-        )
-    nhat = w / nw[:, None]
+        raise InvalidInputError(f"normal parallel to tangent at frame {_first(sick)}")
+    nhat = w / nw
 
     if n == 1:
-        steps = np.zeros((0, 3))
-        return TransportResult(steps, np.zeros((1, 3)))
+        return TransportResult(np.zeros((0, 3)), np.zeros((1, 3)))
 
     try:
-        steps = align_pair(that[:-1], that[1:], nhat[:-1], nhat[1:], tol=tol)
+        steps = _align_pairs(that[:, :-1], that[:, 1:], nhat[:, :-1], nhat[:, 1:], tol)
     except InvalidPairError as e:
         step = e.index
         err = InvalidPairError(

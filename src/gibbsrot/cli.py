@@ -84,15 +84,11 @@ _NUMERIC_FLAGS = {"--value", "--p", "--q", "--p1", "--q1", "--p2", "--q2", "--ga
 
 def _join_numeric_flags(argv: list[str]) -> list[str]:
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _NUMERIC_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
+    for tok in argv:
+        if out and out[-1] in _NUMERIC_FLAGS:
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
@@ -343,14 +339,12 @@ def _bench_corpus(iters: int, seed: int):
 
 def _time_ns(fn, repeats: int = 3) -> int:
     fn()  # warm up caches and lazy numpy machinery before timing
-    best = None
+    times = []
     for _ in range(repeats):
         t0 = time.perf_counter_ns()
         fn()
-        dt = time.perf_counter_ns() - t0
-        if best is None or dt < best:
-            best = dt
-    return best
+        times.append(time.perf_counter_ns() - t0)
+    return min(times)
 
 
 def bench_rows(iters: int, seed: int) -> list[dict]:

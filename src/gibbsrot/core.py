@@ -24,10 +24,12 @@ stacked arrays (leading batch dimensions, numpy-style).
 
 The batched kernels read each input component many times, so a public
 call first unpacks its input once into contiguous component columns
-(``_columns``: a (3, n) array for vectors, (9, n) for matrices), runs the
-kernel's formula on those columns and writes its output once.  A single
-matrix unpacks into scalars, and each row of a batch equals the call on
-that row alone, byte for byte.  Inside a kernel each intermediate is
+(``_columns``: a ``(3,) + batch`` array for vectors, ``(9,) + batch`` for
+matrices), runs the kernel's formula on those columns and writes its
+output rows once.  Every kernel and row helper reads this one layout; a
+caller holding rows passes a transposed view.  The batch shape is kept,
+so one row unpacks into scalars, and each row of a batch equals the call
+on that row alone, byte for byte.  Inside a kernel each intermediate is
 made by one out-of-place operation and every later term is folded in
 with augmented assignment (``s = a * b; s += c * d``), in the order of
 the written formula, so no pass allocates a fresh batch-sized temporary
@@ -91,42 +93,55 @@ TOL_PI_TRACE = 1e-12
 # row arithmetic on 3-vectors
 #
 # numpy's generic reductions over a length-3 axis cost several times the
-# arithmetic they do, so rows of 3-vectors are combined component by
-# component.  Each helper returns what the numpy call it replaces returns,
-# bit for bit, and is exact on ``fractions.Fraction``.
+# arithmetic they do, so 3-vectors are combined component by component.
+# Each helper takes component columns (batch shapes broadcast), returns
+# what the numpy call it replaces returns on the rows, bit for bit, and
+# is exact on ``fractions.Fraction``.
+
+
+def _inner(a, b):
+    """:func:`_dot` without its trailing ``+ 0``, a pass over the batch:
+    the same value, except that three -0 products give -0.  For squared
+    norms, never -0, and for sums whose sign at zero reaches no result."""
+    s = a[0] * b[0]
+    s += a[1] * b[1]
+    s += a[2] * b[2]
+    return s
 
 
 def _dot(a, b):
-    """Dot products over the last axis, ``np.sum(a * b, axis=-1)``.
+    """Dot products, ``np.sum(a * b, axis=-1)`` on the rows.
 
     Summed ``(x + y) + z`` as ``np.sum`` does; its sum starts from +0, so
     the trailing ``+ 0`` turns a sum of three -0 products into +0 too.
     """
-    s = a[..., 0] * b[..., 0]
-    s += a[..., 1] * b[..., 1]
-    s += a[..., 2] * b[..., 2]
+    s = _inner(a, b)
     s += 0
     return s
 
 
 def _cross(a, b):
-    """Cross products over the last axis with ``np.cross``'s formula.
-
-    The output is laid out like ``a`` where the shapes agree, so rows
-    held as contiguous component columns stay columns.
-    """
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty_like(a, np.result_type(a, b), shape=np.broadcast_shapes(a.shape, b.shape))
-    out[..., 0] = a1 * b2 - a2 * b1
-    out[..., 1] = a2 * b0 - a0 * b2
-    out[..., 2] = a0 * b1 - a1 * b0
-    return out
+    """Cross products with ``np.cross``'s formula, as component columns."""
+    out = []
+    for i, j in ((1, 2), (2, 0), (0, 1)):
+        x = a[i] * b[j]
+        x -= a[j] * b[i]
+        out.append(x)
+    return np.array(out)
 
 
 def _max_abs(a):
-    """Largest |component| over the last axis, ``np.abs(a).max(axis=-1)``."""
-    return np.maximum(np.maximum(np.abs(a[..., 0]), np.abs(a[..., 1])), np.abs(a[..., 2]))
+    """Largest |component|, ``np.abs(a).max(axis=-1)`` on the rows."""
+    return np.maximum(np.maximum(np.abs(a[0]), np.abs(a[1])), np.abs(a[2]))
+
+
+def _quotient_rows(v, d):
+    """Rows ``v / d`` of three component columns ``v`` over ``d``, of one
+    batch shape, each column divided straight into a new row output."""
+    out = np.empty(d.shape + (3,))
+    for i in range(3):
+        np.divide(v[i], d, out=out[..., i])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +246,7 @@ def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
     # summed over the rows in order, as the full Gram product sums them
     gram = []
     for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-        (a0, a1, a2), (b0, b1, b2) = cols[i], cols[j]
-        g = a0 * b0
-        g += a1 * b1
-        g += a2 * b2
+        g = _inner(cols[i], cols[j])
         if i == j:
             g -= 1.0
         gram.append(g)
@@ -280,7 +292,7 @@ def _pi_mask(v: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Half turns among rows given as max-abs scaled columns ``v`` (3, n)
     and their nonzero max-abs ``m``: ``|v|^2 >= (PI_ENCODING_THRESHOLD /
     m)^2``, free of overflow; infinite rows (``v`` their signs) pass."""
-    return _dot(v.T, v.T) >= np.square(PI_ENCODING_THRESHOLD / m)
+    return _inner(v, v) >= np.square(PI_ENCODING_THRESHOLD / m)
 
 
 def is_pi_encoded(r) -> bool | np.ndarray:
@@ -303,14 +315,14 @@ def pi_encode(axis) -> np.ndarray:
     a = _as_vec3(axis, "axis")
     if not np.isfinite(a).all():
         raise InvalidInputError("axis has non-finite components")
-    if (_max_abs(a) == 0.0).any():
+    if (_max_abs(np.moveaxis(a, -1, 0)) == 0.0).any():
         raise InvalidInputError("axis must be nonzero")
     return _pi_encode_rows(a)
 
 
 def _pi_encode_rows(a: np.ndarray) -> np.ndarray:
     """:func:`pi_encode` of rows already known finite and nonzero."""
-    return (a / _max_abs(a)[..., None]) * PI_ENCODING_MAGNITUDE
+    return (a / _max_abs(np.moveaxis(a, -1, 0))[..., None]) * PI_ENCODING_MAGNITUDE
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +342,7 @@ def _homogeneous(r: np.ndarray):
     ``w = 0`` exactly; infinite rows keep only the signs of their
     infinite components.  Elementary arithmetic only.
     """
-    m = _max_abs(r.T)
+    m = _max_abs(r)
     c = np.maximum(m, 1.0)
     w = 1.0 / c
     with np.errstate(invalid="ignore"):
@@ -350,20 +362,13 @@ def _dehomogenize(w: np.ndarray, v, rel_sq: float) -> np.ndarray:
     component columns ``v`` of the same batch shape, as rows of that
     shape; the half-turn encoding along ``v`` where
     ``w^2 <= rel_sq (w^2 + |v|^2)``."""
-    x, y, z = v
     ww = w * w
     # rel_sq (w^2 + |v|^2), with |v|^2 summed x^2 + y^2 + z^2 first
-    lim = x * x
-    lim += y * y
-    lim += z * z
+    lim = _inner(v, v)
     lim += ww
     lim *= rel_sq
     singular = ww <= lim
-    d = np.where(singular, 1.0, w)
-    out = np.empty(d.shape + (3,))
-    np.divide(x, d, out=out[..., 0])
-    np.divide(y, d, out=out[..., 1])
-    np.divide(z, d, out=out[..., 2])
+    out = _quotient_rows(v, np.where(singular, 1.0, w))
     half = np.flatnonzero(singular)
     if half.size:
         # the singular rows were divided by 1, so they hold v itself
@@ -396,7 +401,7 @@ def _row_pairs(r):
     if not r.size or np.abs(r).max() < _PAIR_LIMIT:
         return 1.0, r
     flat = r.reshape(3, -1)
-    big = np.flatnonzero(_max_abs(flat.T) >= _PAIR_LIMIT)
+    big = np.flatnonzero(_max_abs(flat) >= _PAIR_LIMIT)
     w = np.ones(flat.shape[1])
     w[big], flat[:, big] = _homogeneous(flat[:, big])
     return w.reshape(r.shape[1:]), r
@@ -450,32 +455,26 @@ def _rotate_by_pair(w, v, s):
 
         U s = ((w^2 - |v|^2) s + 2 (v.s) v + 2 w (s x v)) / (w^2 + |v|^2)
 
-    the action of :func:`_matrix_from_pair`'s ``U`` without forming it.
-    ``v`` is three component columns, ``s`` rows and ``w`` a scalar or of
-    ``v``'s batch shape; the batch shapes broadcast.  The denominator
-    divides ``v`` before ``v`` meets ``s``, so no intermediate exceeds a
-    few times ``|s|``.  Exact on ``fractions.Fraction`` (with ``w = 1``);
-    elementary arithmetic only.
+    the action of :func:`_matrix_from_pair`'s ``U`` without forming it,
+    as rows.  ``v`` and ``s`` are three component columns each and ``w``
+    a scalar or of ``v``'s batch shape; the batch shapes broadcast.  The
+    denominator divides ``v`` before ``v`` meets ``s``, so no intermediate
+    exceeds a few times ``|s|``.  Exact on ``fractions.Fraction`` (with
+    ``w = 1``); elementary arithmetic only.
     """
-    # s's components as views, like v's (np.moveaxis costs ~3 us on one row)
-    s = s.transpose(-1, *range(s.ndim - 1))
     v0, v1, v2 = v[0], v[1], v[2]
     s0, s1, s2 = s[0], s[1], s[2]
     one = _is_one(w)
     ww = w * w
-    h = v0 * v0
-    h += v1 * v1
-    h += v2 * v2
+    h = _inner(v, v)
     k = ww - h
     h += ww
     h = 1 / h  # 1 / (w^2 + |v|^2)
     k *= h
     h += h
     # p = 2 v / (w^2 + |v|^2): the last two terms are (p.s) v and w (s x p)
-    p0, p1, p2 = v0 * h, v1 * h, v2 * h
-    t = p0 * s0
-    t += p1 * s1
-    t += p2 * s2
+    p0, p1, p2 = p = (v0 * h, v1 * h, v2 * h)
+    t = _inner(p, s)
     out = np.empty(np.broadcast_shapes(v.shape[1:], s.shape[1:]) + (3,), np.result_type(v, s))
     for i, (si, vi, a, b, c, d) in enumerate((
         (s0, v0, s1, p2, s2, p1), (s1, v1, s2, p0, s0, p2), (s2, v2, s0, p1, s1, p0),
@@ -638,7 +637,8 @@ def rotate_vector(r, s) -> np.ndarray:
     # the check only: the kernel broadcasts itself, and an expanded r
     # would repeat its pair's work for every row of s
     _broadcast(r=a, s=b)
-    return _rotate_by_pair(*_row_pairs(_columns(a, 1)), b)
+    # s's component columns as a view (np.moveaxis costs ~3 us on one row)
+    return _rotate_by_pair(*_row_pairs(_columns(a, 1)), b.transpose(-1, *range(b.ndim - 1)))
 
 
 def invert(r) -> np.ndarray:

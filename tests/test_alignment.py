@@ -67,6 +67,15 @@ def test_family_object_matches_align_line():
     assert "gamma" in line.valid_domain
 
 
+@pytest.mark.parametrize("gamma", [np.inf, -np.inf, np.nan, [0.0, np.inf]])
+def test_family_member_rejects_a_non_finite_gamma_like_align_line(gamma):
+    # member(inf) gave [inf, inf, nan] with a RuntimeWarning, member(nan) NaN
+    line = align_family([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    for call in (line.member, lambda g: align_line([1.0, 0, 0], [0, 1.0, 0], g)):
+        with pytest.raises(InvalidInputError, match="^gamma must be finite$"):
+            call(gamma)
+
+
 def test_minimal_member_is_orthogonal_to_sum():
     rng = np.random.default_rng(53)
     p = rng.normal(size=(100, 3))
@@ -144,6 +153,34 @@ def test_tolerance_is_relative_and_adjustable():
     with pytest.raises(InvalidPairError):
         align_line(p, q, 0.0)
     align_line(p, q, 0.0, tol=1e-5)  # widened tolerance accepts
+
+
+TOL_CALLS = {
+    "align_family": lambda tol: align_family([1.0, 0, 0], [0, 1.0, 0], tol=tol),
+    "align_line": lambda tol: align_line([1.0, 0, 0], [0, 1.0, 0], 0.0, tol=tol),
+    "align_pair": lambda tol: align_pair(
+        [1.0, 0, 0], [0, 1.0, 0], [1.0, 1.0, 0], [1.0, -1.0, 0], tol=tol
+    ),
+    "frame_transport": lambda tol: frame_transport(
+        [[[1.0, 0, 0], [0, 1.0, 0]], [[0, 1.0, 0], [-1.0, 0, 0]]], tol=tol
+    ),
+}
+
+
+# nan passed every check (align_pair returned a non-solution for pairs
+# whose angles differ), -1 failed every length check and inf passed every
+# length check but failed the antipodal one
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
+def test_tolerance_must_be_a_finite_number_at_least_zero(call, tol):
+    with pytest.raises(InvalidInputError, match="^tol must be a finite number >= 0") as exc:
+        call(tol)
+    assert exc.value.code == "INVALID_INPUT"
+
+
+def test_zero_tolerance_is_accepted():
+    assert align_line([1.0, 0, 0], [0, 1.0, 0], 0.0, tol=0.0).tolist() == [0.0, 0.0, -1.0]
+    assert align_family([1.0, 0, 0], [0, 1.0, 0], tol=0).base.tolist() == [0.0, 0.0, -1.0]
 
 
 # --- two-pair alignment --------------------------------------------------
@@ -502,6 +539,8 @@ def mixed_pair_batch():
     for tilt, theta in ((1e-9, None), (0.0, None), (0.0, np.pi - 1e-3)):
         p1, q1, p2, q2 = tilted_pairs(rng, 1, tilt, theta)
         rows.append((p1[0], q1[0], p2[0], q2[0]))
+    # a generic row out of the squared-norm range, above and below: rescaled
+    rows += [tuple(k * v for v in rows[0]) for k in (1e300, 1e-300)]
     return [tuple(np.asarray(v, dtype=float) for v in row) for row in rows]
 
 
@@ -513,8 +552,9 @@ def test_pair_mixed_batch_matches_single_rows_bit_for_bit():
         single = align_pair(*row)
         assert single.shape == (3,)
         assert batch[k].tobytes() == single.tobytes(), k
-        assert residual(single, row[0], row[1]) <= 1e-9
-        assert residual(single, row[2], row[3]) <= 1e-9
+        for p, q in (row[:2], row[2:]):
+            unit = np.abs(q).max()  # the residual in units of q: |q|^2 may overflow
+            assert residual(single, p / unit, q / unit) <= 1e-9
     assert (batch[3] == 0.0).all()
     assert is_pi_encoded(batch[4]) and is_pi_encoded(batch[5]) and is_pi_encoded(batch[7])
 

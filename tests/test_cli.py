@@ -317,6 +317,20 @@ def test_sweep_obj_tube():
     assert idx.min() == 1 and idx.max() == len(verts)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("argv, stdin", [
+    (["align", "--p", "1,0,0", "--q", "0,2,0"], ""),
+    (["align-pair", "--p1", "1,0,0", "--q1", "0,1,0", "--p2", "1,1,0", "--q2", "1,-1,0"], ""),
+    (["sweep"], arc_polyline(4)),
+], ids=["align", "align-pair", "sweep"])
+def test_tol_must_be_a_finite_number_at_least_zero(argv, stdin, tol):
+    # --tol nan made align and align-pair exit 0 on inputs they must reject
+    code, out, err = run_cli(argv + ["--tol", tol], stdin=stdin)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: INVALID_INPUT: tol must be a finite number >= 0")
+    assert err.count("\n") == 1
+
+
 def test_sweep_usage_errors():
     assert run_cli(["sweep"], stdin="1,0,0\n")[0] == 2  # too short
     assert run_cli(["sweep"], stdin="1,0\n2,0\n")[0] == 2  # bad point

@@ -286,6 +286,10 @@ def test_align_pair_batch_rows_equal_single_calls_byte_for_byte():
     assert is_pi_encoded(out).any() and (out[8:12] == 0.0).all()
     for i in range(len(out)):
         assert out[i].tobytes() == align_pair(p1[i], q1[i], p2[i], q2[i]).tobytes(), i
+    # the same rows on two batch axes
+    m = len(out) - len(out) % 2
+    grid = align_pair(*(x[:m].reshape(2, m // 2, 3) for x in (p1, q1, p2, q2)))
+    assert grid.shape == (2, m // 2, 3) and grid.tobytes() == out[:m].tobytes()
 
 
 def test_rotate_vector_half_turns_are_the_exact_limit():

@@ -66,19 +66,20 @@ SHAPES = [
 def test_helpers_match_numpy_bit_for_bit(sa, sb):
     a = seeded_rows(1, sa)
     b = seeded_rows(2, sb)
+    ca, cb = np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0)  # component columns
     with np.errstate(over="ignore", invalid="ignore"):
-        assert same_bits(_dot(a, b), np.sum(a * b, axis=-1))
-        assert same_bits(_cross(a, b), np.cross(a, b))
-    assert same_bits(_max_abs(a), np.abs(a).max(axis=-1))
+        assert same_bits(_dot(ca, cb), np.sum(a * b, axis=-1))
+        assert same_bits(np.moveaxis(_cross(ca, cb), 0, -1), np.cross(a, b))
+    assert same_bits(_max_abs(ca), np.abs(a).max(axis=-1))
 
 
 def test_dot_orders_and_signs_its_sum_like_numpy():
     # (x + y) + z: 1e16 - 1e16 + 1 is 1, but 1e16 + (-1e16 + 1) would be 0
     a = np.array([[1e16, -1e16, 1.0], [1.0, 1e16, -1e16], [-0.0, -0.0, -0.0]])
     b = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    assert same_bits(_dot(a, b), np.sum(a * b, axis=-1))
-    assert _dot(a, b).tolist() == [1.0, 0.0, 0.0]
-    assert not np.signbit(_dot(a, b)[2])  # three -0 products sum to +0
+    assert same_bits(_dot(a.T, b.T), np.sum(a * b, axis=-1))
+    assert _dot(a.T, b.T).tolist() == [1.0, 0.0, 0.0]
+    assert not np.signbit(_dot(a.T, b.T)[2])  # three -0 products sum to +0
 
 
 def fraction_rows(count, seed):
@@ -95,9 +96,9 @@ def fraction_rows(count, seed):
 def test_helpers_are_exact_on_fractions():
     a = fraction_rows(50, 5)
     b = fraction_rows(50, 6)
-    dot = _dot(a, b)
-    cross = _cross(a, b)
-    top = _max_abs(a)
+    dot = _dot(a.T, b.T)
+    cross = _cross(a.T, b.T).T
+    top = _max_abs(a.T)
     for i in range(50):
         x, y = list(a[i]), list(b[i])
         assert type(dot[i]) is Fraction
@@ -313,7 +314,8 @@ def test_rotate_by_pair_matches_its_textbook_form(sv, ss):
     with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         for w in (1.0, kernel_rows(11, sv[:-1])):
             assert same_bits(
-                _rotate_by_pair(w, np.moveaxis(v, -1, 0), s), textbook_rotate_by_pair(w, v, s)
+                _rotate_by_pair(w, np.moveaxis(v, -1, 0), np.moveaxis(s, -1, 0)),
+                textbook_rotate_by_pair(w, v, s),
             )
 
 
@@ -391,6 +393,6 @@ def test_align_pair_gamma_rows_match_the_textbook_formula():
         want = align_pair_unchecked(p1, q1, p2, q2)
         s1, d = p1 + q1, p2 - q2
         norms = np.linalg.norm(s1, axis=-1) * np.linalg.norm(p2, axis=-1)
-        gamma_rows = np.abs(_dot(s1, d)) > 1e-3 * norms
+        gamma_rows = np.abs(_dot(s1.T, d.T)) > 1e-3 * norms
     assert gamma_rows.sum() > 1500
     assert same_bits(got[gamma_rows], want[gamma_rows])

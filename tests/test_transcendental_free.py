@@ -52,6 +52,7 @@ AUDITED = {
         "_pivot_table",
         "_pivot_row",
         "_gibbs_from_matrix_direct",
+        "_inner",
         "_dot",
         "_cross",
         "_max_abs",
@@ -72,7 +73,6 @@ AUDITED = {
     gibbsrot.alignment: [
         "align_pair_unchecked",
         "_pair_pivot_row",
-        "_inner",
         "_rescale_pair",
     ],
     gibbsrot.bridges: [
@@ -220,7 +220,7 @@ def test_exact_rotation_by_pair_matches_exact_matrix_action():
     # the matrix-free action is the matrix kernel's U applied to s, exactly
     r = rational_vectors(100, 31)
     s = rational_vectors(100, 32)
-    got = _rotate_by_pair(1, r.T, s)
+    got = _rotate_by_pair(1, r.T, s.T)
     want = np.matmul(_matrix_from_gibbs_direct(r), s[..., None])[..., 0]
     assert all(type(v) is Fraction for v in got.flat)
     assert (got == want).all()
@@ -239,7 +239,7 @@ def test_exact_pair_alignment_through_the_pivot():
     u = _matrix_from_gibbs_direct(r)
     q1 = np.matmul(u, p1[..., None])[..., 0]
     q2 = np.matmul(u, p2[..., None])[..., 0]
-    row = _pair_pivot_row(p1, q1, p2, q2)
+    row = _pair_pivot_row(p1.T, q1.T, p2.T, q2.T)
     assert all(type(v) is Fraction for v in row.flat)
     assert (row[1:] / row[0] == r.T).all()
     pivots = {int(np.argmax([abs(x) for x in (1, *v)])) for v in r}
