@@ -29,7 +29,6 @@ index: rescaled rows, rows solved off the gamma path, error messages.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,6 +41,7 @@ from .algebra import compose, compose_scan
 from .core import (
     _as_float,
     _broadcast,
+    _check_tol,
     _columns,
     _cross,
     _dehomogenize,
@@ -153,13 +153,6 @@ def _as_gamma(gamma) -> np.ndarray:
     if not np.isfinite(g).all():
         raise InvalidInputError("gamma must be finite")
     return g
-
-
-def _check_tol(tol) -> None:
-    """Raise unless ``tol`` is a finite number >= 0: NaN would pass every
-    check it bounds, -1 fail them all, inf pass all but the antipodal."""
-    if not 0 <= _as_float(tol, "tol") < math.inf:
-        raise InvalidInputError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 def _norms(v: np.ndarray) -> np.ndarray:

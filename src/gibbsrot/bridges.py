@@ -40,6 +40,7 @@ from .core import (
     _as_matrix3,
     _as_vec3,
     _broadcast,
+    _check_tol,
     _columns,
     _homogeneous,
     _pi_encode_rows,
@@ -254,6 +255,7 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     ``check=False`` to skip the orthogonality test for matrices already
     known to be rotations.
     """
+    _check_tol(ortho_tol, "ortho_tol")
     a = _as_matrix3(u, "matrix")
     cols = _columns(a, 2)
     if check:
@@ -368,6 +370,7 @@ def matrix_to_euler(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT
     roll truly collapsed into one angle) does the canonical representative
     with ``roll = 0`` come back.
     """
+    _check_tol(ortho_tol, "ortho_tol")
     a = _as_matrix3(u, "matrix")
     if check:
         _require_rotation(_columns(a, 2), ortho_tol)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import TOL_ORTHO_INPUT, _as_float, _as_vec3, is_pi_encoded
+from .core import TOL_ORTHO_INPUT, _as_float, _as_vec3, _check_tol, is_pi_encoded
 from .errors import InvalidInputError, OutOfDomainError, SingularCayleyError
 
 __all__ = [
@@ -46,9 +46,11 @@ class SkewMatrix:
     __slots__ = ("n", "_packed")
 
     def __init__(self, n: int, packed):
+        if n < 1:
+            raise InvalidInputError(f"n must be at least 1, got {n}")
         packed = _as_float(packed, "packed")
         want = n * (n - 1) // 2
-        if n < 1 or packed.shape != (want,):
+        if packed.shape != (want,):
             raise InvalidInputError(
                 f"packed subdiagonal for n={n} must have shape ({want},), "
                 f"got {packed.shape}"
@@ -66,6 +68,7 @@ class SkewMatrix:
         zero, scaled by the largest entry; it is discarded so the stored
         matrix is exactly antisymmetric.
         """
+        _check_tol(tol)
         a = _as_square(a, "matrix")
         n = a.shape[0]
         scale = max(1.0, float(np.abs(a).max()))
@@ -103,6 +106,8 @@ def _as_square(u, name: str) -> np.ndarray:
     a = _as_float(u, name)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise InvalidInputError(f"{name} must be square, got shape {a.shape}")
+    if not a.size:
+        raise InvalidInputError(f"{name} must be at least 1x1, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidInputError(f"{name} has non-finite entries")
     return a
@@ -126,6 +131,7 @@ def cayley_forward(u, *, tol: float = TOL_ORTHO_INPUT) -> SkewMatrix:
     rotation has a half-turn plane), reporting |det(U + I)| as the
     diagnostic.  Implemented as a linear solve, not an explicit inverse.
     """
+    _check_tol(tol)
     u = _as_square(u, "matrix")
     _require_special_orthogonal(u, tol)
     n = u.shape[0]

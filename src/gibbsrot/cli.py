@@ -61,8 +61,6 @@ from .errors import GibbsError, InvalidInputError
 
 __all__ = ["main", "bench_rows", "selftest_checks"]
 
-_REPRESENTATIONS = ("gibbs", "matrix", "quaternion", "axis-angle", "euler")
-
 _VALUE_COUNTS = {
     "gibbs": 3,
     "matrix": 9,
@@ -70,6 +68,7 @@ _VALUE_COUNTS = {
     "axis-angle": 4,
     "euler": 3,
 }
+_REPRESENTATIONS = tuple(_VALUE_COUNTS)
 
 
 class _UsageError(Exception):

@@ -51,6 +51,7 @@ consistent with this single choice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,15 @@ def _broadcast(**operands: np.ndarray) -> list[np.ndarray]:
     return [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
 
 
+def _check_tol(tol, name: str = "tol") -> None:
+    """Raise unless the tolerance ``tol`` is one finite real >= 0: NaN
+    would pass every check it bounds, -1 fail them all, inf pass all.
+    A type test, not an array conversion, since every one-row call pays
+    it; ``float`` comes first as the ABC test is several times slower."""
+    if not (isinstance(tol, (float, numbers.Real)) and 0 <= tol < math.inf):
+        raise InvalidInputError(f"{name} must be a finite number >= 0, got {tol!r}")
+
+
 def _as_vec3(x, name: str) -> np.ndarray:
     """Coerce to a float array with last axis 3; reject NaN components."""
     a = _as_float(x, name)
@@ -230,6 +240,7 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
     NaN or infinite entries are rejected with :class:`InvalidInputError`.
     An empty batch passes with residuals 0.0.
     """
+    _check_tol(tol)
     return _rotation_check(_columns(_as_matrix3(u, "matrix"), 2), tol)
 
 
@@ -609,6 +620,8 @@ def matrix_to_gibbs(
     ``check=True`` validates the input against ``ortho_tol`` first and
     raises :class:`InvalidInputError` for non-rotations.
     """
+    _check_tol(pi_trace_tol, "pi_trace_tol")
+    _check_tol(ortho_tol, "ortho_tol")
     a = _as_matrix3(u, "matrix")
     cols = _columns(a, 2)
     if check:

@@ -6,6 +6,15 @@ prints it in its ``error: <CODE>: <detail>`` records.
 
 from __future__ import annotations
 
+__all__ = [
+    "GibbsError",
+    "InvalidInputError",
+    "AntipodalError",
+    "InvalidPairError",
+    "SingularCayleyError",
+    "OutOfDomainError",
+]
+
 
 class GibbsError(Exception):
     """Base class for all errors raised by this package."""

@@ -169,8 +169,9 @@ TOL_CALLS = {
 
 # nan passed every check (align_pair returned a non-solution for pairs
 # whose angles differ), -1 failed every length check and inf passed every
-# length check but failed the antipodal one
-@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+# length check but failed the antipodal one; a list met numpy's raw
+# ValueError in align_family
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, [1e-9, 1e-9]])
 @pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
 def test_tolerance_must_be_a_finite_number_at_least_zero(call, tol):
     with pytest.raises(InvalidInputError, match="^tol must be a finite number >= 0") as exc:

@@ -58,6 +58,21 @@ def test_skew_matrix_rejects_asymmetry_and_shape():
         SkewMatrix.from_array(np.array([[0.0, np.inf], [-np.inf, 0.0]]))
 
 
+# 0x0 input met numpy's raw "zero-size array to reduction operation"
+# ValueError, and SkewMatrix(0, []) said shape (0,) must have shape (0,)
+@pytest.mark.parametrize("call", [cayley_forward, cayley_inverse, SkewMatrix.from_array])
+def test_empty_matrix_is_a_typed_error(call):
+    with pytest.raises(InvalidInputError, match=r"^matrix must be at least 1x1, got shape \(0, 0\)$"):
+        call(np.zeros((0, 0)))
+
+
+def test_skew_matrix_needs_n_at_least_one():
+    with pytest.raises(InvalidInputError, match="^n must be at least 1, got 0$"):
+        SkewMatrix(0, [])
+    assert cayley_forward([[1.0]]) == SkewMatrix(1, [])
+    assert cayley_inverse(SkewMatrix(1, [])).tolist() == [[1.0]]
+
+
 def test_vector_packing_is_the_cross_product():
     # the 3D skew of r acts as v -> v x r
     rng = np.random.default_rng(31)

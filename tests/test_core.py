@@ -521,6 +521,48 @@ def test_non_rotation_rejected_and_check_flag():
         matrix_to_gibbs(reflection)
 
 
+# Every tolerance bounds a check through core's one rule.  inf let the
+# non-rotation diag(2, 1, 1) through (extracted as the identity), nan
+# packed the identity as the zero skew matrix and let cayley_forward fail
+# later as "not antisymmetric", nan and -1 for pi_trace_tol divided by
+# zero, and a list raised Python's TypeError.
+TOLERANCE_CALLS = {
+    "is_rotation_matrix": ("tol", lambda t: is_rotation_matrix(np.diag([2.0, 1, 1]), tol=t)),
+    "matrix_to_gibbs-ortho_tol": (
+        "ortho_tol", lambda t: matrix_to_gibbs(np.diag([2.0, 1, 1]), ortho_tol=t)
+    ),
+    "matrix_to_gibbs-pi_trace_tol": (
+        "pi_trace_tol", lambda t: matrix_to_gibbs(np.diag([1.0, -1, -1]), pi_trace_tol=t)
+    ),
+    "matrix_to_quaternion": (
+        "ortho_tol", lambda t: gibbsrot.matrix_to_quaternion(np.diag([2.0, 1, 1]), ortho_tol=t)
+    ),
+    "matrix_to_euler": (
+        "ortho_tol", lambda t: gibbsrot.matrix_to_euler(np.diag([2.0, 1, 1]), ortho_tol=t)
+    ),
+    "cayley_forward": ("tol", lambda t: gibbsrot.cayley_forward(np.diag([2.0, 1, 1]), tol=t)),
+    "SkewMatrix.from_array": ("tol", lambda t: gibbsrot.SkewMatrix.from_array(np.eye(3), tol=t)),
+}
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf, [1e-9, 1e-9]])
+@pytest.mark.parametrize("name, call", TOLERANCE_CALLS.values(), ids=TOLERANCE_CALLS.keys())
+def test_every_tolerance_must_be_a_finite_number_at_least_zero(name, call, tol):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be a finite number >= 0, got ") as exc:
+        call(tol)
+    assert exc.value.code == "INVALID_INPUT"
+
+
+def test_zero_and_scalar_real_tolerances_are_accepted():
+    assert is_rotation_matrix(np.eye(3), tol=0.0).ok
+    assert is_rotation_matrix(np.eye(3), tol=np.float32(1e-6)).ok
+    assert is_rotation_matrix(np.eye(3), tol=Fraction(1, 10**9)).ok
+    u = np.diag([1.0, -1, -1])
+    assert matrix_to_gibbs(u, ortho_tol=np.int64(0), pi_trace_tol=np.float64(0.0)).tolist() == [
+        PI_ENCODING_MAGNITUDE, 0.0, 0.0
+    ]
+
+
 def test_is_rotation_matrix_report():
     chk = is_rotation_matrix(np.eye(3))
     assert chk.ok and bool(chk)
