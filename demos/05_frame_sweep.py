@@ -57,8 +57,9 @@ loop = np.stack([
 closure = np.linalg.norm(frame_transport(loop).cumulative[-1])
 print(f"closed planar loop residual: {closure:.2e}")
 
-# The command-line wrapper does the same from a polyline and can emit a
-# ready-to-render tube mesh:
+# The command-line wrapper transports a rotation-minimizing frame along a
+# polyline (two reflections per step, each step one Gibbs vector) and can
+# emit a ready-to-render tube mesh:
 #
 #   printf '1,0,0\n0.995,0.1,0\n0.98,0.2,0\n' | gibbsrot sweep
 #   ... | gibbsrot sweep --obj --profile circle:0.05:16 > tube.obj

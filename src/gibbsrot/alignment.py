@@ -11,15 +11,15 @@ out to the half turn about p + q in the limit gamma -> +/-inf.  A second
 pair selects one member of that line, giving the unique rotation that
 carries a rigid pair onto a rigid pair — which is exactly one alignment
 step of a moving frame, so a whole curve's worth of frames chains into
-:func:`frame_transport`.  The frames of a sampled curve (a polyline) come
-from ``_polyline_frames``: central-difference tangents and projected
-curvature normals, which ``gibbsrot sweep`` feeds to the transport.
+:func:`frame_transport`.  A polyline needs no frames: ``gibbsrot sweep``
+takes its rotation-minimizing frame from ``_polyline_transport``, each
+step one rational vector of two reflections (``_reflection_pairs``).
 
 Every solver here is rational in its inputs.  Square roots appear only in
 validation and preprocessing (the norms behind the tolerance checks, the
 row routing, the unit scaling of routed rows, of ``frame_transport``'s
-frames and of polyline tangents and normals, and the basis an
-:class:`AntipodalError` carries), never in a solution formula.
+frames and of polyline tangents, and the bases of :func:`_perp_basis`),
+never in a solution formula.
 
 As in ``core``, each public op unpacks every input once into component
 columns with the caller's batch shape kept, so one row runs on numpy
@@ -34,9 +34,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-# ``compose`` stays a module attribute although the chain below runs on
-# ``compose_scan``: the perfbench sweep trace wraps
-# ``gibbsrot.alignment.compose`` and counts its calls.
+# ``compose`` stays a module attribute, unused here: the perfbench sweep
+# trace wraps ``gibbsrot.alignment.compose`` and counts its calls.
 from .algebra import compose, compose_scan
 from .core import (
     _as_float,
@@ -503,63 +502,57 @@ def _verify_rows(out, a1, b1, a2, b2, idx, n_a1, n_a2, tol) -> None:
 # frame transport
 
 
-def _polyline_frames(points: np.ndarray) -> np.ndarray:
-    """(tangent, normal) frames of an (n, 3) polyline, n >= 2, as an
-    (n, 2, 3) array for :func:`frame_transport`.
+def _reflection_pairs(v1, t0, t1):
+    """Pairs ``(v1 . v2 : v2 x v1)`` of the rotation-minimizing steps
+    ``H_v2 H_v1``, ``v2 = t1 - H_v1 t0``, ``H_a`` the reflection in the plane
+    normal to ``a`` (Wang, Juttler, Zheng & Liu, ACM TOG 2008), for component
+    columns of chords ``v1`` and unit tangents ``t0``, ``t1`` at their ends:
+    each carries ``t0`` onto ``t1``; ``v2 = 0`` gives ``(0 : 0)``.  Exact on
+    ``fractions.Fraction``; elementary arithmetic only."""
+    k = _inner(v1, t0)
+    k /= _inner(v1, v1)
+    k += k
+    v2 = t1 - t0  # first, so a straight run's v2 is k v1 and its step 0
+    v2 += k * v1
+    return _inner(v1, v2), _cross(v2, v1)
 
-    Tangents by central differences (one-sided at the ends), normals by
-    the curvature projected off the tangent.  Straight samples and the
-    endpoints inherit the nearest curved sample's normal, carried
-    backward over the leading run so the whole curve shares one
-    orientation; a curve with no resolvable bend starts from the first
-    vector of :func:`_perp_basis`.  Coincident neighbours leave a zero
-    tangent and raise :class:`InvalidInputError`; neighbours merely close
-    (1e-300 apart, say) do not.
-    """
-    # below 2^1022 no difference or curvature term (at most 4 max|p|) overflows
-    points = np.ldexp(points, min(0, 1022 - np.frexp(np.abs(points).max())[1]))
-    tc = np.zeros((2,) + points.shape)
-    tangents, curvature = tc
-    tangents[0] = points[1] - points[0]
-    tangents[-1] = points[-1] - points[-2]
-    if len(points) > 2:
-        tangents[1:-1] = points[2:] - points[:-2]
-        curvature[1:-1] = points[2:] - 2.0 * points[1:-1] + points[:-2]
-    # each row of t and c scaled by its own power of two: exact, no over/underflow
-    e = np.frexp(_max_abs(np.moveaxis(tc, -1, 0)))[1]
-    tangents, curvature = np.ldexp(tc, -e[..., None])
-    norms = np.linalg.norm(tangents, axis=-1)
+
+def _polyline_transport(points: np.ndarray, tol: float = TOL_LEN):
+    """The first normal and binormal ((2, 3), :func:`_perp_basis`) and the
+    :class:`TransportResult` of the rotation-minimizing frame along an (n, 3)
+    polyline, n >= 2, by :func:`_reflection_pairs` on central-difference
+    tangents.  Coincident neighbours raise :class:`InvalidInputError`, a
+    repeated sample takes the smallest rotation, and a step with |v2| <= tol
+    raises :class:`InvalidPairError` (``ANTIPODAL``, ``index`` the step; the
+    caller checks ``tol``).  Each tangent, chord and pair is scaled by a power
+    of two, so scaling the curve by one keeps the steps bit for bit."""
+    # below 2^1022 no difference (at most 2 max|p|) overflows
+    x = _columns(np.ldexp(points, min(0, 1022 - np.frexp(np.abs(points).max())[1])), 1)
+    t = np.concatenate([x[:, 1:2] - x[:, :1], x[:, 2:] - x[:, :-2], x[:, -1:] - x[:, -2:-1]], 1)
+    v1 = x[:, 1:] - x[:, :-1]
+    t, v1 = (np.ldexp(a, -np.frexp(_max_abs(a))[1]) for a in (t, v1))
+    norms = _norms(t)
     if (norms == 0.0).any():
         raise InvalidInputError(
             f"polyline has coincident points near sample {_first(norms == 0.0)}"
         )
-    that = tangents / norms[:, None]
-
-    cand = curvature - np.sum(curvature * that, axis=-1, keepdims=True) * that
-    size = np.linalg.norm(cand, axis=-1)
-    # |cand| > 1e-9 |t| in c's units; a bound past the float range is inf
-    with np.errstate(over="ignore"):
-        has_curvature = size > np.ldexp(1e-9 * norms, e[0] - e[1])
-
-    def carry(prev, t):
-        w = prev - (prev @ t) * t
-        size = np.linalg.norm(w)
-        if size <= 1e-12:
-            return _perp_basis(t)[0]
-        return w / size
-
-    normals = np.empty_like(points)
-    normals[has_curvature] = cand[has_curvature] / size[has_curvature, None]
-    curved = np.flatnonzero(has_curvature)
-    first = int(curved[0]) if curved.size else 0
-    if not curved.size:
-        normals[first] = _perp_basis(that[first])[0]
-    for i in range(first - 1, -1, -1):
-        normals[i] = carry(normals[i + 1], that[i])
-    # Only the normal carry across straight runs is sequential.
-    for i in np.flatnonzero(~has_curvature[first + 1 :]) + first + 1:
-        normals[i] = carry(normals[i - 1], that[i])
-    return np.stack([that, normals], axis=1)
+    t /= norms
+    v1 = np.where(_max_abs(v1) == 0.0, t[:, :-1], v1)  # a repeated sample
+    w, v = _reflection_pairs(v1, t[:, :-1], t[:, 1:])
+    short = _inner(v, v) + w * w <= tol * tol * _inner(v1, v1)  # |v1| |v2| = |(w, v)|
+    if short.any():
+        i = _first(short)
+        raise InvalidPairError(
+            f"step {i} -> {i + 1}: the polyline doubles back along its chord (tangent "
+            f"{i + 1} mirrors tangent {i} within tolerance {tol:g}); no step is defined",
+            condition="ANTIPODAL",
+            index=i,
+        )
+    e = -np.frexp(np.maximum(np.abs(w), _max_abs(v)))[1]  # w^2 clear of underflow
+    steps = _dehomogenize(np.ldexp(w, e), np.ldexp(v, e), TOL_ALIGN_SINGULAR**2)
+    cumulative = np.zeros((x.shape[1], 3))
+    cumulative[1:] = compose_scan(steps)
+    return _perp_basis(t[:, 0]), TransportResult(steps, cumulative)
 
 
 def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:

@@ -46,6 +46,8 @@ class SkewMatrix:
     __slots__ = ("n", "_packed")
 
     def __init__(self, n: int, packed):
+        if not isinstance(n, (int, np.integer)):
+            raise InvalidInputError(f"n must be an integer, got {n!r}")
         if n < 1:
             raise InvalidInputError(f"n must be at least 1, got {n}")
         packed = _as_float(packed, "packed")

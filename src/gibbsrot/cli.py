@@ -29,10 +29,12 @@ import time
 import numpy as np
 
 from .algebra import compose, compose_sequence
+# ``frame_transport`` stays a module attribute, unused here: the perfbench
+# sweep trace wraps ``gibbsrot.cli.frame_transport``.
 from .alignment import (
     TOL_LEN,
     _first,
-    _polyline_frames,
+    _polyline_transport,
     align_family,
     align_line,
     align_pair,
@@ -51,13 +53,14 @@ from .bridges import (
 )
 from .cayley import cayley_forward, cayley_inverse, vector_from_skew
 from .core import (
+    _check_tol,
     gibbs_to_matrix,
     is_pi_encoded,
     is_rotation_matrix,
     matrix_to_gibbs,
     rotate_vector,
 )
-from .errors import GibbsError, InvalidInputError
+from .errors import GibbsError, InvalidInputError, InvalidPairError
 
 __all__ = ["main", "bench_rows", "selftest_checks"]
 
@@ -271,38 +274,36 @@ def _read_polyline(stream) -> np.ndarray:
     return a
 
 
-def _emit_tube(points, frames, transport, profile: str) -> list[str]:
-    parts = profile.split(":")
-    if len(parts) != 3 or parts[0] != "circle":
-        raise _UsageError(f"--profile must look like circle:R:K, got {profile!r}")
+def _emit_tube(points, basis, transport, profile: str) -> str:
+    """The OBJ lines of a ``circle:R:K`` tube along ``points``: a ring around
+    ``basis`` (normal, binormal) turned by each cumulative rotation."""
     try:
-        radius = float(parts[1])
-        segments = int(parts[2])
+        kind, radius, segments = profile.split(":")
+        radius, segments = float(radius), int(segments)
     except ValueError:
+        kind = None
+    if kind != "circle":
         raise _UsageError(f"--profile must look like circle:R:K, got {profile!r}")
     if radius <= 0 or segments < 3:
         raise _UsageError("--profile needs R > 0 and K >= 3")
 
-    # The first frame's normal and binormal turned by each cumulative
-    # rotation: the frames' own normals to rounding, so the tube turns
-    # over with them where a planar curve's curvature changes sign.
-    t0, n0 = frames[0]
-    nb = rotate_vector(transport.cumulative[:, None], np.stack([n0, np.cross(t0, n0)]))
+    nb = rotate_vector(transport.cumulative[:, None], basis)
     angles = 2.0 * np.pi * np.arange(segments) / segments
     # One ring of `segments` vertices per sample, all rings in one broadcast.
     verts = points[:, None, :] + radius * (
         np.cos(angles)[:, None] * nb[:, None, 0] + np.sin(angles)[:, None] * nb[:, None, 1]
     )
-    lines = ["# swept tube: one ring per polyline sample"]
-    lines.extend(f"v {x!r} {y!r} {z!r}" for x, y, z in verts.reshape(-1, 3).tolist())
     # Quad between ring i and ring i+1; OBJ vertex indices start at 1.
-    j = np.arange(segments)
-    base = segments * np.arange(points.shape[0] - 1)[:, None]
-    a = base + j + 1
-    b = base + (j + 1) % segments + 1
+    a = segments * np.arange(points.shape[0] - 1)[:, None] + np.arange(1, segments + 1)
+    b = np.roll(a, -1, axis=1)
     quads = np.stack([a, b, b + segments, a + segments], axis=-1)
-    lines.extend(f"f {p} {q} {r} {t}" for p, q, r, t in quads.reshape(-1, 4).tolist())
-    return lines
+    # each kind of line formatted in one pass (%r is repr, as everywhere); the
+    # last newline is print's own write, which meets a pipe the reader closed
+    return (
+        "# swept tube: one ring per polyline sample"
+        + "\nv %r %r %r" * (verts.size // 3) % tuple(verts.ravel().tolist())
+        + "\nf %d %d %d %d" * (quads.size // 4) % tuple(quads.ravel().tolist())
+    )
 
 
 def _cmd_sweep(args) -> int:
@@ -311,13 +312,15 @@ def _cmd_sweep(args) -> int:
     if args.obj and not args.profile:
         raise _UsageError("--obj needs --profile circle:R:K")
     points = _read_polyline(sys.stdin)
+    _check_tol(args.tol)  # a computation error; coincident points are a usage error
     try:
-        frames = _polyline_frames(points)
-    except InvalidInputError as e:  # coincident points: a fault of the input file
+        basis, result = _polyline_transport(points, args.tol)
+    except InvalidPairError:
+        raise
+    except InvalidInputError as e:
         raise _UsageError(str(e)) from None
-    result = frame_transport(frames, tol=args.tol)
     if args.obj:
-        print("\n".join(_emit_tube(points, frames, result, args.profile)))
+        print(_emit_tube(points, basis, result, args.profile))
     else:
         _print_result("gibbs", result.steps, args.json)
     return 0

@@ -627,7 +627,8 @@ def matrix_to_gibbs(
     if check:
         _require_rotation(cols, ortho_tol)
     row = _pivot_row(cols)
-    return _dehomogenize(row[0], row[1:], pi_trace_tol / 4.0)
+    # past 1 every row is encoded already; the cap keeps the limit finite
+    return _dehomogenize(row[0], row[1:], min(pi_trace_tol / 4.0, 1.0))
 
 
 def rotate_vector(r, s) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Vector alignment: the one-parameter family, two-pair solving with all
-its degeneracies, and frame transport along curves."""
+its degeneracies, frame transport, and rotation-minimizing frames along
+polylines."""
 
 import re
 
@@ -23,6 +24,9 @@ from gibbsrot import (
     rotate_vector,
 )
 import gibbsrot.alignment
+from gibbsrot.algebra import compose_scan
+from gibbsrot.alignment import _polyline_transport, _reflection_pairs
+from gibbsrot.core import _dehomogenize
 from helpers import component_error, random_gibbs, random_units, tilted_pairs
 
 
@@ -493,6 +497,78 @@ def test_transport_cumulative_is_step_fold():
     for i, step in enumerate(result.steps):
         acc = compose(step, acc)
         assert np.allclose(result.cumulative[i + 1], acc)
+
+
+# --- rotation-minimizing frames of a polyline --------------------------------
+
+
+def test_polyline_frame_does_not_turn_over_at_inflections():
+    # y = sin 2x inflects at x = 0 and +/-pi/2; a curvature frame's
+    # binormal swings between -z and +z there, the transported one stays
+    x = np.linspace(-3.0, 3.0, 400)
+    pts = np.stack([x, np.sin(2.0 * x), 0.0 * x], axis=-1)
+    basis, result = _polyline_transport(pts)
+    assert np.abs(np.abs(basis[1]) - [0.0, 0.0, 1.0]).max() == 0.0
+    moved = rotate_vector(result.cumulative[:, None], basis)
+    assert np.abs(moved[:, 1] - basis[1]).max() <= 1e-15
+    assert np.abs(moved[:, 0, 2]).max() <= 1e-15
+    # every step carries the tangent at its start onto the one at its end
+    t = np.gradient(pts, axis=0)
+    t /= np.linalg.norm(t, axis=-1, keepdims=True)
+    assert np.abs(rotate_vector(result.steps, t[:-1]) - t[1:]).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+def test_reflection_steps_follow_the_helix_closed_form(n):
+    # On the helix (a cos u, a sin u, b u) the rotation-minimizing normal
+    # turns against the Frenet normal N by -tau s = -b u / c, c^2 = a^2 +
+    # b^2.  Given exact tangents, double reflection errs by O(h^4) (Wang,
+    # Juttler, Zheng & Liu 2008): 1.08e-3 h^4 from n = 50 to 1600 samples
+    # over two turns, bounded here at 2e-3 h^4.
+    a, b = 1.0, 0.5
+    c = np.hypot(a, b)
+    u = np.linspace(0.0, 4.0 * np.pi, n)
+    x = np.stack([a * np.cos(u), a * np.sin(u), b * u])
+    t = np.stack([-a * np.sin(u), a * np.cos(u), np.full(n, b)]) / c
+    normal = np.stack([-np.cos(u), -np.sin(u), 0.0 * u])
+    binormal = np.cross(t, normal, axis=0)
+    w, v = _reflection_pairs(x[:, 1:] - x[:, :-1], t[:, :-1], t[:, 1:])
+    steps = _dehomogenize(w, v, 0.0)
+    cumulative = np.concatenate([np.zeros((1, 3)), compose_scan(steps)])
+    got = rotate_vector(cumulative, normal[:, 0])
+    angle = -b * u / c
+    want = (np.cos(angle) * normal + np.sin(angle) * binormal).T
+    assert np.abs(got - want).max() <= 2e-3 * (u[1] - u[0]) ** 4
+    assert np.abs(rotate_vector(cumulative, t[:, 0]) - t.T).max() <= 1e-13
+
+
+def test_polyline_reversal_is_a_typed_error_with_the_step():
+    # the tangent at sample 2 mirrors sample 1's across the chord, so v2 = 0
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [0.5, 0, 0]])
+    for tol in (1e-9, 0.0):
+        with pytest.raises(InvalidPairError, match=r"^step 1 -> 2: ") as exc:
+            _polyline_transport(pts, tol)
+        assert (exc.value.code, exc.value.index) == ("ANTIPODAL", 1)
+
+
+def test_polyline_repeated_sample_takes_the_smallest_rotation():
+    pts = np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [2, 1, 0]])
+    _, result = _polyline_transport(pts)
+    t1, t2 = [1.0, 0.0, 0.0], [0.5**0.5, 0.5**0.5, 0.0]
+    assert np.abs(result.steps[1] - align_line(t1, t2, 0.0)).max() <= 1e-16
+    assert (result.steps[[0, 2]] == 0.0).all()
+
+
+def test_polyline_step_with_perpendicular_reflections_is_a_half_turn():
+    # v1 . v2 = 0: the tangents at samples 1 and 2 are opposite, and
+    # neither lies along the chord between them
+    pts = np.array([[0.0, -1, 0], [0, 0, 0], [1, 0, 0], [-1, -1, 0]])
+    t = np.array([[1.0, 1, 0], [-1, -1, 0]]).T / 2**0.5
+    w, v = _reflection_pairs(pts[2] - pts[1], t[:, 0], t[:, 1])
+    assert w == 0.0 and (v[:2] == 0.0).all() and v[2] > 0.0
+    _, result = _polyline_transport(pts)
+    assert is_pi_encoded(result.steps).tolist() == [False, True, False]
+    assert result.steps[1].tolist() == pi_encode([0.0, 0.0, 1.0]).tolist()
 
 
 @pytest.mark.parametrize(

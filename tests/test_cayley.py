@@ -73,6 +73,14 @@ def test_skew_matrix_needs_n_at_least_one():
     assert cayley_inverse(SkewMatrix(1, [])).tolist() == [[1.0]]
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "3", None, -1])
+def test_skew_matrix_needs_an_integer_n(n):
+    # SkewMatrix(2.5, [1.0]) used to pack as n=2
+    with pytest.raises(InvalidInputError, match=r"^n must be (an integer|at least 1), got "):
+        SkewMatrix(n, [1.0])
+    assert SkewMatrix(np.int64(2), [1.0]) == SkewMatrix(2, [1.0])
+
+
 def test_vector_packing_is_the_cross_product():
     # the 3D skew of r acts as v -> v x r
     rng = np.random.default_rng(31)

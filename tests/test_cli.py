@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gibbsrot
-from gibbsrot.alignment import _polyline_frames
+from gibbsrot.alignment import _polyline_transport
 from gibbsrot import cli
 from gibbsrot.cli import _build_parser, bench_rows, main, selftest_checks
 
@@ -367,36 +367,24 @@ def polyline_text(pts):
     return "\n".join(",".join(repr(float(x)) for x in p) for p in pts)
 
 
-def assert_orthonormal_frames(frames, tol):
-    t, n = frames[:, 0], frames[:, 1]
-    assert np.abs(np.linalg.norm(t, axis=-1) - 1.0).max() <= tol
-    assert np.abs(np.linalg.norm(n, axis=-1) - 1.0).max() <= tol
-    assert np.abs(np.sum(t * n, axis=-1)).max() <= tol
-
-
 def test_sweep_straight_polyline_seeds_one_normal():
-    # no sample has curvature, so the first normal is a seed perpendicular
-    # to the tangent and every later one carries it unchanged
+    # no sample turns, so the first normal, a seed perpendicular to the
+    # tangent, is carried unchanged: every step is exactly the identity
     pts = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)]
-    frames = _polyline_frames(np.array(pts, dtype=float))
-    assert_orthonormal_frames(frames, 1e-15)
-    assert (frames == frames[0]).all()
+    basis, result = _polyline_transport(np.array(pts, dtype=float))
+    t = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-15
+    assert np.abs(basis @ t).max() <= 1e-15
+    assert (result.cumulative == 0.0).all()
     assert run_cli(["sweep"], stdin=polyline_text(pts)) == (0, "0.0,0.0,0.0\n" * 3, "")
 
 
-def test_sweep_normal_parallel_to_the_next_tangent_is_reseeded():
-    # the carried normal of sample 1 is the tangent of sample 2, so sample
-    # 2's normal is a fresh seed: a half turn between the last two frames
-    pts = [(0, 0, 0), (1, 0, 0), (0.5, 0.5, 0)]
-    frames = _polyline_frames(np.array(pts, dtype=float))
-    assert_orthonormal_frames(frames, 1e-15)
-    assert np.abs(frames[1, 1] - frames[2, 0]).max() <= 1e-15
+def test_sweep_reversal_is_a_computation_error():
+    # the curve doubles back along its chord at sample 2: no step is defined
+    pts = [(0, 0, 0), (1, 0, 0), (0.5, 0, 0)]
     code, out, err = run_cli(["sweep"], stdin=polyline_text(pts))
-    assert code == 0, err
-    lines = out.splitlines()
-    assert len(lines) == 2
-    assert not lines[0].startswith("pi-rotation")
-    assert lines[1].startswith("pi-rotation axis=")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ANTIPODAL: step 1 -> 2: the polyline doubles back")
 
 
 def test_sweep_coincident_points_are_a_usage_error():
@@ -404,6 +392,10 @@ def test_sweep_coincident_points_are_a_usage_error():
     code, out, err = run_cli(["sweep"], stdin=polyline_text(pts))
     assert (code, out) == (2, "")
     assert err == "error: USAGE: polyline has coincident points near sample 1\n"
+    # a repeated sample is not a coincident neighbour: it sweeps
+    pts = [(0, 0, 0), (1, 0, 0), (1, 0, 0), (2, 1, 0)]
+    code, out, err = run_cli(["sweep"], stdin=polyline_text(pts))
+    assert (code, out.count("\n"), err) == (0, 3, "")
 
 
 def test_sweep_non_finite_coordinate_is_a_usage_error():
@@ -432,15 +424,17 @@ def per_row_gibbs_lines(steps, as_json):
 
 
 def test_sweep_lines_match_per_step_formatting():
-    # a planar wave (its curvature normal flips at every inflection, so
-    # those steps are half turns) joined to a helix; steps carry -0.0
+    # a zigzag whose second step is a half turn (the tangents at samples 1
+    # and 2 are opposite, off the chord), then a planar wave and a helix;
+    # steps carry -0.0
+    zigzag = np.array([[0.0, -1, 0], [0, 0, 0], [1, 0, 0], [-1, -1, 0]])
     t = np.linspace(0.0, 6.0 * np.pi, 400)
-    wave = np.stack([t, np.sin(t), 0.0 * t], axis=-1)
+    wave = zigzag[-1] + np.stack([t, np.sin(t), 0.0 * t], axis=-1)[1:]
     turn = wave[-1] + np.stack([np.cos(t) - 1.0, np.sin(t), 0.05 * t], axis=-1)[1:]
-    pts = np.concatenate([wave, turn])
+    pts = np.concatenate([zigzag, wave, turn])
     poly = "\n".join(f"{x!r},{y!r},{z!r}" for x, y, z in pts.tolist())
-    steps = gibbsrot.frame_transport(_polyline_frames(pts)).steps
-    assert gibbsrot.is_pi_encoded(steps).sum() >= 3
+    steps = _polyline_transport(pts)[1].steps
+    assert gibbsrot.is_pi_encoded(steps).tolist().index(True) == 1
     assert np.signbit(steps[steps == 0.0]).any()
     for as_json in (False, True):
         code, out, err = run_cli(["sweep", "--json"] if as_json else ["sweep"], stdin=poly)
@@ -456,39 +450,6 @@ def helix_with_straight_run(n=60):
     pts[n // 2 :] += pts[n // 2 - 1] - pts[n // 2] + [0.0, 0.1, 0.05]
     lead = pts[0] - np.outer(np.arange(5, 0, -1), [0.0, 0.1, 0.0])
     return np.concatenate([lead, pts])
-
-
-def test_polyline_frames_match_per_sample_reference():
-    from gibbsrot.alignment import _perp_basis, _polyline_frames
-
-    pts = helix_with_straight_run()
-    frames = _polyline_frames(pts)
-    that = frames[:, 0]
-    curvature = np.zeros_like(pts)
-    curvature[1:-1] = pts[2:] - 2.0 * pts[1:-1] + pts[:-2]
-    tangents = np.concatenate([pts[1:2] - pts[:1], pts[2:] - pts[:-2], pts[-1:] - pts[-2:-1]])
-    want = np.empty_like(pts)
-    curved = []
-    for i in range(len(pts)):
-        cand = curvature[i] - (curvature[i] @ that[i]) * that[i]
-        size = np.linalg.norm(cand)
-        if size > 1e-9 * np.linalg.norm(tangents[i]):
-            want[i] = cand / size
-            curved.append(i)
-    first = curved[0]
-
-    def carry(prev, t):
-        w = prev - (prev @ t) * t
-        size = np.linalg.norm(w)
-        return _perp_basis(t)[0] if size <= 1e-12 else w / size
-
-    for i in range(first - 1, -1, -1):
-        want[i] = carry(want[i + 1], that[i])
-    for i in range(first + 1, len(pts)):
-        if i not in curved:
-            want[i] = carry(want[i - 1], that[i])
-    assert 0 < first and len(curved) < len(pts) - first - 1  # both kinds of run
-    assert np.abs(frames[:, 1] - want).max() <= 1e-15
 
 
 def test_sweep_frames_do_not_depend_on_the_curve_scale():
@@ -513,23 +474,19 @@ def test_sweep_frames_do_not_depend_on_the_curve_scale():
 
 
 def test_emit_tube_matches_per_sample_rotation():
-    from gibbsrot.alignment import _polyline_frames, frame_transport
     from gibbsrot.cli import _emit_tube
 
     pts = helix_with_straight_run()
-    frames = _polyline_frames(pts)
-    transport = frame_transport(frames)
+    basis, transport = _polyline_transport(pts)
     segments, radius = 7, 0.05
-    lines = _emit_tube(pts, frames, transport, f"circle:{radius}:{segments}")
+    lines = _emit_tube(pts, basis, transport, f"circle:{radius}:{segments}").splitlines()
     assert lines[0].startswith("#")
     verts = np.array([[float(t) for t in l.split()[1:]] for l in lines if l.startswith("v ")])
-    n0 = frames[0, 1]
-    b0 = np.cross(frames[0, 0], n0)
     angles = 2.0 * np.pi * np.arange(segments) / segments
     want = []
     for i, p in enumerate(pts):
-        ni = gibbsrot.rotate_vector(transport.cumulative[i], n0)
-        bi = gibbsrot.rotate_vector(transport.cumulative[i], b0)
+        ni = gibbsrot.rotate_vector(transport.cumulative[i], basis[0])
+        bi = gibbsrot.rotate_vector(transport.cumulative[i], basis[1])
         want.extend(p + radius * (np.cos(a) * ni + np.sin(a) * bi) for a in angles)
     assert verts.shape == (len(pts) * segments, 3)
     assert np.abs(verts - np.array(want)).max() <= 1e-14
@@ -544,16 +501,18 @@ def test_emit_tube_matches_per_sample_rotation():
 
 
 def test_sweep_obj_prints_one_line_per_record():
-    from gibbsrot.alignment import _polyline_frames, frame_transport
     from gibbsrot.cli import _emit_tube
 
     pts = helix_with_straight_run(20)
     poly = "\n".join(f"{x!r},{y!r},{z!r}" for x, y, z in pts.tolist())
     code, out, err = run_cli(["sweep", "--obj", "--profile", "circle:0.1:5"], stdin=poly)
     assert code == 0, err
-    frames = _polyline_frames(pts)
-    lines = _emit_tube(pts, frames, frame_transport(frames), "circle:0.1:5")
-    assert out == "".join(line + "\n" for line in lines)
+    text = _emit_tube(pts, *_polyline_transport(pts), "circle:0.1:5")
+    assert out == text + "\n"
+    # each vertex line is the repr of its three coordinates
+    verts = [l for l in out.splitlines() if l.startswith("v ")]
+    coords = (map(float, l.split()[1:]) for l in verts)
+    assert verts == [f"v {x!r} {y!r} {z!r}" for x, y, z in coords]
 
 
 # --- bench ------------------------------------------------------------------

@@ -491,6 +491,18 @@ def test_pi_trace_tol_decides_the_encoded_ladder(tol, first):
             assert not encoded.any(), k
 
 
+def test_pi_trace_tol_past_four_encodes_every_row_without_overflow():
+    # a tolerance of 4 or more already encodes every row; 1e308 / 4 times
+    # the squared pivot row overflowed with a RuntimeWarning
+    u = gibbs_to_matrix([[0.1, 0.2, 0.3], [0.0, -1e-3, 0.0], [3.0, -1.0, 2.0]])
+    want = pi_encode([0.1, 0.2, 0.3])
+    for tol in (4.0, 1e10, 1e308):
+        with np.errstate(all="raise"):
+            r = matrix_to_gibbs(u, pi_trace_tol=tol)
+        assert is_pi_encoded(r).all()
+        assert np.abs(r[0] - want).max() <= 1e-15 * PI_ENCODING_MAGNITUDE
+
+
 # --- validation -------------------------------------------------------------
 
 

@@ -19,9 +19,10 @@ import gibbsrot.alignment
 import gibbsrot.bridges
 import gibbsrot.core
 from gibbsrot.algebra import _compose_direct
-from gibbsrot.alignment import _pair_pivot_row
+from gibbsrot.alignment import _pair_pivot_row, _reflection_pairs
 from gibbsrot.core import (
     _columns,
+    _matrix_from_pair,
     _gibbs_from_matrix_direct,
     _matrix_from_gibbs_direct,
     _pivot_row,
@@ -74,6 +75,7 @@ AUDITED = {
         "align_pair_unchecked",
         "_pair_pivot_row",
         "_rescale_pair",
+        "_reflection_pairs",
     ],
     gibbsrot.bridges: [
         "quaternion_multiply",
@@ -244,6 +246,47 @@ def test_exact_pair_alignment_through_the_pivot():
     assert (row[1:] / row[0] == r.T).all()
     pivots = {int(np.argmax([abs(x) for x in (1, *v)])) for v in r}
     assert pivots == {0, 1, 2, 3}
+
+
+def rational_unit_vectors(count, seed):
+    """Unit vectors with rational components: signed permutations of
+    Pythagorean quadruples a^2 + b^2 + c^2 = d^2."""
+    quads = [(1, 2, 2, 3), (2, 3, 6, 7), (1, 4, 8, 9), (4, 4, 7, 9), (2, 6, 9, 11),
+             (6, 6, 7, 11), (3, 4, 12, 13), (0, 3, 4, 5), (0, 0, 1, 1)]
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, 3), dtype=object)
+    for i in range(count):
+        a, b, c, d = quads[rng.integers(len(quads))]
+        signs = rng.choice([-1, 1], size=3)
+        for j, k in enumerate(rng.permutation(3)):
+            out[i, j] = Fraction(int(signs[j]) * (a, b, c)[k], d)
+    return out
+
+
+def reflection(a):
+    """The exact reflection matrix I - 2 a a^T / (a . a)."""
+    return frac_eye() - 2 * np.outer(a, a) / np.dot(a, a)
+
+
+def test_exact_double_reflection_steps():
+    # each step's pair is the rotation H_v2 H_v1, exactly, and carries the
+    # tangent at its start onto the one at its end; v1 . v2 = 0 rows are
+    # exact half turns (w = 0)
+    x = rational_vectors(201, 43)
+    t = rational_unit_vectors(201, 44)
+    v1 = x[1:] - x[:-1]
+    keep = np.array([any(c != 0 for c in row) for row in v1])
+    w, v = _reflection_pairs(v1[keep].T, t[:-1][keep].T, t[1:][keep].T)
+    assert keep.sum() >= 190
+    assert all(type(c) is Fraction for c in (*w, *v.flat))
+    u = _matrix_from_pair(w, v)
+    for i, (a, p, q) in enumerate(zip(v1[keep], t[:-1][keep], t[1:][keep])):
+        v2 = q - reflection(a) @ p
+        if not any(c != 0 for c in v2):
+            continue  # (0 : 0): the step is undefined
+        assert (u[i] == reflection(v2) @ reflection(a)).all()
+        assert (u[i] @ p == q).all()
+    assert (w == 0).any()
 
 
 def test_floats_never_contaminate_the_fraction_path():
