@@ -20,8 +20,8 @@ row's pair from ``core._row_pairs``, as ``gibbs_to_matrix`` does:
 Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``, so the
 result never vanishes) and are divided once at the end: ``v / w``, or
 the half-turn encoding along ``v`` where ``w`` vanished.  The operands
-are unpacked once into component columns, and the Hamilton product takes
-and returns ``v`` as its three columns.  The same kernel with ``w = 1``
+are unpacked once into component columns (one row into Python floats),
+and the Hamilton product takes and returns ``v`` as its three columns.  The same kernel with ``w = 1``
 is the textbook quotient rule, exact on ``fractions.Fraction``.
 :func:`compose_scan` chains the kernel into an inclusive prefix scan of
 ``ceil(log2 n)`` batched rounds, on scaled pairs throughout.
@@ -41,7 +41,9 @@ from .core import (
     _inner,
     _is_one,
     _max_abs,
+    _quotient_rows,
     _row_pairs,
+    _unpack,
 )
 from .errors import InvalidInputError
 
@@ -90,7 +92,7 @@ def _compose_direct(r, s):
     :func:`compose`.
     """
     w, v = _hamilton(1, np.moveaxis(r, -1, 0), 1, np.moveaxis(s, -1, 0))
-    return np.stack([c / w for c in v], axis=-1)
+    return _quotient_rows(v, w)
 
 
 def compose(r, s) -> np.ndarray:
@@ -105,7 +107,7 @@ def compose(r, s) -> np.ndarray:
     [1.0, 1.0, -1.0]
     """
     a, b = _broadcast(r=_as_vec3(r, "r"), s=_as_vec3(s, "s"))
-    w, v = _hamilton(*_row_pairs(_columns(a, 1)), *_row_pairs(_columns(b, 1)))
+    w, v = _hamilton(*_row_pairs(_unpack(a)), *_row_pairs(_unpack(b)))
     return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 
 

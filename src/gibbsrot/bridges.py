@@ -43,9 +43,12 @@ from .core import (
     _check_tol,
     _columns,
     _homogeneous,
+    _new_rows,
     _pi_encode_rows,
     _pivot_row,
+    _put,
     _require_rotation,
+    _unpack,
 )
 from .errors import InvalidInputError
 
@@ -172,24 +175,25 @@ def quaternion_multiply(a, b) -> np.ndarray:
     a = _as_quaternion(a, "a")
     b = _as_quaternion(b, "b")
     _broadcast(a=a, b=b)
-    # one quaternion unpacks into scalars (see _norm_sq)
-    aw, ax, ay, az = (a[..., i][()] for i in range(4))
-    bw, bx, by, bz = (b[..., i][()] for i in range(4))
+    # one quaternion unpacks into Python floats, as the Gibbs ops' rows do
+    aw, ax, ay, az = _unpack(a)
+    bw, bx, by, bz = _unpack(b)
     w = aw * bw
     w -= ax * bx
     w -= ay * by
     w -= az * bz
-    out = [w]
+    out = _new_rows(w, 4)
+    _put(out, 0, w)
     # aw b_i + a_i bw + a_j b_k - a_k b_j, (i, j, k) cycling x, y, z
-    for ai, bi, aj, bk, ak, bj in (
+    for i, (ai, bi, aj, bk, ak, bj) in enumerate((
         (ax, bx, ay, bz, az, by), (ay, by, az, bx, ax, bz), (az, bz, ax, by, ay, bx),
-    ):
+    ), 1):
         c = aw * bi
         c += ai * bw
         c += aj * bk
         c -= ak * bj
-        out.append(c)
-    return np.stack(out, axis=-1)
+        _put(out, i, c)
+    return np.asarray(out)
 
 
 def gibbs_to_quaternion(r) -> np.ndarray:
@@ -223,27 +227,28 @@ def quaternion_to_matrix(q) -> np.ndarray:
     column-vector convention (matches ``gibbs_to_matrix`` of the
     corresponding Gibbs vector, half turns included)."""
     a = _as_quaternion(q)
-    w, x, y, z = (a[..., i][()] for i in range(4))
+    w, x, y, z = _unpack(a)
     k = 2.0 * w
     k *= w
     k -= 1.0  # 2 w^2 - 1
-    u = np.empty(a.shape[:-1] + (3, 3))
-    for i, c in enumerate((x, y, z)):
+    u = _new_rows(k, 9)  # entry (i, j) is component 3 i + j
+    for ii, c in zip((0, 4, 8), (x, y, z)):
         d = 2.0 * c
         d *= c
         d += k  # 2 c^2 + 2 w^2 - 1
-        u[..., i, i] = d
+        _put(u, ii, d)
     # 2 (a b + w c) goes to entry (i, j), 2 (a b - w c) to (j, i)
-    for a_, b_, c, i, j in ((x, y, z, 0, 1), (x, z, y, 2, 0), (y, z, x, 1, 2)):
+    for a_, b_, c, ij, ji in ((x, y, z, 1, 3), (x, z, y, 6, 2), (y, z, x, 5, 7)):
         p = a_ * b_
         t = w * c
         d = p + t
         d *= 2.0
-        u[..., i, j] = d
+        _put(u, ij, d)
         p -= t
         p *= 2.0
-        u[..., j, i] = p
-    return u
+        _put(u, ji, p)
+    u = np.asarray(u)
+    return u.reshape(u.shape[:-1] + (3, 3))
 
 
 def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -284,8 +285,8 @@ def _emit_tube(points, basis, transport, profile: str) -> str:
         kind = None
     if kind != "circle":
         raise _UsageError(f"--profile must look like circle:R:K, got {profile!r}")
-    if radius <= 0 or segments < 3:
-        raise _UsageError("--profile needs R > 0 and K >= 3")
+    if not 0 < radius < math.inf or segments < 3:  # NaN fails too
+        raise _UsageError("--profile needs a finite R > 0 and K >= 3")
 
     nb = rotate_vector(transport.cumulative[:, None], basis)
     angles = 2.0 * np.pi * np.arange(segments) / segments

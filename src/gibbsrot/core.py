@@ -28,12 +28,14 @@ call first unpacks its input once into contiguous component columns
 matrices), runs the kernel's formula on those columns and writes its
 output rows once.  Every kernel and row helper reads this one layout; a
 caller holding rows passes a transposed view.  The batch shape is kept,
-so one row unpacks into scalars, and each row of a batch equals the call
-on that row alone, byte for byte.  Inside a kernel each intermediate is
-made by one out-of-place operation and every later term is folded in
-with augmented assignment (``s = a * b; s += c * d``), in the order of
-the written formula, so no pass allocates a fresh batch-sized temporary
-it need not.
+so one matrix unpacks into numpy scalars, and one row of the pair ops
+into Python floats (``_unpack``), which the same kernels take with no
+numpy call per operation; each row of a batch equals the call on that
+row alone, byte for byte.  Inside a kernel each
+intermediate is made by one out-of-place operation and every later term
+is folded in with augmented assignment (``s = a * b; s += c * d``), in
+the order of the written formula, so no pass allocates a fresh
+batch-sized temporary it need not.
 
 Convention
 ----------
@@ -136,13 +138,32 @@ def _max_abs(a):
     return np.maximum(np.maximum(np.abs(a[0]), np.abs(a[1])), np.abs(a[2]))
 
 
+def _new_rows(like, width: int):
+    """Rows of ``width`` components for the batch shape and type of
+    ``like``: an array, or a list when ``like`` is one number."""
+    if isinstance(like, np.ndarray):
+        return np.empty(like.shape + (width,), like.dtype)
+    return [None] * width
+
+
+def _put(out, i: int, a, d=None) -> None:
+    """Component ``i`` of the rows ``out`` (from :func:`_new_rows`) set to
+    ``a``, or to ``a / d``, divided straight into an array output."""
+    if type(out) is list:
+        out[i] = a if d is None else a / d
+    elif d is None:
+        out[..., i] = a
+    else:
+        np.divide(a, d, out=out[..., i])
+
+
 def _quotient_rows(v, d):
     """Rows ``v / d`` of three component columns ``v`` over ``d``, of one
     batch shape, each column divided straight into a new row output."""
-    out = np.empty(d.shape + (3,))
+    out = _new_rows(d, 3)
     for i in range(3):
-        np.divide(v[i], d, out=out[..., i])
-    return out
+        _put(out, i, v[i], d)
+    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +211,7 @@ def _as_vec3(x, name: str) -> np.ndarray:
         raise InvalidInputError(
             f"{name} must have 3 components on the last axis, got shape {a.shape}"
         )
-    if np.isnan(a).any():
+    if any(map(math.isnan, a.tolist())) if a.ndim == 1 else np.isnan(a).any():
         raise InvalidInputError(f"{name} contains NaN components")
     return a
 
@@ -215,6 +236,12 @@ def _columns(a: np.ndarray, row_ndim: int) -> np.ndarray:
     batch = a.shape[: a.ndim - row_ndim]
     width = math.prod(a.shape[a.ndim - row_ndim:])
     return a.reshape(-1, width).T.copy().reshape((width,) + batch)
+
+
+def _unpack(a: np.ndarray):
+    """The component columns of the rows ``a``, or one row's Python floats:
+    the kernels run on both, as Python's ``+ - * /`` are numpy's IEEE ops."""
+    return a.tolist() if a.ndim == 1 else _columns(a, 1)
 
 
 @dataclass(frozen=True)
@@ -370,21 +397,28 @@ def _homogeneous(r: np.ndarray):
 
 def _dehomogenize(w: np.ndarray, v, rel_sq: float) -> np.ndarray:
     """Gibbs vectors ``v / w`` of pairs given as ``w`` and the three
-    component columns ``v`` of the same batch shape, as rows of that
-    shape; the half-turn encoding along ``v`` where
-    ``w^2 <= rel_sq (w^2 + |v|^2)``."""
+    component columns ``v`` of the same batch shape (or one pair of
+    numbers), as rows of that shape; the half-turn encoding along ``v``
+    where ``w^2 <= rel_sq (w^2 + |v|^2)``, except for ``v = 0``, which has
+    no axis and stays 0."""
     ww = w * w
     # rel_sq (w^2 + |v|^2), with |v|^2 summed x^2 + y^2 + z^2 first
     lim = _inner(v, v)
     lim += ww
     lim *= rel_sq
     singular = ww <= lim
-    out = _quotient_rows(v, np.where(singular, 1.0, w))
-    half = np.flatnonzero(singular)
-    if half.size:
-        # the singular rows were divided by 1, so they hold v itself
+    if isinstance(singular, np.ndarray):
+        d, half = np.where(singular, 1.0, w), np.flatnonzero(singular)
+    else:  # one row of numbers
+        d, half = (1.0, [0]) if singular else (w, [])
+    out = _quotient_rows(v, d)
+    if len(half):
+        # the singular rows were divided by 1, so they hold v itself; v = 0
+        # (the identity, past pi_trace_tol 4) has no axis and stays 0
         rows = out.reshape(-1, 3)
-        rows[half] = _pi_encode_rows(rows[half])
+        sub = rows[half]
+        axis = _max_abs(sub.T) > 0.0
+        rows[np.asarray(half)[axis]] = _pi_encode_rows(sub[axis])
     return out
 
 
@@ -407,8 +441,14 @@ def _row_pairs(r):
     ``_PAIR_LIMIT`` (half turns included) get their max-abs scaled pair
     from :func:`_homogeneous`, written into ``r``, so each row's pair
     depends on that row alone.  ``v`` is ``r``; ``w`` has its batch shape,
-    or is the scalar 1.0 when no row is replaced.  Elementary arithmetic only.
+    or is the scalar 1.0 when no row is replaced; one row of numbers gets
+    numbers (a replaced one from the column code).  Elementary arithmetic only.
     """
+    if not isinstance(r, np.ndarray):
+        if max(map(abs, r)) < _PAIR_LIMIT:
+            return 1.0, r
+        w, v = _row_pairs(np.array(r).reshape(3, 1))
+        return w.item(), v[:, 0].tolist()
     if not r.size or np.abs(r).max() < _PAIR_LIMIT:
         return 1.0, r
     flat = r.reshape(3, -1)
@@ -426,7 +466,8 @@ def _is_one(w) -> bool:
 
 def _matrix_from_pair(w, v):
     """Rotation matrices of homogeneous pairs ``(w : v)``, with ``v``
-    given as three component columns of one batch shape::
+    given as three component columns of one batch shape, or as three
+    numbers for one pair::
 
         U = ((w^2 - |v|^2) I + 2 v v^T + 2 w [v]x) / (w^2 + |v|^2)
 
@@ -445,20 +486,21 @@ def _matrix_from_pair(w, v):
     ww = w * w
     k = ww - den
     den += ww  # w^2 + |v|^2
-    out = np.empty(getattr(den, "shape", ()) + (3, 3), np.asarray(den).dtype)
+    out = _new_rows(den, 9)  # entry (i, j) is component 3 i + j
     # v_i v_j + w v_k goes to entry (i, j), v_i v_j - w v_k to (j, i)
-    for p, q, i, j in ((x * y, wz, 0, 1), (x * z, wy, 2, 0), (y * z, wx, 1, 2)):
+    for p, q, ij, ji in ((x * y, wz, 1, 3), (x * z, wy, 6, 2), (y * z, wx, 5, 7)):
         a = p + q
         a += a
-        np.divide(a, den, out=out[..., i, j])
+        _put(out, ij, a, den)
         p -= q
         p += p
-        np.divide(p, den, out=out[..., j, i])
-    for i, p in enumerate((xx, yy, zz)):
+        _put(out, ji, p, den)
+    for ii, p in zip((0, 4, 8), (xx, yy, zz)):
         p += p
         p += k
-        np.divide(p, den, out=out[..., i, i])
-    return out
+        _put(out, ii, p, den)
+    out = np.asarray(out)
+    return out.reshape(out.shape[:-1] + (3, 3))
 
 
 def _rotate_by_pair(w, v, s):
@@ -467,8 +509,9 @@ def _rotate_by_pair(w, v, s):
         U s = ((w^2 - |v|^2) s + 2 (v.s) v + 2 w (s x v)) / (w^2 + |v|^2)
 
     the action of :func:`_matrix_from_pair`'s ``U`` without forming it,
-    as rows.  ``v`` and ``s`` are three component columns each and ``w``
-    a scalar or of ``v``'s batch shape; the batch shapes broadcast.  The
+    as rows.  ``v`` and ``s`` are three component columns (or numbers)
+    each and ``w`` a scalar or of ``v``'s batch shape; the batch shapes
+    broadcast.  The
     denominator divides ``v`` before ``v`` meets ``s``, so no intermediate
     exceeds a few times ``|s|``.  Exact on ``fractions.Fraction`` (with
     ``w = 1``); elementary arithmetic only.
@@ -486,7 +529,7 @@ def _rotate_by_pair(w, v, s):
     # p = 2 v / (w^2 + |v|^2): the last two terms are (p.s) v and w (s x p)
     p0, p1, p2 = p = (v0 * h, v1 * h, v2 * h)
     t = _inner(p, s)
-    out = np.empty(np.broadcast_shapes(v.shape[1:], s.shape[1:]) + (3,), np.result_type(v, s))
+    out = _new_rows(t, 3)  # t has the broadcast batch shape
     for i, (si, vi, a, b, c, d) in enumerate((
         (s0, v0, s1, p2, s2, p1), (s1, v1, s2, p0, s0, p2), (s2, v2, s0, p1, s1, p0),
     )):
@@ -497,8 +540,8 @@ def _rotate_by_pair(w, v, s):
         o = k * si
         o += t * vi
         o += e
-        out[..., i] = o
-    return out
+        _put(out, i, o)
+    return np.asarray(out)
 
 
 def _matrix_from_gibbs_direct(r):
@@ -599,7 +642,7 @@ def gibbs_to_matrix(r) -> np.ndarray:
     >>> gibbs_to_matrix([0.0, 0.0, 0.0]).tolist()
     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     """
-    return _matrix_from_pair(*_row_pairs(_columns(_as_vec3(r, "r"), 1)))
+    return _matrix_from_pair(*_row_pairs(_unpack(_as_vec3(r, "r"))))
 
 
 def matrix_to_gibbs(
@@ -646,13 +689,14 @@ def rotate_vector(r, s) -> np.ndarray:
     """
     a = _as_vec3(r, "r")
     b = _as_vec3(s, "s")
-    if not np.isfinite(b).all():
+    if not (all(map(math.isfinite, b.tolist())) if b.ndim == 1 else np.isfinite(b).all()):
         raise InvalidInputError("s has non-finite components")
     # the check only: the kernel broadcasts itself, and an expanded r
     # would repeat its pair's work for every row of s
     _broadcast(r=a, s=b)
-    # s's component columns as a view (np.moveaxis costs ~3 us on one row)
-    return _rotate_by_pair(*_row_pairs(_columns(a, 1)), b.transpose(-1, *range(b.ndim - 1)))
+    # s is only read, so a batch's component columns can be a view
+    s = b.tolist() if b.ndim == 1 else np.moveaxis(b, -1, 0)
+    return _rotate_by_pair(*_row_pairs(_unpack(a)), s)
 
 
 def invert(r) -> np.ndarray:

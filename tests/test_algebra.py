@@ -23,7 +23,7 @@ from gibbsrot import (
     quaternion_to_matrix,
 )
 from gibbsrot.algebra import TOL_COMPOSE_SINGULAR, _compose_direct, _hamilton
-from gibbsrot.core import _columns, _dehomogenize, _homogeneous
+from gibbsrot.core import _PAIR_LIMIT, _columns, _dehomogenize, _homogeneous, _row_pairs
 from helpers import random_gibbs, random_units
 
 
@@ -216,6 +216,33 @@ def test_compose_rows_within_unit_magnitude_equal_the_scaled_pair_route():
         assert got[keep].tobytes() == want[keep].tobytes()
         for k in np.flatnonzero(keep)[:20]:
             assert compose(a[k], s[k]).tobytes() == want[k].tobytes()
+
+
+def test_kernels_on_one_row_of_python_floats_equal_the_column_rows():
+    # the one-row route of compose: _row_pairs, _hamilton and _dehomogenize
+    # on Python floats make the column code's decisions and write its bits,
+    # at the pair limit, past it, on half turns and where every row is
+    # singular (rel_sq = 1), the v = 0 pair included
+    rng = np.random.default_rng(53)
+    r = np.concatenate([
+        random_gibbs(rng, 40, 1e-3, 1e3),
+        [[_PAIR_LIMIT, 0.0, 0.0], [np.nextafter(_PAIR_LIMIT, 0.0), 1.0, -1.0]],
+        [[1e300, -1.0, 0.0], [np.inf, 0.0, -0.0], [-0.0, 0.0, -0.0]],
+        pi_encode(random_units(rng, 5)),
+    ])
+    s = r[rng.permutation(len(r))]
+    s[:3] = -r[:3]  # composites (w : 0)
+    w, v = _hamilton(*_row_pairs(_columns(r, 1)), *_row_pairs(_columns(s, 1)))
+    for rel_sq in (TOL_COMPOSE_SINGULAR**2, 1.0):
+        batch = _dehomogenize(w, v, rel_sq)
+        for i in range(len(r)):
+            pairs = _row_pairs(r[i].tolist()), _row_pairs(s[i].tolist())
+            assert all(type(x) is float for wi, vi in pairs for x in (wi, *vi))
+            wi, vi = _hamilton(*pairs[0], *pairs[1])
+            assert np.float64(wi).tobytes() == w[i].tobytes(), i
+            assert np.array(vi).tobytes() == np.array([c[i] for c in v]).tobytes(), i
+            assert _dehomogenize(wi, vi, rel_sq).tobytes() == batch[i].tobytes(), i
+        assert (batch[:3] == 0.0).all()
 
 
 def exact_errors(got, r, s):

@@ -348,6 +348,16 @@ def test_sweep_usage_errors():
     )[0] == 2
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "-inf"])
+def test_sweep_profile_radius_must_be_finite(radius):
+    # NaN passed the R <= 0 test and printed NaN vertices; inf printed inf
+    code, out, err = run_cli(
+        ["sweep", "--obj", "--profile", f"circle:{radius}:3"], stdin="0,0,0\n1,0,0\n2,1,0\n"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: USAGE: --profile needs a finite R > 0 and K >= 3\n"
+
+
 def test_sweep_straight_segments_inherit_normal():
     # an L-shaped path: straight, corner, straight; no frame flips
     pts = [(-2 + 0.5 * i, 0.0, 0.0) for i in range(4)]

@@ -27,7 +27,7 @@ import gibbsrot
 from gibbsrot.algebra import compose
 from gibbsrot.alignment import align_pair
 from gibbsrot.cli import main
-from gibbsrot.core import _pivot_row, _pivot_table
+from gibbsrot.core import _PAIR_LIMIT, _pivot_row, _pivot_table
 from helpers import component_error, matrix_about, random_gibbs, random_units
 
 
@@ -102,16 +102,19 @@ def test_round_trip_matrix_side_at_extreme_magnitudes():
 def mixed_rows(rng):
     """A shuffled batch over every regime of the pair choice: finite rows
     of |r| 1e-3 .. 1e3, rows at 1e49 .. 1e100 and beyond the scaled-pair
-    limit (+-1e300, 1e150), infinite rows, pi-encoded rows and signed zeros."""
+    limit (+-1e300, 1e150), infinite rows, pi-encoded rows, signed zeros
+    and the zero vector."""
+    below = np.nextafter(_PAIR_LIMIT, 0.0)
     rows = [
         random_gibbs(rng, 150, 1e-3, 1e3),
         [[1e300, -2e299, 5e298], [-1e300, 0.0, 1.0], [3e150, 1e-3, -2e149]],
         # on either side of the pair limit (1e50) and near 1e100
         [[1e49, -2e48, 3.0], [1e50, 1.0, -1e49], [-1e99, 5e98, 0.0], [1e100, 0.0, -1e100]],
+        [[-0.0, -_PAIR_LIMIT, 1.0], [below, 0.0, -1.0], [1.0, -below, below]],
         [[np.inf, 0.0, -np.inf], [0.0, -np.inf, 0.0], [np.inf, 1.0, 2.0]],
         pi_encode(random_units(rng, 10)),
         -pi_encode(random_units(rng, 5)),
-        [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0]],
+        [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]],
     ]
     r = np.concatenate([np.asarray(x, dtype=float) for x in rows])
     return r[rng.permutation(len(r))]
@@ -142,16 +145,19 @@ def test_rotate_vector_broadcasts():
 
 
 def test_batch_rows_equal_single_row_calls_byte_for_byte():
-    # one huge row used to switch the whole batch to the scaled pair
+    # one huge row used to switch the whole batch to the scaled pair; one
+    # row runs the kernels on Python floats, from an array, list or tuple
     rng = np.random.default_rng(40)
     r = mixed_rows(rng)
     s = rng.normal(size=r.shape)
     s[::7] *= -0.0
+    s[1::9, 1] = 1e300
     u = gibbs_to_matrix(r)
     out = rotate_vector(r, s)
     for i in range(len(r)):
-        assert u[i].tobytes() == gibbs_to_matrix(r[i]).tobytes(), i
-        assert out[i].tobytes() == rotate_vector(r[i], s[i]).tobytes(), i
+        for a, b in ((r[i], s[i]), (r[i].tolist(), s[i].tolist()), (tuple(r[i]), tuple(s[i]))):
+            assert u[i].tobytes() == gibbs_to_matrix(a).tobytes(), i
+            assert out[i].tobytes() == rotate_vector(a, b).tobytes(), i
     # r (n, 3) against one s (3,)
     out = rotate_vector(r, s[1])
     assert out.shape == r.shape
@@ -169,6 +175,66 @@ def assert_outer_rows_equal_single_calls(op, r, s):
     for i in range(len(r)):
         for j in range(len(s)):
             assert out[i, j].tobytes() == op(r[i], s[j]).tobytes(), (i, j)
+
+
+def test_one_row_compose_landing_exactly_on_a_half_turn():
+    # s = (h + r x h) / (r . h) makes compose(r, s) the half turn about h;
+    # with r = x and h = x + y every quantity is exact and w = 0 exactly
+    r, h = np.array([1.0, 0.0, 0.0]), np.array([1.0, 1.0, 0.0])
+    s = (h + np.cross(r, h)) / np.dot(r, h)
+    assert s.tolist() == [1.0, 1.0, 1.0]
+    one = compose(r, s)
+    assert one.tobytes() == pi_encode(h).tobytes()
+    assert one.tobytes() == compose(np.stack([r, -r]), np.stack([s, s]))[0].tobytes()
+    # rounded landings from the benchmark's recipe come back encoded too
+    rng = np.random.default_rng(51)
+    r, h = rng.normal(size=(50, 3)), random_units(rng, 50)
+    s = (h + np.cross(r, h)) / np.sum(r * h, axis=-1, keepdims=True)
+    batch = compose(r, s)
+    assert is_pi_encoded(batch).all()
+    for i in range(50):
+        assert compose(r[i], s[i]).tobytes() == batch[i].tobytes(), i
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the parity is the point
+        return type(exc), str(exc), getattr(exc, "code", None)
+    raise AssertionError("no error")
+
+
+@pytest.mark.parametrize("bad, shape", [
+    ([np.nan, 0.0, 1.0], None), ([0.0, -np.nan, np.inf], None),
+    ([1.0, 2.0], (2,)), ([1.0, 2.0, 3.0, 4.0], (4,)),
+])
+def test_one_row_and_batch_raise_the_same_errors(bad, shape):
+    # validation runs before the route: NaN components and wrong shapes
+    # give one error, type, message and code, for one row or a batch
+    good = [0.1, 0.2, 0.3]
+    batch = np.stack([np.zeros_like(bad), bad])
+    for call_one, call_batch in (
+        (lambda: gibbs_to_matrix(bad), lambda: gibbs_to_matrix(batch)),
+        (lambda: rotate_vector(bad, good), lambda: rotate_vector(batch, good)),
+        (lambda: rotate_vector(good, bad), lambda: rotate_vector(good, batch)),
+        (lambda: compose(bad, good), lambda: compose(batch, good)),
+        (lambda: compose(good, bad), lambda: compose(good, batch)),
+    ):
+        one, many = raised(call_one), raised(call_batch)
+        assert one[0] is many[0] is InvalidInputError and one[2] == many[2] == "INVALID_INPUT"
+        if shape is None:
+            assert one[1] == many[1] and one[1].endswith("contains NaN components")
+        else:
+            assert one[1].replace(str(shape), str((2,) + shape)) == many[1]
+
+
+@pytest.mark.parametrize("bad", [[np.inf, 0.0, 1.0], [0.0, -np.inf, 0.0]])
+def test_non_finite_s_is_one_error_for_one_row_and_a_batch(bad):
+    batch = np.stack([np.ones(3), bad])
+    for r in ([0.1, 0.2, 0.3], np.zeros((2, 3)), pi_encode([1.0, 0.0, 0.0])):
+        assert raised(lambda: rotate_vector(r, bad)) == raised(lambda: rotate_vector(r, batch)) == (
+            InvalidInputError, "s has non-finite components", "INVALID_INPUT"
+        )
 
 
 def test_public_ops_leave_read_only_inputs_unchanged():
@@ -254,7 +320,8 @@ def test_compose_batch_rows_equal_single_calls_byte_for_byte():
     out = compose(r, s)
     assert is_pi_encoded(out).any()
     for i in range(len(r)):
-        assert out[i].tobytes() == compose(r[i], s[i]).tobytes(), i
+        for a, b in ((r[i], s[i]), (r[i].tolist(), s[i].tolist()), (tuple(r[i]), tuple(s[i]))):
+            assert out[i].tobytes() == compose(a, b).tobytes(), i
     # one operand broadcast against the batch
     out = compose(r, s[3])
     for i in range(len(r)):
@@ -501,6 +568,19 @@ def test_pi_trace_tol_past_four_encodes_every_row_without_overflow():
             r = matrix_to_gibbs(u, pi_trace_tol=tol)
         assert is_pi_encoded(r).all()
         assert np.abs(r[0] - want).max() <= 1e-15 * PI_ENCODING_MAGNITUDE
+
+
+def test_identity_at_a_pi_trace_tol_past_four_stays_zero():
+    # past 4 every row is singular; the identity's pivot row (4 : 0) has
+    # v = 0 and no half-turn axis, and was encoded as 0 / 0 = NaN
+    rows = np.stack([np.eye(3), gibbs_to_matrix([0.1, 0.2, 0.3])])
+    for tol in (4.0, 1e10, 1e308):
+        with np.errstate(all="raise"):
+            assert matrix_to_gibbs(np.eye(3), pi_trace_tol=tol).tolist() == [0.0, 0.0, 0.0]
+            r = matrix_to_gibbs(rows, pi_trace_tol=tol)
+        assert r[0].tolist() == [0.0, 0.0, 0.0]
+        assert r[1].tobytes() == matrix_to_gibbs(rows[1], pi_trace_tol=tol).tobytes()
+        assert is_pi_encoded(r[1])
 
 
 # --- validation -------------------------------------------------------------

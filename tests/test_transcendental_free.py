@@ -18,7 +18,7 @@ import gibbsrot.algebra
 import gibbsrot.alignment
 import gibbsrot.bridges
 import gibbsrot.core
-from gibbsrot.algebra import _compose_direct
+from gibbsrot.algebra import _compose_direct, _hamilton
 from gibbsrot.alignment import _pair_pivot_row, _reflection_pairs
 from gibbsrot.core import (
     _columns,
@@ -26,6 +26,7 @@ from gibbsrot.core import (
     _gibbs_from_matrix_direct,
     _matrix_from_gibbs_direct,
     _pivot_row,
+    _quotient_rows,
     _rotate_by_pair,
 )
 
@@ -61,6 +62,10 @@ AUDITED = {
         "_rotate_by_pair",
         "_row_pairs",
         "_is_one",
+        "_new_rows",
+        "_put",
+        "_unpack",
+        "_quotient_rows",
         "pi_encode",
         "_pi_encode_rows",
     ],
@@ -226,6 +231,31 @@ def test_exact_rotation_by_pair_matches_exact_matrix_action():
     want = np.matmul(_matrix_from_gibbs_direct(r), s[..., None])[..., 0]
     assert all(type(v) is Fraction for v in got.flat)
     assert (got == want).all()
+
+
+def test_exact_kernels_on_plain_tuples_of_fractions():
+    # the one-row route's number type: a row given as a tuple of Fractions
+    # runs the kernels on the numbers themselves, stays exact and gives the
+    # object-array batch row
+    r = rational_vectors(60, 53)
+    s = rational_vectors(60, 54)
+    keep = np.array([sum(a * b for a, b in zip(x, y)) != 1 for x, y in zip(r, s)])
+    r, s = r[keep], s[keep]  # (w : v) = (0 : v) is a half turn, no quotient
+    m, t = _matrix_from_gibbs_direct(r), _compose_direct(r, s)
+    turned = _rotate_by_pair(1, r.T, s.T)
+    for i in range(len(r)):
+        ri, si = tuple(r[i]), tuple(s[i])
+        w, v = _hamilton(1, ri, 1, si)
+        for got, want in (
+            (_matrix_from_gibbs_direct(ri), m[i]),
+            (_matrix_from_pair(1, ri), m[i]),
+            (_compose_direct(ri, si), t[i]),
+            (_quotient_rows(v, w), t[i]),
+            (_rotate_by_pair(1, ri, si), turned[i]),
+        ):
+            assert got.shape == want.shape and all(type(x) is Fraction for x in got.flat)
+            assert (got == want).all(), i
+    assert (np.matmul(m, s[..., None])[..., 0] == turned).all()
 
 
 def test_exact_pair_alignment_through_the_pivot():
