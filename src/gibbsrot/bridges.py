@@ -6,13 +6,19 @@ where that is the natural meeting point).  Besides serving users, these
 are the independent oracles the test suite checks the rational fast paths
 against.
 
+A quaternion is ``core``'s homogeneous pair ``(w : v)`` scaled to unit
+length.  Every op runs on ``core``'s component columns, the caller's
+batch shape kept, and writes rows once, at the output; norms are summed
+in written order (``w^2 + x^2 + y^2 + z^2``), as ``np.sum`` sums a row.
+
 Conventions
 -----------
 * Quaternions are arrays ``[w, x, y, z]`` (scalar part first) with unit
   norm: ``w**2 + x**2 + y**2 + z**2 == 1`` within ``TOL_QUATERNION_NORM``.
   The canonical representative has ``w >= 0``; when ``w == 0`` the first
-  nonzero of ``(x, y, z)`` is positive.  The canonical form is lossy over
-  the unit quaternions (q and -q collapse) but lossless over rotations.
+  nonzero of ``(x, y, z)`` is positive; zeros are +0.0.  The canonical
+  form is lossy over the unit quaternions (q and -q collapse, to the same
+  bytes) but lossless over rotations.
 * ``quaternion_multiply(a, b)`` is the standard quaternion product.  In
   this package's matrix convention that composes as
   ``quaternion_to_matrix(quaternion_multiply(a, b)) ==
@@ -42,11 +48,13 @@ from .core import (
     _broadcast,
     _check_tol,
     _columns,
+    _encode_half_turns,
     _homogeneous,
+    _inner,
     _new_rows,
-    _pi_encode_rows,
     _pivot_row,
     _put,
+    _quotient_rows,
     _require_rotation,
     _unpack,
 )
@@ -77,7 +85,6 @@ TOL_QUATERNION_NORM = 1e-12
 # quaternion and Gibbs encodings of "as close to a half turn as a float
 # can express" hand off to each other exactly.
 TOL_QUATERNION_REAL = 1.0 / PI_ENCODING_THRESHOLD
-
 
 
 class AxisAngle(NamedTuple):
@@ -129,38 +136,34 @@ def _as_quaternion(q, name: str = "q") -> np.ndarray:
 
 def canonicalize_quaternion(q) -> np.ndarray:
     """Canonical sign representative: ``w >= 0``; for ``w == 0`` the first
-    nonzero imaginary component is positive.
+    nonzero imaginary component is positive.  Zeros come back as +0.0.
 
     Only signs are touched (no renormalization), so the operation is
     idempotent bit for bit.
     """
-    a = _as_quaternion(q)
-    return _canonical_signs(a.reshape(-1, 4).copy()).reshape(a.shape)
+    return _canonical_signs(_columns(_as_quaternion(q), 1))
 
 
-def _canonical_signs(flat: np.ndarray) -> np.ndarray:
-    """:func:`canonicalize_quaternion` of an (n, 4) array the caller owns
-    and knows to be unit: its rows' signs flipped in place, and returned."""
-    w = flat[:, 0]
-    flip = w < 0.0
-    on_zero = np.flatnonzero(w == 0.0)
-    if on_zero.size:
-        v = flat[on_zero, 1:]
-        first = np.argmax(v != 0.0, axis=-1)
-        lead = np.take_along_axis(v, first[:, None], axis=-1)[:, 0]
-        flip[on_zero] = lead < 0.0
-    rows = np.flatnonzero(flip)
-    flat[rows] = -flat[rows]
-    return flat
+def _canonical_signs(q: np.ndarray) -> np.ndarray:
+    """:func:`canonicalize_quaternion` of unit quaternions given as
+    ``(4,) + batch`` component columns ``q``, written into rows: times -1
+    where the first nonzero component is negative, then ``+ 0.0`` turns
+    -0.0 into +0.0, so ``q`` and ``-q`` give the same bytes."""
+    w, x, y, z = q
+    lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
+    out = np.empty(lead.shape + (4,))
+    np.multiply(q, np.where(lead < 0.0, -1.0, 1.0), out=np.moveaxis(out, -1, 0))
+    out += 0.0
+    return out
 
 
-def _unit_quaternion(w, v) -> np.ndarray:
-    """Canonical unit quaternions, as (n, 4) rows, of the pairs
-    ``(w : v)`` given as ``w`` (n,) and component columns ``v`` (3, n)."""
-    q = np.empty((len(w), 4))
-    q[:, 0] = w
-    q[:, 1:] = v.T
-    q /= np.sqrt(np.einsum("ni,ni->n", q, q))[:, None]
+def _unit_quaternion(q: np.ndarray) -> np.ndarray:
+    """Canonical unit quaternions, as rows, of the homogeneous pairs
+    given as ``(4,) + batch`` component columns ``q = (w, x, y, z)`` the
+    caller owns.  ``|q|^2`` is summed ``w^2 + x^2 + y^2 + z^2`` left to
+    right, the order of ``np.sum`` and of :func:`_norm_sq`."""
+    w, x, y, z = q
+    q /= np.sqrt(w * w + x * x + y * y + z * z)
     return _canonical_signs(q)
 
 
@@ -204,9 +207,8 @@ def gibbs_to_quaternion(r) -> np.ndarray:
     so magnitudes near the encoding threshold cannot overflow.  Half-turn
     encodings have ``w = 0`` and map to ``(0, axis)``.
     """
-    a = _as_vec3(r, "r")
-    w, v = _homogeneous(_columns(a.reshape(-1, 3), 1))
-    return _unit_quaternion(w, v).reshape(a.shape[:-1] + (4,))
+    w, v = _homogeneous(_columns(_as_vec3(r, "r"), 1))
+    return _unit_quaternion(np.stack((w, *v)))
 
 
 def quaternion_to_gibbs(q) -> np.ndarray:
@@ -214,12 +216,10 @@ def quaternion_to_gibbs(q) -> np.ndarray:
     the real part.  Real parts within ``TOL_QUATERNION_REAL`` of zero are
     half turns and produce the encoding about the imaginary direction.
     """
-    a = _as_quaternion(q)
-    w = a[..., 0]
+    w, *v = _columns(_as_quaternion(q), 1)
     half = np.abs(w) <= TOL_QUATERNION_REAL
-    out = a[..., 1:] / np.where(half, 1.0, w)[..., None]
-    out[half] = _pi_encode_rows(out[half])
-    return out
+    # the half turns are divided by 1, so they hold their axis v
+    return _encode_half_turns(_quotient_rows(v, np.where(half, 1.0, w)), np.flatnonzero(half))
 
 
 def quaternion_to_matrix(q) -> np.ndarray:
@@ -265,8 +265,7 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     cols = _columns(a, 2)
     if check:
         _require_rotation(cols, ortho_tol)
-    row = _pivot_row(cols).reshape(4, -1)
-    return _unit_quaternion(row[0], row[1:]).reshape(a.shape[:-2] + (4,))
+    return _unit_quaternion(_pivot_row(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -283,17 +282,13 @@ def gibbs_to_axis_angle(r) -> AxisAngle:
     axis with angle pi.  Batched input yields stacked axes and an angle
     array.
     """
-    a = _as_vec3(r, "r")
-    w, v = _homogeneous(_columns(a.reshape(-1, 3), 1))
-    v = v.T.copy()
-    n = np.sqrt(np.einsum("ni,ni->n", v, v))
+    w, v = _homogeneous(_columns(_as_vec3(r, "r"), 1))
+    n = np.sqrt(_inner(v, v))
     zero = n == 0.0
-    axis = v / np.where(zero, 1.0, n)[:, None]
+    axis = _quotient_rows(v, np.where(zero, 1.0, n))
     axis[zero] = (0.0, 0.0, 1.0)
     angle = 2.0 * np.arctan2(n, w)
-    if a.ndim == 1:
-        return AxisAngle(axis[0], float(angle[0]))
-    return AxisAngle(axis.reshape(a.shape), angle.reshape(a.shape[:-1]))
+    return AxisAngle(axis, float(angle) if np.ndim(angle) == 0 else angle)
 
 
 def axis_angle_to_gibbs(axis, angle=None) -> np.ndarray:
@@ -305,23 +300,25 @@ def axis_angle_to_gibbs(axis, angle=None) -> np.ndarray:
     of exactly pi after reduction produces the half-turn encoding.
     """
     if angle is None:
-        axis, angle = axis
+        try:
+            axis, angle = axis
+        except (TypeError, ValueError):
+            raise InvalidInputError("angle is missing: give an AxisAngle or axis and angle") from None
     a = _as_vec3(axis, "axis")
     ang = _as_float(angle, "angle")
     if not np.isfinite(ang).all():
         raise InvalidInputError("angle must be finite")
     a, ang = _broadcast(axis=a, angle=ang[..., None])
-    flat = a.reshape(-1, 3)
-    norm2 = np.sum(flat * flat, axis=-1)
+    u = _columns(a, 1)
+    norm2 = _inner(u, u)
     if (np.abs(norm2 - 1.0) > 1e-9).any():
         raise InvalidInputError("axis must be unit length (within 1e-9 on |axis|^2)")
-    flat = flat / np.sqrt(norm2)[:, None]
-    th = np.remainder(ang[..., 0].reshape(-1) + np.pi, 2.0 * np.pi) - np.pi
-    th[th == -np.pi] = np.pi
-    out = np.tan(th[:, None] / 2.0) * flat
-    half = th == np.pi
-    out[half] = _pi_encode_rows(flat[half])
-    return out.reshape(a.shape)
+    u /= np.sqrt(norm2)
+    th = np.remainder(ang[..., 0] + np.pi, 2.0 * np.pi) - np.pi
+    half = np.abs(th) == np.pi
+    # the half turns are scaled by 1, so they hold the unit axis
+    out = np.stack(u * np.where(half, 1.0, np.tan(th / 2.0)), axis=-1)
+    return _encode_half_turns(out, np.flatnonzero(half))
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +332,16 @@ def euler_to_matrix(yaw, pitch=None, roll=None) -> np.ndarray:
     Accepts an :class:`EulerAngles`, a single (..., 3) array of
     ``[yaw, pitch, roll]``, or three separate angle arrays.
     """
-    if pitch is None:
+    if pitch is None and roll is None:
         arr = _as_float(yaw, "angles")
         if arr.shape[-1:] != (3,):
             raise InvalidInputError(
                 f"expected [yaw, pitch, roll] along the last axis, got {arr.shape}"
             )
         yaw, pitch, roll = arr[..., 0], arr[..., 1], arr[..., 2]
+    if pitch is None or roll is None:
+        missing = "pitch" if pitch is None else "roll"
+        raise InvalidInputError(f"{missing} is missing: give [yaw, pitch, roll] or three angles")
     a, b, c = _broadcast(
         yaw=_as_float(yaw, "yaw"),
         pitch=_as_float(pitch, "pitch"),
@@ -377,26 +377,19 @@ def matrix_to_euler(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT
     """
     _check_tol(ortho_tol, "ortho_tol")
     a = _as_matrix3(u, "matrix")
+    cols = _columns(a, 2)
     if check:
-        _require_rotation(_columns(a, 2), ortho_tol)
-    flat = a.reshape(-1, 3, 3)
-    sb = flat[:, 2, 0]
-    # hypot(yaw entries) recovers |cos(pitch)| without the precision cliff
-    # of arcsin near +/-1.
-    cb = np.hypot(flat[:, 0, 0], flat[:, 1, 0])
+        _require_rotation(cols, ortho_tol)
+    u00, u01, u02, u10, _, _, sb, u21, u22 = cols
+    # sb = u20 is sin(pitch); hypot(yaw entries) recovers |cos(pitch)|
+    # without the precision cliff of arcsin near +/-1.
+    cb = np.hypot(u00, u10)
     pitch = np.arctan2(sb, cb)
-    yaw = np.arctan2(-flat[:, 1, 0], flat[:, 0, 0])
-    roll = np.arctan2(-flat[:, 2, 1], flat[:, 2, 2])
+    # at gimbal lock roll is 0 and yaw is read off the first row
     locked = cb == 0.0
-    if locked.any():
-        up = locked & (sb >= 0.0)
-        dn = locked & (sb < 0.0)
-        roll[locked] = 0.0
-        yaw[up] = np.arctan2(flat[up, 0, 1], -flat[up, 0, 2])
-        yaw[dn] = np.arctan2(flat[dn, 0, 1], flat[dn, 0, 2])
-    yaw[yaw == -np.pi] = np.pi
-    roll[roll == -np.pi] = np.pi
+    yaw = np.where(locked, np.arctan2(u01, np.where(sb >= 0.0, -u02, u02)), np.arctan2(-u10, u00))
+    roll = np.where(locked, 0.0, np.arctan2(-u21, u22))
+    yaw, roll = (np.where(x == -np.pi, np.pi, x) for x in (yaw, roll))
     if a.ndim == 2:
-        return EulerAngles(float(yaw[0]), float(pitch[0]), float(roll[0]))
-    shape = a.shape[:-2]
-    return EulerAngles(yaw.reshape(shape), pitch.reshape(shape), roll.reshape(shape))
+        return EulerAngles(float(yaw), float(pitch), float(roll))
+    return EulerAngles(yaw, pitch, roll)

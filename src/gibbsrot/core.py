@@ -338,9 +338,8 @@ def is_pi_encoded(r) -> bool | np.ndarray:
     or an infinite component (homogeneous pair ``w = 0``).  ``|r|`` is
     compared in floating point: a row within a few ulp of the threshold
     may fall either way, and every operation decides by this same test."""
-    a = _as_vec3(r, "r")
-    w, _ = _homogeneous(_columns(a.reshape(-1, 3), 1))
-    mask = (w == 0.0).reshape(a.shape[:-1])
+    w, _ = _homogeneous(_columns(_as_vec3(r, "r"), 1))
+    mask = w == 0.0
     return bool(mask) if mask.ndim == 0 else mask
 
 
@@ -355,12 +354,24 @@ def pi_encode(axis) -> np.ndarray:
         raise InvalidInputError("axis has non-finite components")
     if (_max_abs(np.moveaxis(a, -1, 0)) == 0.0).any():
         raise InvalidInputError("axis must be nonzero")
-    return _pi_encode_rows(a)
+    return _encode_half_turns(a.copy())
 
 
-def _pi_encode_rows(a: np.ndarray) -> np.ndarray:
-    """:func:`pi_encode` of rows already known finite and nonzero."""
-    return (a / _max_abs(np.moveaxis(a, -1, 0))[..., None]) * PI_ENCODING_MAGNITUDE
+def _encode_half_turns(out: np.ndarray, half=None) -> np.ndarray:
+    """``out``, rows of three the caller owns, with the rows at the flat
+    indices ``half`` (every row if None) replaced in place by the
+    half-turn encoding along the axis ``v`` each holds: ``v`` rescaled so
+    its largest |component| sits at the float ceiling.  Indexed rows
+    holding ``v = 0`` have no axis and stay 0."""
+    if half is None:
+        v = np.moveaxis(out, -1, 0)
+        v /= _max_abs(v)
+        v *= PI_ENCODING_MAGNITUDE
+    elif len(half):
+        rows = out.reshape(-1, 3)
+        half = np.asarray(half)[_max_abs(np.moveaxis(rows[half], -1, 0)) > 0.0]
+        rows[half] = _encode_half_turns(rows[half])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,27 +383,29 @@ _HALF_TURN_SCREEN = PI_ENCODING_THRESHOLD / 2.0
 
 
 def _homogeneous(r: np.ndarray):
-    """Homogeneous pairs ``(w, v)`` of Gibbs vectors given as (3, n)
-    component columns, max-abs 1 each; ``w`` is (n,) and ``v`` (3, n).
+    """Homogeneous pairs ``(w, v)``, max-abs 1 each, of Gibbs vectors
+    given as ``(3,) + batch`` component columns; ``w`` has the batch shape.
 
     Finite rows map to ``(1/c, r/c)`` with ``c = max(|r|_inf, 1)``.  Half
     turns (pi-encoded rows and rows with infinite components) get
     ``w = 0`` exactly; infinite rows keep only the signs of their
-    infinite components.  Elementary arithmetic only.
+    infinite components.  Rows are picked by index in flat views.
+    Elementary arithmetic only.
     """
-    m = _max_abs(r)
+    flat = r.reshape(3, -1)
+    m = _max_abs(flat)
     c = np.maximum(m, 1.0)
     w = 1.0 / c
     with np.errstate(invalid="ignore"):
-        v = r / c
+        v = flat / c
     big = np.flatnonzero(m >= _HALF_TURN_SCREEN)
     if big.size:
         mb = m[big]
         inf = big[np.isinf(mb)]
-        ri = r[:, inf]
+        ri = flat[:, inf]
         v[:, inf] = np.where(np.isinf(ri), np.sign(ri), 0.0)
         w[big[_pi_mask(v[:, big], mb)]] = 0.0
-    return w, v
+    return w.reshape(r.shape[1:]), v.reshape(r.shape)
 
 
 def _dehomogenize(w: np.ndarray, v, rel_sq: float) -> np.ndarray:
@@ -411,15 +424,8 @@ def _dehomogenize(w: np.ndarray, v, rel_sq: float) -> np.ndarray:
         d, half = np.where(singular, 1.0, w), np.flatnonzero(singular)
     else:  # one row of numbers
         d, half = (1.0, [0]) if singular else (w, [])
-    out = _quotient_rows(v, d)
-    if len(half):
-        # the singular rows were divided by 1, so they hold v itself; v = 0
-        # (the identity, past pi_trace_tol 4) has no axis and stays 0
-        rows = out.reshape(-1, 3)
-        sub = rows[half]
-        axis = _max_abs(sub.T) > 0.0
-        rows[np.asarray(half)[axis]] = _pi_encode_rows(sub[axis])
-    return out
+    # the singular rows are divided by 1, so they hold v itself
+    return _encode_half_turns(_quotient_rows(v, d), half)
 
 
 # ---------------------------------------------------------------------------

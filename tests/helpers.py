@@ -1,11 +1,14 @@
-"""Shared oracles for the test suite.
+"""Shared oracles and inputs for the test suite.
 
-Everything here is independent of the library internals: rotation
+The oracles are independent of the library internals: rotation
 matrices are built from explicit trigonometry, so agreement between
 these oracles and the rational code paths is meaningful evidence.
 """
 
 import numpy as np
+
+from gibbsrot import pi_encode
+from gibbsrot.core import _PAIR_LIMIT
 
 
 def matrix_about(axis, angle: float) -> np.ndarray:
@@ -33,6 +36,27 @@ def random_gibbs(rng, n: int, lo: float = 1e-6, hi: float = 1e3) -> np.ndarray:
     """Gibbs vectors with |r| log-uniform in [lo, hi]."""
     mags = 10.0 ** rng.uniform(np.log10(lo), np.log10(hi), size=(n, 1))
     return random_units(rng, n) * mags
+
+
+def mixed_rows(rng):
+    """A shuffled batch over every regime of the pair choice: finite rows
+    of |r| 1e-3 .. 1e3, rows at 1e49 .. 1e100 and beyond the scaled-pair
+    limit (+-1e300, 1e150), infinite rows, pi-encoded rows, signed zeros
+    and the zero vector."""
+    below = np.nextafter(_PAIR_LIMIT, 0.0)
+    rows = [
+        random_gibbs(rng, 150, 1e-3, 1e3),
+        [[1e300, -2e299, 5e298], [-1e300, 0.0, 1.0], [3e150, 1e-3, -2e149]],
+        # on either side of the pair limit (1e50) and near 1e100
+        [[1e49, -2e48, 3.0], [1e50, 1.0, -1e49], [-1e99, 5e98, 0.0], [1e100, 0.0, -1e100]],
+        [[-0.0, -_PAIR_LIMIT, 1.0], [below, 0.0, -1.0], [1.0, -below, below]],
+        [[np.inf, 0.0, -np.inf], [0.0, -np.inf, 0.0], [np.inf, 1.0, 2.0]],
+        pi_encode(random_units(rng, 10)),
+        -pi_encode(random_units(rng, 5)),
+        [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]],
+    ]
+    r = np.concatenate([np.asarray(x, dtype=float) for x in rows])
+    return r[rng.permutation(len(r))]
 
 
 def rotation_error(u: np.ndarray, v: np.ndarray) -> float:

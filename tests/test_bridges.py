@@ -28,7 +28,7 @@ from gibbsrot import (
     quaternion_to_matrix,
 )
 from gibbsrot.bridges import _norm_sq
-from helpers import component_error, matrix_about, random_gibbs, random_units
+from helpers import component_error, matrix_about, mixed_rows, random_gibbs, random_units
 
 
 # --- quaternions -------------------------------------------------------------
@@ -93,6 +93,21 @@ def test_canonicalization():
     assert np.array_equal(again, c)
     with pytest.raises(InvalidInputError):
         canonicalize_quaternion([1.0, 1.0, 0.0, 0.0])  # not unit length
+
+
+def test_canonical_quaternions_are_unique_in_bytes():
+    # q and -q are one rotation: with zero components the flip used to
+    # leave -0.0 entries, so the two gave different bytes
+    q = np.array([
+        [0.0, 0.0, -0.6, 0.8], [-0.0, 0.0, -0.0, -1.0], [0.0, -1.0, 0.0, 0.0],
+        [1.0, -0.0, 0.0, -0.0], [-0.6, 0.0, 0.8, -0.0], [0.0, 0.6, -0.0, 0.8],
+    ])
+    for a in (q, q[0], q.reshape(2, 3, 4)):
+        c = canonicalize_quaternion(a)
+        assert c.tobytes() == canonicalize_quaternion(-a).tobytes()
+        assert c.tobytes() == canonicalize_quaternion(c).tobytes()
+        assert not np.signbit(c[c == 0.0]).any()
+    assert canonicalize_quaternion([0.0, 0.0, -0.6, 0.8]).tolist() == [0.0, 0.0, 0.6, -0.8]
 
 
 def test_matrix_to_quaternion_hits_every_branch():
@@ -225,6 +240,19 @@ def test_exact_half_turn_angles_encode():
     assert np.allclose(axis, [0.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("call, missing", [
+    (lambda: axis_angle_to_gibbs([0.0, 0.0, 1.0]), "angle"),
+    (lambda: axis_angle_to_gibbs(1.0), "angle"),
+    (lambda: axis_angle_to_gibbs(np.zeros((0, 3))), "angle"),
+    (lambda: euler_to_matrix(0.1, 0.2), "roll"),
+    (lambda: euler_to_matrix(0.1, roll=0.3), "pitch"),
+    (lambda: euler_to_matrix([0.1, 0.2, 0.3], roll=0.3), "pitch"),
+], ids=["axis-only", "scalar", "empty-batch", "no-roll", "no-pitch", "array-and-roll"])
+def test_missing_angles_are_typed_errors(call, missing):
+    with pytest.raises(InvalidInputError, match=f"^{missing} is missing"):
+        call()
+
+
 def test_axis_validation():
     with pytest.raises(InvalidInputError):
         axis_angle_to_gibbs([1.0, 1.0, 0.0], 0.5)  # not unit length
@@ -346,3 +374,82 @@ def test_quaternion_norm_sum_matches_np_sum_bit_for_bit(shape):
     got = _norm_sq(q)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+# --- layout: each row of a batch is the call on that row alone -----------------
+
+
+def layout_inputs(kind, rng):
+    """Shuffled rows of one kind: :func:`mixed_rows`' Gibbs regimes plus
+    half turns and finite rows with zero components, and what they give
+    as quaternions, matrices (with gimbal-locked ones) and axis-angle rows
+    (angles at +-pi and past)."""
+    r = np.concatenate([
+        mixed_rows(rng),
+        pi_encode([[0.0, -0.6, 0.8], [-0.0, 0.0, -1.0]]), [[1.0, -0.0, 0.0], [-0.0, 2.0, -0.0]],
+    ])
+    if kind == "quaternion":
+        q = gibbs_to_quaternion(r) * rng.choice([-1.0, 1.0], size=(len(r), 1))
+        r = np.concatenate([q, [
+            [0.0, 0.0, -0.6, 0.8], [-0.0, -0.0, 0.6, -0.8], [-1.0, 0.0, -0.0, 0.0],
+            [-0.0, 0.0, -0.0, -1.0], [1e-320, 0.0, -0.6, 0.8], [-1e-320, 0.6, -0.0, 0.8],
+        ]])
+    elif kind == "matrix":
+        locked = euler_to_matrix(
+            [[0.3, np.pi / 2, 0.2], [-0.3, -np.pi / 2, 0.7], [np.pi, 0.0, -np.pi]]
+        )
+        r = np.concatenate([gibbs_to_matrix(r), locked, [np.diag([1.0, -1.0, -1.0]), np.eye(3)]])
+    elif kind == "axis_angle":
+        axes = np.concatenate([
+            random_units(rng, len(r) - 3), [[0.0, -0.6, 0.8], [-0.0, 0.0, -1.0], [1.0, -0.0, 0.0]],
+        ])
+        angles = rng.uniform(-10.0, 10.0, size=len(r))
+        angles[:8] = [np.pi, -np.pi, 3.0 * np.pi, 0.0, -0.0, 2.0 * np.pi, np.pi, -np.pi]
+        r = np.concatenate([axes, angles[:, None]], axis=-1)
+    return r[rng.permutation(len(r))]
+
+
+LAYOUT_OPS = {
+    "gibbs_to_quaternion": (gibbs_to_quaternion, "gibbs"),
+    "gibbs_to_axis_angle": (gibbs_to_axis_angle, "gibbs"),
+    "is_pi_encoded": (is_pi_encoded, "gibbs"),
+    "canonicalize_quaternion": (canonicalize_quaternion, "quaternion"),
+    "quaternion_to_gibbs": (quaternion_to_gibbs, "quaternion"),
+    "matrix_to_quaternion": (matrix_to_quaternion, "matrix"),
+    "matrix_to_euler": (matrix_to_euler, "matrix"),
+    "axis_angle_to_gibbs": (lambda x: axis_angle_to_gibbs(x[..., :3], x[..., 3]), "axis_angle"),
+}
+
+
+def as_arrays(out):
+    return [np.asarray(p) for p in (out if isinstance(out, tuple) else (out,))]
+
+
+@pytest.mark.parametrize("name", LAYOUT_OPS)
+def test_bridge_batch_rows_equal_single_calls_byte_for_byte(name):
+    op, kind = LAYOUT_OPS[name]
+    x = layout_inputs(kind, np.random.default_rng(60))
+    x = x[: len(x) - len(x) % 2]
+    batch = as_arrays(op(x))
+    # the same rows on a (2, n/2) batch
+    for b, g in zip(batch, as_arrays(op(x.reshape((2, -1) + x.shape[1:])))):
+        assert g.shape == (2, len(x) // 2) + b.shape[1:] and g.tobytes() == b.tobytes()
+    # and each row alone, batch shape ()
+    for i in range(len(x)):
+        for b, one in zip(batch, as_arrays(op(x[i]))):
+            assert one.shape == b.shape[1:] and one.tobytes() == b[i].tobytes(), i
+
+
+@pytest.mark.parametrize("shape", [(3,), (500, 3), (4, 5, 3)])
+def test_quaternion_and_axis_norms_sum_in_np_sum_order(shape):
+    # einsum sums a row in the lane order of its SIMD loop; the bridges
+    # sum w^2 + x^2 + y^2 + z^2 and x^2 + y^2 + z^2 left to right, as
+    # np.sum does.  With |r|_inf <= 1 the pair is (1, r) exactly.
+    r = np.random.default_rng(61).uniform(-1.0, 1.0, size=shape)
+    q = np.concatenate([np.ones(shape[:-1] + (1,)), r], axis=-1)
+    want = q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    assert gibbs_to_quaternion(r).tobytes() == want.tobytes()
+    axis, angle = gibbs_to_axis_angle(r)
+    n = np.sqrt(np.sum(r * r, axis=-1, keepdims=True))
+    assert axis.tobytes() == (r / n).tobytes()
+    assert np.asarray(angle).tobytes() == (2.0 * np.arctan2(n[..., 0], 1.0)).tobytes()

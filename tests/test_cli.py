@@ -111,6 +111,15 @@ def test_full_precision_text():
     assert out.strip() == ",".join(repr(v) for v in vals)
 
 
+def test_one_half_turn_prints_one_canonical_quaternion():
+    # the axis given with either sign is one rotation, so one line, zeros +0.0
+    lines = [
+        run_cli(["convert", "--from", "axis-angle", "--to", "quaternion", "--value", value])
+        for value in ("0,-0.6,0.8,3.141592653589793", "0,0.6,-0.8,3.141592653589793")
+    ]
+    assert lines[0] == lines[1] == (0, "0.0,0.0,0.5999999999999999,-0.8\n", "")
+
+
 def test_json_outputs_are_single_line_kind_tagged():
     cases = {
         "gibbs": {"kind": "gibbs"},

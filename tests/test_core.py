@@ -27,8 +27,8 @@ import gibbsrot
 from gibbsrot.algebra import compose
 from gibbsrot.alignment import align_pair
 from gibbsrot.cli import main
-from gibbsrot.core import _PAIR_LIMIT, _pivot_row, _pivot_table
-from helpers import component_error, matrix_about, random_gibbs, random_units
+from gibbsrot.core import _pivot_row, _pivot_table
+from helpers import component_error, matrix_about, mixed_rows, random_gibbs, random_units
 
 
 def test_identity_is_exact():
@@ -97,27 +97,6 @@ def test_round_trip_matrix_side_at_extreme_magnitudes():
 
 
 # --- rotate_vector without a matrix; pairs chosen row by row ------------------
-
-
-def mixed_rows(rng):
-    """A shuffled batch over every regime of the pair choice: finite rows
-    of |r| 1e-3 .. 1e3, rows at 1e49 .. 1e100 and beyond the scaled-pair
-    limit (+-1e300, 1e150), infinite rows, pi-encoded rows, signed zeros
-    and the zero vector."""
-    below = np.nextafter(_PAIR_LIMIT, 0.0)
-    rows = [
-        random_gibbs(rng, 150, 1e-3, 1e3),
-        [[1e300, -2e299, 5e298], [-1e300, 0.0, 1.0], [3e150, 1e-3, -2e149]],
-        # on either side of the pair limit (1e50) and near 1e100
-        [[1e49, -2e48, 3.0], [1e50, 1.0, -1e49], [-1e99, 5e98, 0.0], [1e100, 0.0, -1e100]],
-        [[-0.0, -_PAIR_LIMIT, 1.0], [below, 0.0, -1.0], [1.0, -below, below]],
-        [[np.inf, 0.0, -np.inf], [0.0, -np.inf, 0.0], [np.inf, 1.0, 2.0]],
-        pi_encode(random_units(rng, 10)),
-        -pi_encode(random_units(rng, 5)),
-        [[-0.0, 0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]],
-    ]
-    r = np.concatenate([np.asarray(x, dtype=float) for x in rows])
-    return r[rng.permutation(len(r))]
 
 
 def test_rotate_vector_matches_matrix_action():

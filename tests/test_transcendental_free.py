@@ -67,7 +67,7 @@ AUDITED = {
         "_unpack",
         "_quotient_rows",
         "pi_encode",
-        "_pi_encode_rows",
+        "_encode_half_turns",
     ],
     gibbsrot.algebra: [
         "compose",
