@@ -85,7 +85,10 @@ TOL_ALIGN_SINGULAR = 1e-12
 # [0.1, 3]) the gamma rows map both pairs within 1.9e-11 at cuts from
 # 1.5e-5 up, and within 1.5e-10 at 1.2e-5.  Normalizing by |p2 - q2| in
 # place of |p2| needs a cut near 1e-2 for the same accuracy: gamma's
-# error also grows as p2 nears the axis and barely moves.
+# error also grows as p2 nears the axis and barely moves.  The cut alone
+# routes a row.  One that passes the checks with |p1 - q1| <= tol |p1| has
+# |(p1 + q1) . (p2 - q2)| <= ~2 tol |p1 + q1| |p2| (3 tol bounds it with
+# room), so for tol below ~1e-5 (6.7e-6 = cut / 3) it leaves the gamma path.
 _GAMMA_CUT = 2e-5
 
 # align_pair solves rows whose squared norms (summed over all four
@@ -223,16 +226,23 @@ def align_family(p, q, *, tol: float = TOL_LEN) -> AlignmentLine:
             "align_family takes single 3-vectors; use align_line for batches"
         )
     # one row is its own component columns
-    den = _line_denominators(pp, qq, tol)
-    return AlignmentLine(base=_cross(qq, pp) / den, direction=(pp + qq) / den)
+    c, s, den = _checked_line(pp, qq, tol)
+    return AlignmentLine(base=c / den, direction=s / den)
 
 
-def _line_denominators(p: np.ndarray, q: np.ndarray, tol: float):
-    """The denominators ``p . (p + q)`` of the alignment lines of pairs
-    given as component columns, after the length and antipodal checks."""
+def _line(p, q):
+    """``q x p``, ``p + q`` and ``p . (p + q)`` of pairs given as component
+    columns: their lines r(gamma) = (q x p + gamma (p + q)) / (p . (p + q)).
+    Exact on ``fractions.Fraction``; elementary arithmetic only."""
+    s = p + q
+    return _cross(q, p), s, _inner(p, s)
+
+
+def _checked_line(p: np.ndarray, q: np.ndarray, tol: float):
+    """:func:`_line`, after the length and antipodal checks."""
     np_, nq = _norms(p), _norms(q)
     _check_pair_lengths(np_, nq, tol, "align")
-    den = _dot(p, p + q)
+    c, s, den = _line(p, q)
     anti = den <= tol * np_ * np_
     if anti.any():
         i = _first(anti)
@@ -241,7 +251,7 @@ def _line_denominators(p: np.ndarray, q: np.ndarray, tol: float):
             "turn about the perpendicular plane is a solution",
             basis=_perp_basis(p.reshape(3, -1)[:, i]),
         )
-    return den
+    return c, s, den
 
 
 def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
@@ -256,10 +266,8 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     pp, qq, g = _broadcast(
         p=_as_vectors(p, "p"), q=_as_vectors(q, "q"), gamma=_as_gamma(gamma)[..., None]
     )
-    p, q = _columns(pp, 1), _columns(qq, 1)
-    den = _line_denominators(p, q, tol)
-    num = _cross(q, p)
-    num += g[..., 0] * (p + q)
+    num, s, den = _checked_line(_columns(pp, 1), _columns(qq, 1), tol)
+    num += g[..., 0] * s
     return _quotient_rows(num, den)
 
 
@@ -306,11 +314,14 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     * otherwise, with p1 not parallel to p2, the matrix ``Q P^-1``
       carrying the frame ``P = [p1, p2, p1 x p2]`` onto
       ``Q = [q1, q2, q1 x q2]``, read off Shepperd's pivot table as in
-      :func:`matrix_to_gibbs` — half turns and rows with a fixed pair
-      included;
-    * p2 parallel to p1 -> the smallest rotation (gamma = 0; the second
-      pair adds no constraint);
-    * both pairs fixed -> the zero vector (identity).
+      :func:`matrix_to_gibbs` — half turns included, and rows with a
+      fixed pair, whose gamma denominator vanishes, so the cut alone
+      sends them here;
+    * p2 parallel to p1 (within ``tol``) -> the smallest rotation
+      (gamma = 0; the second pair adds no constraint);
+    * both pairs exactly fixed (q1 == p1 and q2 == p2) -> the zero vector
+      (identity).  Pairs fixed only within ``tol`` take the pivot, so
+      ``tol`` never snaps a small rotation to the identity.
 
     Rows solved off the gamma path must map both pairs, or the call
     raises ``ANGLE_MISMATCH``.
@@ -381,8 +392,7 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
             index=i,
         )
 
-    s1 = a1 + b1
-    den1 = _inner(a1, s1)
+    out, s1, den1 = _line(a1, b1)
     anti1 = den1 <= tol_a1 * n_a1
     if anti1.any():
         i = _first(anti1)
@@ -396,26 +406,23 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     d = a2 - b2
     den_g = _inner(s1, d)
     # (c1 + gamma s1) / den1 with gamma = -(c1.d) / den_g, the sign of
-    # gamma carried by the subtraction; folded into c1, which becomes the
-    # output
-    out = _cross(b1, a1)
+    # gamma carried by the subtraction; folded into c1 = out, the output
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = _dot(out, d)
         gamma /= den_g
         out -= gamma * s1
         out /= den1
 
-    # Off the gamma path: rows with pair 1 fixed, whose line holds every
-    # rotation about p1, and rows whose gamma denominator is small against
-    # |s1| |p2| (pair 2 fixed included).
-    fixed1 = _norms(a1 - b1) <= tol_a1
-    off = np.flatnonzero(fixed1 | (np.abs(den_g) <= _GAMMA_CUT * _norms(s1) * n_a2))
+    # Off the gamma path: rows whose gamma denominator is small against
+    # |s1| |p2|, either pair fixed included (see _GAMMA_CUT).
+    off = np.flatnonzero(np.abs(den_g) <= _GAMMA_CUT * _norms(s1) * n_a2)
     if off.size:
         flat = [x.reshape(3, -1) for x in (out, a1, b1, a2, b2)]
         n1, n2 = np.ravel(n_a1), np.ravel(n_a2)
         unit = [x[:, off] / n[off] for x, n in zip(flat[1:], (n1, n1, n2, n2))]
-        flat[0][:, off] = _solve_off_gamma(*unit, np.ravel(fixed1)[off], tol)
-        _verify_rows(*flat, off, n1, n2, tol)
+        r = _solve_off_gamma(*unit, tol)
+        _verify_rows(r, *unit, off, tol)
+        flat[0][:, off] = r.T
     # rows laid out as the columns are, with no copy (np.moveaxis costs
     # ~3 us on one row)
     return out.transpose(*range(1, out.ndim), 0)
@@ -432,25 +439,19 @@ def _rescale_pair(p: np.ndarray, q: np.ndarray, rows: np.ndarray):
     return np.ldexp(p, k), np.ldexp(q, k), e
 
 
-def _solve_off_gamma(p1, q1, p2, q2, fixed1, tol):
-    """Solutions of the (3, k) columns that leave the gamma path, as
-    columns, each pair scaled to unit |p| (every rule is homogeneous in
-    each pair): zero where both pairs are fixed, the smallest member of
-    pair 1's line where p2 is parallel to p1, and the pivot kernel on
-    every other row."""
-    out = np.zeros(p1.shape)
-    c, e = _cross(p1, p2), p2 - q2
+def _solve_off_gamma(p1, q1, p2, q2, tol):
+    """Rows solving the (3, k) columns that leave the gamma path, each pair
+    scaled to unit |p| (every rule is homogeneous in each pair), from one
+    homogeneous pair per row: the identity (1 : 0) where both pairs are
+    exactly fixed, the smallest member (p1 . (p1 + q1) : q1 x p1) where p2
+    is parallel to p1 within ``tol``, else the pivot kernel's."""
+    c = _cross(p1, p2)
     parallel = _dot(c, c) <= tol * tol
-    both = fixed1 & (_dot(e, e) <= tol * tol)
-    pivot = np.flatnonzero(~(parallel | both))
-    if pivot.size:
-        row = _pair_pivot_row(p1[:, pivot], q1[:, pivot], p2[:, pivot], q2[:, pivot])
-        out[:, pivot] = _dehomogenize(row[0], row[1:], TOL_ALIGN_SINGULAR**2).T
-    smallest = np.flatnonzero(parallel & ~both)
-    if smallest.size:
-        a, b = p1[:, smallest], q1[:, smallest]
-        out[:, smallest] = _cross(b, a) / _dot(a, a + b)
-    return out
+    fixed = (p1 == q1).all(axis=0) & (p2 == q2).all(axis=0)
+    c1, _, den1 = _line(p1, q1)
+    pair = np.where(parallel, [den1, *c1], _pair_pivot_row(p1, q1, p2, q2))
+    pair = np.where(fixed, np.eye(4, 1), pair)  # (1 : 0)
+    return _dehomogenize(pair[0], pair[1:], TOL_ALIGN_SINGULAR**2)
 
 
 def _pair_pivot_row(p1, q1, p2, q2):
@@ -475,15 +476,13 @@ def _pair_pivot_row(p1, q1, p2, q2):
     return _pivot_row(ku, _dot(c, c))
 
 
-def _verify_rows(out, a1, b1, a2, b2, idx, n_a1, n_a2, tol) -> None:
-    """Residual check for the rows ``idx`` solved off the gamma path, all
-    given as flat component columns and norms: the result must actually
-    map both pairs.  The preconditions admit inputs perturbed at ``tol``,
-    so the gate is a comfortable multiple of it."""
-    p = np.stack([a1[:, idx], a2[:, idx]], axis=1)
-    q = np.stack([b1[:, idx], b2[:, idx]], axis=1)
-    moved = _rotate_by_pair(*_row_pairs(out[:, idx]), p)
-    res1, res2 = _norms(np.moveaxis(moved, -1, 0) - q) / np.stack([n_a1[idx], n_a2[idx]])
+def _verify_rows(r, p1, q1, p2, q2, idx, tol) -> None:
+    """Residual check |U p - q| of the rows ``r`` solved off the gamma path
+    (flat batch rows ``idx``) on the unit (3, k) columns they were solved
+    from: each must map both pairs.  The preconditions admit inputs
+    perturbed at ``tol``, so the gate is a comfortable multiple of it."""
+    moved = _rotate_by_pair(*_row_pairs(_columns(r, 1)), np.stack([p1, p2], axis=1))
+    res1, res2 = _norms(np.moveaxis(moved, -1, 0) - np.stack([q1, q2], axis=1))
     gate = max(1e3 * tol, 1e-8)
     bad = (res1 > gate) | (res2 > gate)
     if bad.any():

@@ -300,10 +300,9 @@ def axis_angle_to_gibbs(axis, angle=None) -> np.ndarray:
     of exactly pi after reduction produces the half-turn encoding.
     """
     if angle is None:
-        try:
-            axis, angle = axis
-        except (TypeError, ValueError):
-            raise InvalidInputError("angle is missing: give an AxisAngle or axis and angle") from None
+        if not isinstance(axis, AxisAngle):
+            raise InvalidInputError("angle is missing: give an AxisAngle or axis and angle")
+        axis, angle = axis
     a = _as_vec3(axis, "axis")
     ang = _as_float(angle, "angle")
     if not np.isfinite(ang).all():

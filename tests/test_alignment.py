@@ -251,6 +251,31 @@ def test_pair_both_fixed_is_identity():
     assert np.allclose(got, 0.0)
 
 
+def test_pair_small_rotation_at_a_loose_tolerance_is_not_the_identity():
+    # both pairs move by less than tol: still the rotation, not zero
+    p1, p2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.3])
+    r = np.array([1e-5, 2e-5, -1e-5])
+    got = align_pair(p1, rotate_vector(r, p1), p2, rotate_vector(r, p2), tol=1e-3)
+    assert np.abs(got - r).max() <= 1e-15
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+@pytest.mark.parametrize("about", ["p1", "p2"])
+def test_pair_recovers_rotations_about_either_vector(about, tol):
+    # (a, b, h) -> (b, a, h) turns by pi/2 - 2 atan2(b, a) about z and
+    # keeps lengths and angles exactly, so tol = 0 admits it too
+    theta = np.concatenate([np.geomspace(1e-8, 1.0, 40), np.linspace(1.0, np.pi - 1e-3, 40)])
+    phi = np.pi / 4.0 - theta / 2.0
+    p = np.stack([np.cos(phi), np.sin(phi), np.full_like(phi, 0.5)], axis=-1)
+    q = p[:, [1, 0, 2]]
+    axis = np.array([0.0, 0.0, 2.0])
+    pairs = (axis, axis, p, q) if about == "p1" else (p, q, axis, axis)
+    got = align_pair(*pairs, tol=tol)
+    assert residual(got, p, q) <= 1e-15 and residual(got, axis, axis) <= 1e-15
+    assert np.abs(got[:, :2]).max() <= 1e-15
+    assert np.abs(2.0 * np.arctan(np.abs(got[:, 2])) - theta).max() <= 1e-12
+
+
 def test_pair_fixed_plus_antipodal_is_half_turn():
     v = np.array([0.0, 0.0, 1.5])
     m = np.array([2.0, 0.0, 0.0])
@@ -395,6 +420,24 @@ def test_transport_along_arc():
         moved_n = rotate_vector(result.cumulative[i], frames[0, 1])
         assert np.abs(moved_t - frames[i, 0]).max() < 1e-12
         assert np.abs(moved_n - frames[i, 1]).max() < 1e-12
+
+
+def quarter_twist_frames(n):
+    # the tangent stays put; the normal turns a quarter about it
+    t = np.linspace(0.0, np.pi / 2.0, n)
+    normals = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=-1)
+    return np.stack([np.broadcast_to([0.0, 0.0, 1.0], normals.shape), normals], axis=1)
+
+
+@pytest.mark.parametrize("frames", [quarter_arc_frames, quarter_twist_frames])
+def test_transport_steps_below_a_loose_tolerance_still_turn(frames):
+    # 2000 steps of ~7.9e-4 rad, each pair moving by less than tol = 1e-3
+    f = frames(2001)
+    want = frame_transport(f, tol=1e-9)
+    got = frame_transport(f, tol=1e-3)
+    assert np.abs(want.cumulative[-1]).max() == pytest.approx(1.0)  # a quarter turn
+    assert np.abs(got.cumulative[-1] - want.cumulative[-1]).max() <= 1e-9
+    assert np.abs(got.steps - want.steps).max() <= 1e-15
 
 
 def test_closed_loop_comes_back_to_identity():

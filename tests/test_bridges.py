@@ -244,10 +244,14 @@ def test_exact_half_turn_angles_encode():
     (lambda: axis_angle_to_gibbs([0.0, 0.0, 1.0]), "angle"),
     (lambda: axis_angle_to_gibbs(1.0), "angle"),
     (lambda: axis_angle_to_gibbs(np.zeros((0, 3))), "angle"),
+    # two rows are two axes, not an (axis, angle) pair
+    (lambda: axis_angle_to_gibbs(np.array([[0, 0, 1.0], [1, 2, 3.0]])), "angle"),
+    (lambda: axis_angle_to_gibbs([[0, 0, 1.0], [0, 1.0, 0]]), "angle"),
     (lambda: euler_to_matrix(0.1, 0.2), "roll"),
     (lambda: euler_to_matrix(0.1, roll=0.3), "pitch"),
     (lambda: euler_to_matrix([0.1, 0.2, 0.3], roll=0.3), "pitch"),
-], ids=["axis-only", "scalar", "empty-batch", "no-roll", "no-pitch", "array-and-roll"])
+], ids=["axis-only", "scalar", "empty-batch", "two-rows", "two-axes", "no-roll", "no-pitch",
+        "array-and-roll"])
 def test_missing_angles_are_typed_errors(call, missing):
     with pytest.raises(InvalidInputError, match=f"^{missing} is missing"):
         call()

@@ -313,7 +313,7 @@ def test_compose_batch_rows_equal_single_calls_byte_for_byte():
 def test_align_pair_batch_rows_equal_single_calls_byte_for_byte():
     # pairs carried by rotations from every regime of mixed_rows (huge,
     # infinite and pi-encoded rows, signed zeros), plus rows where pair 1,
-    # pair 2 or both are fixed
+    # pair 2 or both are fixed, exactly or only within tol
     rng = np.random.default_rng(49)
     r = mixed_rows(rng)
     n = len(r)
@@ -322,14 +322,18 @@ def test_align_pair_batch_rows_equal_single_calls_byte_for_byte():
     p1[::9, 1] = -0.0
     p2[::11, 2] = 0.0
     r[:4], r[4:8], r[8:12] = 0.3 * p1[:4], -2.0 * p2[4:8], 0.0
+    r[12:16] = 1e-12 * rng.normal(size=(4, 3))
     q1 = rotate_vector(r, p1)
     q2 = rotate_vector(r, p2)
     # pair 1 must not be antipodal
     keep = np.sum(q1 * p1, axis=-1) > -0.9 * np.sum(p1 * p1, axis=-1)
-    assert keep[:12].all()
-    p1, q1, p2, q2 = p1[keep], q1[keep], p2[keep], q2[keep]
+    assert keep[:16].all()
+    r, p1, q1, p2, q2 = r[keep], p1[keep], q1[keep], p2[keep], q2[keep]
     out = align_pair(p1, q1, p2, q2)
     assert is_pi_encoded(out).any() and (out[8:12] == 0.0).all()
+    # within tol, not exactly fixed: the small rotation, not the identity
+    assert ((q1 != p1) | (q2 != p2))[12:16].any(axis=-1).all()
+    assert np.abs(out[12:16] - r[12:16]).max() < 1e-15
     for i in range(len(out)):
         assert out[i].tobytes() == align_pair(p1[i], q1[i], p2[i], q2[i]).tobytes(), i
     # the same rows on two batch axes

@@ -19,7 +19,7 @@ import gibbsrot.alignment
 import gibbsrot.bridges
 import gibbsrot.core
 from gibbsrot.algebra import _compose_direct, _hamilton
-from gibbsrot.alignment import _pair_pivot_row, _reflection_pairs
+from gibbsrot.alignment import _line, _pair_pivot_row, _reflection_pairs
 from gibbsrot.core import (
     _columns,
     _matrix_from_pair,
@@ -80,6 +80,8 @@ AUDITED = {
         "align_pair_unchecked",
         "_pair_pivot_row",
         "_rescale_pair",
+        "_line",
+        "_solve_off_gamma",
         "_reflection_pairs",
     ],
     gibbsrot.bridges: [
@@ -276,6 +278,10 @@ def test_exact_pair_alignment_through_the_pivot():
     assert (row[1:] / row[0] == r.T).all()
     pivots = {int(np.argmax([abs(x) for x in (1, *v)])) for v in r}
     assert pivots == {0, 1, 2, 3}
+    # r lies on pair 1's line: r den - q1 x p1 is a multiple of p1 + q1
+    c, s, den = _line(p1.T, q1.T)
+    off = np.cross((r.T * den - c).T, s.T)
+    assert all(type(v) is Fraction for v in off.flat) and (off == 0).all()
 
 
 def rational_unit_vectors(count, seed):
