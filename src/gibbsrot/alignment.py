@@ -85,10 +85,11 @@ TOL_ALIGN_SINGULAR = 1e-12
 # [0.1, 3]) the gamma rows map both pairs within 1.9e-11 at cuts from
 # 1.5e-5 up, and within 1.5e-10 at 1.2e-5.  Normalizing by |p2 - q2| in
 # place of |p2| needs a cut near 1e-2 for the same accuracy: gamma's
-# error also grows as p2 nears the axis and barely moves.  The cut alone
-# routes a row.  One that passes the checks with |p1 - q1| <= tol |p1| has
+# error also grows as p2 nears the axis and barely moves.  A row that
+# passes the checks with either pair fixed within tol has
 # |(p1 + q1) . (p2 - q2)| <= ~2 tol |p1 + q1| |p2| (3 tol bounds it with
-# room), so for tol below ~1e-5 (6.7e-6 = cut / 3) it leaves the gamma path.
+# room), where gamma is a ratio of noise terms, so the cut applied is
+# max(_GAMMA_CUT, 3 tol): above tol ~6.7e-6 (= cut / 3) it grows with tol.
 _GAMMA_CUT = 2e-5
 
 # align_pair solves rows whose squared norms (summed over all four
@@ -315,8 +316,8 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
       carrying the frame ``P = [p1, p2, p1 x p2]`` onto
       ``Q = [q1, q2, q1 x q2]``, read off Shepperd's pivot table as in
       :func:`matrix_to_gibbs` — half turns included, and rows with a
-      fixed pair, whose gamma denominator vanishes, so the cut alone
-      sends them here;
+      pair fixed within ``tol``, sent here by the cut on the gamma
+      denominator, which grows as ``3 tol`` above tol ~6.7e-6;
     * p2 parallel to p1 (within ``tol``) -> the smallest rotation
       (gamma = 0; the second pair adds no constraint);
     * both pairs exactly fixed (q1 == p1 and q2 == p2) -> the zero vector
@@ -414,8 +415,8 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
         out /= den1
 
     # Off the gamma path: rows whose gamma denominator is small against
-    # |s1| |p2|, either pair fixed included (see _GAMMA_CUT).
-    off = np.flatnonzero(np.abs(den_g) <= _GAMMA_CUT * _norms(s1) * n_a2)
+    # |s1| |p2|, each row with a pair fixed within tol included (see _GAMMA_CUT).
+    off = np.flatnonzero(np.abs(den_g) <= max(_GAMMA_CUT, 3 * tol) * _norms(s1) * n_a2)
     if off.size:
         flat = [x.reshape(3, -1) for x in (out, a1, b1, a2, b2)]
         n1, n2 = np.ravel(n_a1), np.ravel(n_a2)

@@ -259,6 +259,20 @@ def test_pair_small_rotation_at_a_loose_tolerance_is_not_the_identity():
     assert np.abs(got - r).max() <= 1e-15
 
 
+@pytest.mark.parametrize("tol", [1e-4, 1e-3])
+@pytest.mark.parametrize("move1", [0.0, 1e-3])
+def test_pair_fixed_within_tol_with_angle_slack_leaves_the_gamma_path(move1, tol):
+    # pair 1 fixed (exactly, or within tol) and the angle off by half of
+    # tol, well above the cut: gamma there is a ratio of noise terms
+    # (0 at move1 = 0), the pivot finds the quarter turn about z
+    p1 = np.array([0.0, 0.0, 1.0])
+    q1 = rotate_vector([move1 * tol, 0.0, 0.0], p1)
+    p2, q2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.5 * tol])
+    got = align_pair(p1, q1, p2, q2, tol=tol)
+    assert residual(got, p1, q1) <= tol and residual(got, p2, q2) <= tol
+    assert np.abs(got - [0.0, 0.0, -1.0]).max() <= tol
+
+
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 @pytest.mark.parametrize("about", ["p1", "p2"])
 def test_pair_recovers_rotations_about_either_vector(about, tol):
