@@ -92,8 +92,8 @@ TOL_ALIGN_SINGULAR = 1e-12
 # max(_GAMMA_CUT, 3 tol): above tol ~6.7e-6 (= cut / 3) it grows with tol.
 _GAMMA_CUT = 2e-5
 
-# align_pair solves rows whose squared norms (summed over all four
-# inputs, and of p1 and of p2 alone) lie within these bounds as given.
+# The alignment solvers take rows whose squared norms (summed over all
+# inputs, and of each p alone) lie within these bounds as given (_in_range).
 # Inside them no product the checks or the gamma formula form, up to
 # cubic in a pair's length and times TOL_LEN, overflows or goes
 # subnormal.  Other rows have each pair scaled by the exact power of two
@@ -178,9 +178,16 @@ def _first(mask) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
+def _unit_scale(v: np.ndarray) -> np.ndarray:
+    """The rows of the component columns ``v`` scaled by the power of two
+    that brings each max|v| into [0.5, 1) (0 stays): norms stay in range."""
+    return np.ldexp(v, -np.frexp(_max_abs(v))[1])
+
+
 def _perp_basis(p: np.ndarray) -> np.ndarray:
     """Two orthonormal rows spanning the plane perpendicular to the
-    3-vector ``p`` (one row, so its own component columns)."""
+    nonzero 3-vector ``p`` (one row, so its own component columns)."""
+    p = _unit_scale(p)
     unit = p / _norms(p)
     e1 = _cross(unit, np.eye(3)[np.argmin(np.abs(unit))])
     e1 /= _norms(e1)
@@ -227,8 +234,9 @@ def align_family(p, q, *, tol: float = TOL_LEN) -> AlignmentLine:
             "align_family takes single 3-vectors; use align_line for batches"
         )
     # one row is its own component columns
-    c, s, den = _checked_line(pp, qq, tol)
-    return AlignmentLine(base=c / den, direction=s / den)
+    c, s, den, e = _checked_line(pp, qq, tol)
+    s /= den  # (p, q) scaled by 2**-e scale s / den by 2**e
+    return AlignmentLine(base=c / den, direction=s if e is None else np.ldexp(s, -e))
 
 
 def _line(p, q):
@@ -240,9 +248,12 @@ def _line(p, q):
 
 
 def _checked_line(p: np.ndarray, q: np.ndarray, tol: float):
-    """:func:`_line`, after the length and antipodal checks."""
-    np_, nq = _norms(p), _norms(q)
-    _check_pair_lengths(np_, nq, tol, "align")
+    """:func:`_line` of the pairs brought into range by :func:`_in_range`,
+    after the length and antipodal checks, and the rows' exponents ``e``
+    of that scaling (None if no row was scaled)."""
+    (p, q), sq, (e,) = _in_range((p, q), ("p", "q"))
+    np_, nq = map(np.sqrt, sq)
+    _check_pair_lengths(np_, nq, tol, "align", e)
     c, s, den = _line(p, q)
     anti = den <= tol * np_ * np_
     if anti.any():
@@ -252,7 +263,7 @@ def _checked_line(p: np.ndarray, q: np.ndarray, tol: float):
             "turn about the perpendicular plane is a solution",
             basis=_perp_basis(p.reshape(3, -1)[:, i]),
         )
-    return c, s, den
+    return c, s, den, e
 
 
 def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
@@ -267,8 +278,9 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     pp, qq, g = _broadcast(
         p=_as_vectors(p, "p"), q=_as_vectors(q, "q"), gamma=_as_gamma(gamma)[..., None]
     )
-    num, s, den = _checked_line(_columns(pp, 1), _columns(qq, 1), tol)
-    num += g[..., 0] * s
+    num, s, den, e = _checked_line(_columns(pp, 1), _columns(qq, 1), tol)
+    g = g[..., 0]  # for (p, q) scaled by 2**-e, gamma 2**-e gives the same member
+    num += (g if e is None else np.ldexp(g, -e.reshape(g.shape))) * s
     return _quotient_rows(num, den)
 
 
@@ -355,25 +367,8 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     ``(3,) + batch`` each, finiteness not yet checked; returns the rows
     as a view of the solution's own component columns.  Reads its inputs
     only, so they may be views of one array."""
-    e1 = e2 = None
-    with np.errstate(over="ignore"):
-        sq_a1, sq_b1, sq_a2, sq_b2 = (_inner(x, x) for x in (a1, b1, a2, b2))
-        total = sq_a1 + sq_b1
-        total += sq_a2
-        total += sq_b2
-        if total.size and not (
-            total.max() <= _SQ_NORM_HI and min(sq_a1.min(), sq_a2.min()) >= _SQ_NORM_LO
-        ):
-            for x, name in zip((a1, b1, a2, b2), _PAIR_NAMES):
-                _require_finite(x, name)
-            far = np.flatnonzero(
-                (total > _SQ_NORM_HI) | (np.minimum(sq_a1, sq_a2) < _SQ_NORM_LO)
-            )
-            a1, b1, e1 = _rescale_pair(a1, b1, far)
-            a2, b2, e2 = _rescale_pair(a2, b2, far)
-            sq_a1, sq_b1, sq_a2, sq_b2 = (_inner(x, x) for x in (a1, b1, a2, b2))
-
-    n_a1, n_b1, n_a2, n_b2 = map(np.sqrt, (sq_a1, sq_b1, sq_a2, sq_b2))
+    (a1, b1, a2, b2), sq, (e1, e2) = _in_range((a1, b1, a2, b2), _PAIR_NAMES)
+    n_a1, n_b1, n_a2, n_b2 = map(np.sqrt, sq)
     _check_pair_lengths(n_a1, n_b1, tol, "pair 1", e1)
     _check_pair_lengths(n_a2, n_b2, tol, "pair 2", e2)
 
@@ -429,15 +424,33 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     return out.transpose(*range(1, out.ndim), 0)
 
 
-def _rescale_pair(p: np.ndarray, q: np.ndarray, rows: np.ndarray):
-    """The pair's component columns ``p``, ``q`` with the flat batch
-    ``rows`` scaled by the power of two ``2**-e`` that brings each row's
-    max|p| into [0.5, 1) (rows with p = 0 stay), and ``e`` of every row,
-    flat, 0 outside ``rows``."""
-    e = np.zeros(p[0].size, dtype=int)
-    e[rows] = np.frexp(_max_abs(p.reshape(3, -1)[:, rows]))[1]
-    k = -e.reshape(p.shape[1:])
-    return np.ldexp(p, k), np.ldexp(q, k), e
+def _in_range(cols, names):
+    """The component columns ``cols`` of pairs ``p, q, ...`` (``(3,) +
+    batch`` each), their squared norms and each pair's flat exponents ``e``.
+    Rows whose squares leave [_SQ_NORM_LO, _SQ_NORM_HI] (summed over all
+    inputs, or of a ``p``) have each pair scaled by the power of two
+    ``2**-e`` that brings max|p| into [0.5, 1) (p = 0 stays), after every
+    input is checked finite in turn (``names``); ``e`` is 0 on the other
+    rows, None if no row is scaled.  One row squares its Python floats."""
+    if cols[0].ndim == 1:  # floats overflow to inf with no warning to suppress
+        sq = [_inner(x, x) for x in map(np.ndarray.tolist, cols)]
+        if sum(sq) <= _SQ_NORM_HI and min(sq[::2]) >= _SQ_NORM_LO:
+            return cols, sq, [None] * len(sq[::2])
+    with np.errstate(over="ignore"):
+        sq = [_inner(x, x) for x in cols]
+        total = sq[0] + sq[1]
+        for x in sq[2:]:
+            total += x
+        if not total.size or (
+            total.max() <= _SQ_NORM_HI and min(x.min() for x in sq[::2]) >= _SQ_NORM_LO
+        ):
+            return cols, sq, [None] * len(sq[::2])
+        for x, name in zip(cols, names):
+            _require_finite(x, name)
+        far = ((total > _SQ_NORM_HI) | (np.min(sq[::2], axis=0) < _SQ_NORM_LO)).ravel()
+        es = [np.where(far, np.frexp(_max_abs(p.reshape(3, -1)))[1], 0) for p in cols[::2]]
+        cols = [np.ldexp(x, -es[i // 2].reshape(total.shape)) for i, x in enumerate(cols)]
+        return cols, [_inner(x, x) for x in cols], es
 
 
 def _solve_off_gamma(p1, q1, p2, q2, tol):
@@ -530,7 +543,7 @@ def _polyline_transport(points: np.ndarray, tol: float = TOL_LEN):
     x = _columns(np.ldexp(points, min(0, 1022 - np.frexp(np.abs(points).max())[1])), 1)
     t = np.concatenate([x[:, 1:2] - x[:, :1], x[:, 2:] - x[:, :-2], x[:, -1:] - x[:, -2:-1]], 1)
     v1 = x[:, 1:] - x[:, :-1]
-    t, v1 = (np.ldexp(a, -np.frexp(_max_abs(a))[1]) for a in (t, v1))
+    t, v1 = _unit_scale(t), _unit_scale(v1)
     norms = _norms(t)
     if (norms == 0.0).any():
         raise InvalidInputError(
@@ -579,8 +592,8 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     n = f.shape[0]
     if n == 0:
         raise InvalidInputError("frames is empty")
-    # tangent and normal component columns, (3, n) each
-    t, m = _columns(f, 2).reshape(2, 3, n)
+    # tangent and normal component columns, (3, n) each, at unit scale
+    t, m = map(_unit_scale, _columns(f, 2).reshape(2, 3, n))
     nt, nm = _norms(t), _norms(m)
     for label, bad in (("tangent", nt == 0.0), ("normal", nm == 0.0)):
         if bad.any():

@@ -35,6 +35,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -43,10 +44,8 @@ from .core import (
     PI_ENCODING_THRESHOLD,
     TOL_ORTHO_INPUT,
     _as_float,
-    _as_matrix3,
     _as_vec3,
     _broadcast,
-    _check_tol,
     _columns,
     _encode_half_turns,
     _homogeneous,
@@ -55,7 +54,7 @@ from .core import (
     _pivot_row,
     _put,
     _quotient_rows,
-    _require_rotation,
+    _rotation_columns,
     _unpack,
 )
 from .errors import InvalidInputError
@@ -107,31 +106,36 @@ class EulerAngles(NamedTuple):
 # quaternion helpers
 
 
-def _norm_sq(q: np.ndarray) -> np.ndarray:
-    """``|q|^2`` over a last axis of length 4, component by component:
-    bit for bit ``np.sum(q * q, axis=-1)``, which adds a row's four
-    squares in order, without numpy's generic reduction.  One quaternion
-    unpacks into scalars, cheaper to compute with than 0-d arrays."""
-    w, x, y, z = (q[..., i][()] for i in range(4))
+def _norm_sq(q):
+    """``|q|^2`` of quaternions given as their four components (column
+    arrays or numbers), summed ``w^2 + x^2 + y^2 + z^2`` left to right:
+    bit for bit ``np.sum(q * q, axis=-1)`` on the rows."""
+    w, x, y, z = q
     return w * w + x * x + y * y + z * z
 
 
-def _as_quaternion(q, name: str = "q") -> np.ndarray:
-    """Validate shape and unit norm; return the float array."""
+def _as_quaternion(q, name: str = "q"):
+    """The float array of the quaternions ``q`` and its components as
+    :func:`core._unpack` gives them, after the shape check and, on those
+    components, the finiteness and unit-norm checks."""
     a = _as_float(q, name)
     if a.ndim == 0 or a.shape[-1] != 4:
-        raise InvalidInputError(
-            f"{name} must have shape (..., 4) as [w, x, y, z], got {a.shape}"
-        )
-    if not np.isfinite(a).all():
+        raise InvalidInputError(f"{name} must have shape (..., 4) as [w, x, y, z], got {a.shape}")
+    c = _unpack(a)
+    one = a.ndim == 1
+    if not (all(map(math.isfinite, c)) if one else np.isfinite(c).all()):
         raise InvalidInputError(f"{name} has non-finite entries")
-    err = np.abs(_norm_sq(a) - 1.0)
-    if err.size and float(err.max()) > TOL_QUATERNION_NORM:
+    if one:
+        err = abs(_norm_sq(c) - 1.0)
+    else:  # huge entries square to inf, without a warning as on one row's floats
+        with np.errstate(over="ignore"):
+            err = np.abs(_norm_sq(c) - 1.0).max(initial=0.0)
+    if err > TOL_QUATERNION_NORM:
         raise InvalidInputError(
-            f"{name} is not unit length: |q|^2 - 1 = {float(err.max()):.3e} "
+            f"{name} is not unit length: |q|^2 - 1 = {err:.3e} "
             f"exceeds {TOL_QUATERNION_NORM:g}"
         )
-    return a
+    return a, c
 
 
 def canonicalize_quaternion(q) -> np.ndarray:
@@ -141,12 +145,12 @@ def canonicalize_quaternion(q) -> np.ndarray:
     Only signs are touched (no renormalization), so the operation is
     idempotent bit for bit.
     """
-    return _canonical_signs(_columns(_as_quaternion(q), 1))
+    return _canonical_signs(_as_quaternion(q)[1])
 
 
 def _canonical_signs(q: np.ndarray) -> np.ndarray:
-    """:func:`canonicalize_quaternion` of unit quaternions given as
-    ``(4,) + batch`` component columns ``q``, written into rows: times -1
+    """:func:`canonicalize_quaternion` of unit quaternions given as their
+    components ``q`` (from :func:`_as_quaternion`), written into rows: times -1
     where the first nonzero component is negative, then ``+ 0.0`` turns
     -0.0 into +0.0, so ``q`` and ``-q`` give the same bytes."""
     w, x, y, z = q
@@ -175,12 +179,9 @@ def quaternion_multiply(a, b) -> np.ndarray:
     ``quaternion_to_matrix(a * b) == quaternion_to_matrix(b) @
     quaternion_to_matrix(a)``.
     """
-    a = _as_quaternion(a, "a")
-    b = _as_quaternion(b, "b")
+    a, (aw, ax, ay, az) = _as_quaternion(a, "a")
+    b, (bw, bx, by, bz) = _as_quaternion(b, "b")
     _broadcast(a=a, b=b)
-    # one quaternion unpacks into Python floats, as the Gibbs ops' rows do
-    aw, ax, ay, az = _unpack(a)
-    bw, bx, by, bz = _unpack(b)
     w = aw * bw
     w -= ax * bx
     w -= ay * by
@@ -216,7 +217,7 @@ def quaternion_to_gibbs(q) -> np.ndarray:
     the real part.  Real parts within ``TOL_QUATERNION_REAL`` of zero are
     half turns and produce the encoding about the imaginary direction.
     """
-    w, *v = _columns(_as_quaternion(q), 1)
+    w, *v = _as_quaternion(q)[1]
     half = np.abs(w) <= TOL_QUATERNION_REAL
     # the half turns are divided by 1, so they hold their axis v
     return _encode_half_turns(_quotient_rows(v, np.where(half, 1.0, w)), np.flatnonzero(half))
@@ -226,8 +227,7 @@ def quaternion_to_matrix(q) -> np.ndarray:
     """Rotation matrix of a unit quaternion, in the package's
     column-vector convention (matches ``gibbs_to_matrix`` of the
     corresponding Gibbs vector, half turns included)."""
-    a = _as_quaternion(q)
-    w, x, y, z = _unpack(a)
+    w, x, y, z = _as_quaternion(q)[1]
     k = 2.0 * w
     k *= w
     k -= 1.0  # 2 w^2 - 1
@@ -260,12 +260,7 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     ``check=False`` to skip the orthogonality test for matrices already
     known to be rotations.
     """
-    _check_tol(ortho_tol, "ortho_tol")
-    a = _as_matrix3(u, "matrix")
-    cols = _columns(a, 2)
-    if check:
-        _require_rotation(cols, ortho_tol)
-    return _unit_quaternion(_pivot_row(cols))
+    return _unit_quaternion(_pivot_row(_rotation_columns(u, check, ortho_tol)))
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +369,7 @@ def matrix_to_euler(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT
     roll truly collapsed into one angle) does the canonical representative
     with ``roll = 0`` come back.
     """
-    _check_tol(ortho_tol, "ortho_tol")
-    a = _as_matrix3(u, "matrix")
-    cols = _columns(a, 2)
-    if check:
-        _require_rotation(cols, ortho_tol)
+    cols = _rotation_columns(u, check, ortho_tol)
     u00, u01, u02, u10, _, _, sb, u21, u22 = cols
     # sb = u20 is sin(pitch); hypot(yaw entries) recovers |cos(pitch)|
     # without the precision cliff of arcsin near +/-1.
@@ -389,6 +380,6 @@ def matrix_to_euler(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT
     yaw = np.where(locked, np.arctan2(u01, np.where(sb >= 0.0, -u02, u02)), np.arctan2(-u10, u00))
     roll = np.where(locked, 0.0, np.arctan2(-u21, u22))
     yaw, roll = (np.where(x == -np.pi, np.pi, x) for x in (yaw, roll))
-    if a.ndim == 2:
+    if cols.ndim == 1:
         return EulerAngles(float(yaw), float(pitch), float(roll))
     return EulerAngles(yaw, pitch, roll)

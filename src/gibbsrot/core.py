@@ -216,13 +216,6 @@ def _as_vec3(x, name: str) -> np.ndarray:
     return a
 
 
-def _as_matrix3(x, name: str) -> np.ndarray:
-    a = _as_float(x, name)
-    if a.ndim < 2 or a.shape[-2:] != (3, 3):
-        raise InvalidInputError(f"{name} must be 3x3 (last two axes), got shape {a.shape}")
-    return a
-
-
 def _columns(a: np.ndarray, row_ndim: int) -> np.ndarray:
     """The rows of ``a``, its last ``row_ndim`` axes, unpacked once into
     contiguous component columns: a ``(width,) + batch`` array whose
@@ -268,7 +261,7 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
     An empty batch passes with residuals 0.0.
     """
     _check_tol(tol)
-    return _rotation_check(_columns(_as_matrix3(u, "matrix"), 2), tol)
+    return _rotation_check(_rotation_columns(u, False, tol), tol)
 
 
 def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
@@ -309,17 +302,23 @@ def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
     return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
 
 
-def _require_rotation(u: np.ndarray, tol: float) -> None:
-    """Raise unless the nine component columns ``u`` pass
-    :func:`_rotation_check`."""
-    chk = _rotation_check(u, tol)
-    if not chk:
+def _rotation_columns(u, check: bool, ortho_tol: float) -> np.ndarray:
+    """The nine component columns (:func:`_columns`) of the 3x3 matrices
+    ``u``, the one gate of every matrix operand: ``ortho_tol`` checked,
+    the shape, then with ``check`` set :func:`_rotation_check`."""
+    _check_tol(ortho_tol, "ortho_tol")
+    a = _as_float(u, "matrix")
+    if a.ndim < 2 or a.shape[-2:] != (3, 3):
+        raise InvalidInputError(f"matrix must be 3x3 (last two axes), got shape {a.shape}")
+    cols = _columns(a, 2)
+    if check and not (chk := _rotation_check(cols, ortho_tol)):
         raise InvalidInputError(
             "not a rotation matrix within tolerance "
-            f"{tol:g} (orthogonality residual {chk.max_orthogonality_residual:.3e}, "
+            f"{ortho_tol:g} (orthogonality residual {chk.max_orthogonality_residual:.3e}, "
             f"determinant deviation {chk.max_det_deviation:.3e})",
             code="NOT_ROTATION",
         )
+    return cols
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +465,9 @@ def _row_pairs(r):
 
 def _is_one(w) -> bool:
     """True for a scalar pair weight ``w = 1``: the kernels skip its
-    products, since ``x * 1 == x`` bit for bit."""
+    products, since ``x * 1 == x`` bit for bit.  It stays: on a batch they
+    are batch-sized temporaries, and 16384-row ``gibbs_to_matrix`` ran
+    10-16% slower without it (same bytes; 2-vCPU Xeon VM, numpy 2.4.6)."""
     return isinstance(w, (int, float)) and w == 1
 
 
@@ -670,12 +671,7 @@ def matrix_to_gibbs(
     raises :class:`InvalidInputError` for non-rotations.
     """
     _check_tol(pi_trace_tol, "pi_trace_tol")
-    _check_tol(ortho_tol, "ortho_tol")
-    a = _as_matrix3(u, "matrix")
-    cols = _columns(a, 2)
-    if check:
-        _require_rotation(cols, ortho_tol)
-    row = _pivot_row(cols)
+    row = _pivot_row(_rotation_columns(u, check, ortho_tol))
     # past 1 every row is encoded already; the cap keeps the limit finite
     return _dehomogenize(row[0], row[1:], min(pi_trace_tol / 4.0, 1.0))
 

@@ -454,6 +454,16 @@ def test_transport_steps_below_a_loose_tolerance_still_turn(frames):
     assert np.abs(got.steps - want.steps).max() <= 1e-15
 
 
+@pytest.mark.parametrize("k", [1e300, 1e-300, 2.0**1000, 2.0**-1000])
+def test_transport_at_extreme_magnitudes_takes_the_unit_scale_steps(k):
+    f = quarter_arc_frames(10)
+    got = frame_transport(k * f)
+    assert np.abs(got.steps - frame_transport(f).steps).max() <= 1e-15
+    if np.frexp(k)[0] == 0.5:
+        # the same frames at unit scale: k f / k is f, less what k f rounded away
+        assert got.steps.tobytes() == frame_transport(k * f / k).steps.tobytes()
+
+
 def test_closed_loop_comes_back_to_identity():
     t = np.linspace(0.0, 2.0 * np.pi, 361)
     tangents = np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
@@ -769,6 +779,42 @@ def test_pair_rows_in_range_keep_their_bytes_next_to_extreme_rows():
     assert same.sum() >= 10
     assert got[same].tobytes() == plain[same].tobytes()
     assert component_error(got, true) <= 1e-9
+
+
+@pytest.mark.parametrize("k", EXTREME_SCALES + [2.0**600, 2.0**-600])
+def test_line_and_family_at_extreme_magnitudes_are_the_unit_scale_rotation(k):
+    # the line is homogeneous in (p, q): scaled by k, gamma k gives the same
+    # rotation, and the direction shrinks by k; powers of two keep the bytes
+    rng = np.random.default_rng(86)
+    true = random_gibbs(rng, 200, 1e-3, 1e3)
+    p = rng.normal(size=(200, 3))
+    q = rotate_vector(true, p)
+    gamma = rng.normal(size=200)
+    want = align_line(p, q, gamma)
+    got = align_line(k * p, k * q, k * gamma)
+    exact = np.frexp(k)[0] == 0.5
+    if exact:
+        assert got.tobytes() == want.tobytes()
+    assert component_error(got, want) <= 1e-9
+    for i in range(0, 200, 40):
+        line = align_family(p[i], q[i])
+        scaled = align_family(k * p[i], k * q[i])
+        if exact:
+            assert scaled.base.tobytes() == line.base.tobytes()
+            assert scaled.direction.tobytes() == (line.direction / k).tobytes()
+        assert component_error(scaled.base, line.base) <= 1e-9
+        assert component_error(scaled.direction * k, line.direction) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1e300, 1e-300])
+def test_antipodal_basis_at_extreme_magnitudes_is_orthonormal(k):
+    p = k * np.array([0.3, -0.5, 0.8])
+    with pytest.raises(AntipodalError) as exc:
+        align_family(p, -p)
+    basis = exc.value.basis
+    assert np.isfinite(basis).all()
+    assert np.abs(basis @ basis.T - np.eye(2)).max() <= 1e-15
+    assert np.abs(basis @ (p / k)).max() <= 1e-15
 
 
 def test_pair_errors_on_rescaled_rows_report_input_units():

@@ -28,6 +28,7 @@ from gibbsrot import (
     quaternion_to_matrix,
 )
 from gibbsrot.bridges import _norm_sq
+from gibbsrot.core import _columns
 from helpers import component_error, matrix_about, mixed_rows, random_gibbs, random_units
 
 
@@ -169,6 +170,35 @@ def test_quaternion_input_validation():
         quaternion_to_gibbs([1.0, 0.0, 0.0])  # wrong shape
     with pytest.raises(InvalidInputError):
         quaternion_to_gibbs([np.nan, 0.0, 0.0, 0.0])
+
+
+def raised(call):
+    try:
+        call()
+    except Exception as exc:  # noqa: BLE001 - the parity is the point
+        return type(exc), str(exc)
+    raise AssertionError("no error")
+
+
+@pytest.mark.parametrize("bad", [
+    [np.nan, 0.0, 0.0, 1.0], [0.0, np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf, 1.0],
+    [0.6, 0.6, 0.0, 0.0], [1.0, 0.0, 0.0],
+])
+def test_quaternion_one_row_and_batch_raise_the_same_errors(bad):
+    # one quaternion is checked on its Python floats, a batch on its
+    # columns: a list, a tuple, a (4,) array and a (1, 4) batch give one
+    # error type and message (the batch's shape aside)
+    good = [1.0, 0.0, 0.0, 0.0]
+    ops = (
+        lambda q: quaternion_multiply(q, good), lambda q: quaternion_multiply(good, q),
+        quaternion_to_matrix, canonicalize_quaternion, quaternion_to_gibbs,
+    )
+    shape = str(np.shape(bad))
+    for op in ops:
+        errors = [raised(lambda: op(x)) for x in (bad, tuple(bad), np.array(bad))]
+        batch = raised(lambda: op(np.array([bad])))
+        assert errors[0][0] is InvalidInputError and errors.count(errors[0]) == 3
+        assert batch == (InvalidInputError, errors[0][1].replace(shape, str((1,) + np.shape(bad))))
 
 
 def test_non_numeric_quaternion_is_a_typed_error():
@@ -375,9 +405,12 @@ def test_quaternion_norm_sum_matches_np_sum_bit_for_bit(shape):
     if q.ndim > 1 and len(q):
         q[..., 0, :] = -0.0
     want = np.sum(q * q, axis=-1)
-    got = _norm_sq(q)
+    # on the (4,) + batch component columns the quaternion ops unpack
+    got = _norm_sq(_columns(q, 1))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+    if q.ndim == 1:  # and on one quaternion's Python floats
+        assert np.float64(_norm_sq(q.tolist())).tobytes() == want.tobytes()
 
 
 # --- layout: each row of a batch is the call on that row alone -----------------

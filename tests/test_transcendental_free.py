@@ -51,6 +51,7 @@ AUDITED = {
         "_matrix_from_gibbs_direct",
         "_columns",
         "_rotation_check",
+        "_rotation_columns",
         "_pivot_table",
         "_pivot_row",
         "_gibbs_from_matrix_direct",
@@ -79,7 +80,8 @@ AUDITED = {
     gibbsrot.alignment: [
         "align_pair_unchecked",
         "_pair_pivot_row",
-        "_rescale_pair",
+        "_in_range",
+        "_unit_scale",
         "_line",
         "_solve_off_gamma",
         "_reflection_pairs",
@@ -88,6 +90,7 @@ AUDITED = {
         "quaternion_multiply",
         "quaternion_to_matrix",
         "_canonical_signs",
+        "_norm_sq",
     ],
 }
 
