@@ -22,13 +22,19 @@ frames and of polyline tangents, and the bases of :func:`_perp_basis`),
 never in a solution formula.
 
 As in ``core``, each public op unpacks every input once into component
-columns with the caller's batch shape kept, so one row runs on numpy
-scalars.  Flat ``(3, -1)`` views appear only where rows are picked by
-index: rescaled rows, rows solved off the gamma path, error messages.
+columns with the caller's batch shape kept.  One row of :func:`align_pair`
+unpacks into Python floats (``core._unpack``), on which the same checks
+and gamma formula run; a row outside ``_in_range``'s bounds, or one that
+leaves the gamma path, takes the column code on numpy scalars instead, as
+one row of ``align_line`` and ``align_family`` does, so no overflow turns
+silently into inf.  Flat ``(3, -1)`` views appear only where rows are
+picked by index: rescaled rows, rows solved off the gamma path, error
+messages.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -51,6 +57,7 @@ from .core import (
     _quotient_rows,
     _rotate_by_pair,
     _row_pairs,
+    _unpack,
 )
 from .errors import AntipodalError, InvalidInputError, InvalidPairError
 
@@ -158,9 +165,15 @@ def _as_gamma(gamma) -> np.ndarray:
     return g
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    """Euclidean norms of component columns."""
-    return np.sqrt(_inner(v, v))
+def _sqrt(x):
+    """``np.sqrt``, or on a Python float ``math.sqrt``: the same correctly
+    rounded root, with no numpy scalar."""
+    return math.sqrt(x) if type(x) is float else np.sqrt(x)
+
+
+def _norms(v):
+    """Euclidean norms of component columns, or of one row's floats."""
+    return _sqrt(_inner(v, v))
 
 
 def _in_input_units(x, e, i: int) -> float:
@@ -174,8 +187,12 @@ def _in_input_units(x, e, i: int) -> float:
         return np.ldexp(x, e[i])
 
 
-def _first(mask) -> int:
-    return int(np.flatnonzero(mask)[0])
+def _first(mask) -> int | None:
+    """The flat index of the first True row of ``mask`` (a batch's array,
+    or one row's bool), or None."""
+    if type(mask) is bool or not mask.ndim:
+        return 0 if mask else None
+    return int(np.flatnonzero(mask)[0]) if mask.any() else None
 
 
 def _unit_scale(v: np.ndarray) -> np.ndarray:
@@ -201,11 +218,9 @@ def _check_pair_lengths(np_, nq, tol: float, label: str, e=None) -> None:
     shape) are nonzero and agree within ``tol``; ``e`` is the rows'
     scaling (see :func:`_in_input_units`) for the message."""
     for n in (np_, nq):
-        if not n.all():
-            raise InvalidInputError(f"{label}: zero vector at index {_first(n == 0.0)}")
-    bad = np.abs(np_ - nq) > tol * np_
-    if bad.any():
-        i = _first(bad)
+        if (i := _first(n == 0.0)) is not None:
+            raise InvalidInputError(f"{label}: zero vector at index {i}")
+    if (i := _first(abs(np_ - nq) > tol * np_)) is not None:
         raise InvalidPairError(
             f"{label}: lengths differ at index {i}: "
             f"|p| = {_in_input_units(np_, e, i):.17g}, "
@@ -224,7 +239,9 @@ def align_family(p, q, *, tol: float = TOL_LEN) -> AlignmentLine:
 
     Raises :class:`AntipodalError` when q is (numerically) -p; the error
     carries an orthonormal basis of the perpendicular plane, every half
-    turn about which is a solution.
+    turn about which is a solution.  The direction grows as 1 / |p|: past
+    the float range (p subnormal) the line has no float form and raises
+    :class:`InvalidInputError` (``align_line`` takes gamma of order |p|).
     """
     _check_tol(tol)
     pp = _as_vectors(p, "p")
@@ -236,14 +253,20 @@ def align_family(p, q, *, tol: float = TOL_LEN) -> AlignmentLine:
     # one row is its own component columns
     c, s, den, e = _checked_line(pp, qq, tol)
     s /= den  # (p, q) scaled by 2**-e scale s / den by 2**e
-    return AlignmentLine(base=c / den, direction=s if e is None else np.ldexp(s, -e))
+    if e is not None:
+        with np.errstate(over="ignore"):
+            s = np.ldexp(s, -e)
+        if not np.isfinite(s).all():
+            raise InvalidInputError("align_family: the direction is past the float range")
+    return AlignmentLine(base=c / den, direction=s)
 
 
 def _line(p, q):
     """``q x p``, ``p + q`` and ``p . (p + q)`` of pairs given as component
-    columns: their lines r(gamma) = (q x p + gamma (p + q)) / (p . (p + q)).
+    columns, or as one row's floats (lists): their lines
+    r(gamma) = (q x p + gamma (p + q)) / (p . (p + q)).
     Exact on ``fractions.Fraction``; elementary arithmetic only."""
-    s = p + q
+    s = p + q if isinstance(p, np.ndarray) else [x + y for x, y in zip(p, q)]
     return _cross(q, p), s, _inner(p, s)
 
 
@@ -252,12 +275,10 @@ def _checked_line(p: np.ndarray, q: np.ndarray, tol: float):
     after the length and antipodal checks, and the rows' exponents ``e``
     of that scaling (None if no row was scaled)."""
     (p, q), sq, (e,) = _in_range((p, q), ("p", "q"))
-    np_, nq = map(np.sqrt, sq)
+    np_, nq = map(_sqrt, sq)
     _check_pair_lengths(np_, nq, tol, "align", e)
     c, s, den = _line(p, q)
-    anti = den <= tol * np_ * np_
-    if anti.any():
-        i = _first(anti)
+    if (i := _first(den <= tol * np_ * np_)) is not None:
         raise AntipodalError(
             f"antipodal pair at index {i}: q is opposite to p, every half "
             "turn about the perpendicular plane is a solution",
@@ -351,7 +372,7 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
         for v, name in zip((p1, q1, p2, q2), _PAIR_NAMES):
             _as_vectors(v, name)
         raise
-    return _align_pairs(*(_columns(x, 1) for x in pairs), tol)
+    return _align_pairs(*map(_unpack, pairs), tol)
 
 
 _PAIR_NAMES = ("p1", "q1", "p2", "q2")
@@ -364,20 +385,20 @@ def _broadcast_pairs(vectors, finite: bool = True) -> list[np.ndarray]:
 
 def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     """:func:`align_pair` on the component columns of its four inputs,
-    ``(3,) + batch`` each, finiteness not yet checked; returns the rows
-    as a view of the solution's own component columns.  Reads its inputs
-    only, so they may be views of one array."""
-    (a1, b1, a2, b2), sq, (e1, e2) = _in_range((a1, b1, a2, b2), _PAIR_NAMES)
-    n_a1, n_b1, n_a2, n_b2 = map(np.sqrt, sq)
+    ``(3,) + batch`` each, or on one row's Python floats (lists),
+    finiteness not yet checked; returns the rows as a view of the
+    solution's own component columns, or one row's new array.  Reads its
+    inputs only, so they may be views of one array."""
+    cols, sq, (e1, e2) = _in_range((a1, b1, a2, b2), _PAIR_NAMES)
+    a1, b1, a2, b2 = cols
+    n_a1, n_b1, n_a2, n_b2 = map(_sqrt, sq)
     _check_pair_lengths(n_a1, n_b1, tol, "pair 1", e1)
     _check_pair_lengths(n_a2, n_b2, tol, "pair 2", e2)
 
     tol_a1 = tol * n_a1
     dot_p = _inner(a1, a2)
     dot_q = _inner(b1, b2)
-    bad = np.abs(dot_p - dot_q) > tol_a1 * n_a2
-    if bad.any():
-        i = _first(bad)
+    if (i := _first(abs(dot_p - dot_q) > tol_a1 * n_a2)) is not None:
         e = None if e1 is None else e1 + e2
         raise InvalidPairError(
             f"subtended angles differ at index {i}: "
@@ -389,9 +410,7 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
         )
 
     out, s1, den1 = _line(a1, b1)
-    anti1 = den1 <= tol_a1 * n_a1
-    if anti1.any():
-        i = _first(anti1)
+    if (i := _first(den1 <= tol_a1 * n_a1)) is not None:
         raise InvalidPairError(
             f"pair 1 is antipodal at index {i}: no one-parameter family "
             "exists; swap the pairs if pair 2 is regular",
@@ -399,19 +418,18 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
             index=i,
         )
 
-    d = a2 - b2
+    d = a2 - b2 if isinstance(a2, np.ndarray) else [x - y for x, y in zip(a2, b2)]
     den_g = _inner(s1, d)
-    # (c1 + gamma s1) / den1 with gamma = -(c1.d) / den_g, the sign of
-    # gamma carried by the subtraction; folded into c1 = out, the output
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = _dot(out, d)
-        gamma /= den_g
-        out -= gamma * s1
-        out /= den1
-
     # Off the gamma path: rows whose gamma denominator is small against
     # |s1| |p2|, each row with a pair fixed within tol included (see _GAMMA_CUT).
-    off = np.flatnonzero(np.abs(den_g) <= max(_GAMMA_CUT, 3 * tol) * _norms(s1) * n_a2)
+    off = abs(den_g) <= max(_GAMMA_CUT, 3 * tol) * _norms(s1) * n_a2
+    if type(off) is bool:  # one row of floats: gamma, or the column code
+        if off:
+            return _align_pairs(*map(np.asarray, cols), tol)
+        return np.array(_gamma_member(out, s1, d, den_g, den1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _gamma_member(out, s1, d, den_g, den1)
+    off = np.flatnonzero(off)
     if off.size:
         flat = [x.reshape(3, -1) for x in (out, a1, b1, a2, b2)]
         n1, n2 = np.ravel(n_a1), np.ravel(n_a2)
@@ -424,6 +442,19 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     return out.transpose(*range(1, out.ndim), 0)
 
 
+def _gamma_member(c1, s1, d, den_g, den1):
+    """``c1`` overwritten, component by component, with the member
+    ``(c1 + gamma s1) / den1`` of pair 1's line at
+    ``gamma = -(c1 . d) / den_g``, the sign of gamma carried by the
+    subtraction; columns or one row's floats.  Elementary arithmetic only."""
+    gamma = _dot(c1, d)
+    gamma /= den_g
+    for i in range(3):
+        c1[i] -= gamma * s1[i]
+        c1[i] /= den1
+    return c1
+
+
 def _in_range(cols, names):
     """The component columns ``cols`` of pairs ``p, q, ...`` (``(3,) +
     batch`` each), their squared norms and each pair's flat exponents ``e``.
@@ -431,11 +462,14 @@ def _in_range(cols, names):
     inputs, or of a ``p``) have each pair scaled by the power of two
     ``2**-e`` that brings max|p| into [0.5, 1) (p = 0 stays), after every
     input is checked finite in turn (``names``); ``e`` is 0 on the other
-    rows, None if no row is scaled.  One row squares its Python floats."""
-    if cols[0].ndim == 1:  # floats overflow to inf with no warning to suppress
-        sq = [_inner(x, x) for x in map(np.ndarray.tolist, cols)]
+    rows, None if no row is scaled.  One row squares its Python floats;
+    given as lists, it comes back as given in range, else as (3,) arrays."""
+    one = type(cols[0]) is list
+    if one or cols[0].ndim == 1:  # floats overflow to inf with no warning to suppress
+        sq = [_inner(x, x) for x in (cols if one else map(np.ndarray.tolist, cols))]
         if sum(sq) <= _SQ_NORM_HI and min(sq[::2]) >= _SQ_NORM_LO:
             return cols, sq, [None] * len(sq[::2])
+        cols = list(map(np.asarray, cols))
     with np.errstate(over="ignore"):
         sq = [_inner(x, x) for x in cols]
         total = sq[0] + sq[1]

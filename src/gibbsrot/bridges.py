@@ -148,12 +148,16 @@ def canonicalize_quaternion(q) -> np.ndarray:
     return _canonical_signs(_as_quaternion(q)[1])
 
 
-def _canonical_signs(q: np.ndarray) -> np.ndarray:
+def _canonical_signs(q) -> np.ndarray:
     """:func:`canonicalize_quaternion` of unit quaternions given as their
-    components ``q`` (from :func:`_as_quaternion`), written into rows: times -1
-    where the first nonzero component is negative, then ``+ 0.0`` turns
-    -0.0 into +0.0, so ``q`` and ``-q`` give the same bytes."""
+    components ``q`` (from :func:`_as_quaternion`; one row's Python floats
+    as a list), written into rows: times -1 where the first nonzero
+    component is negative, then ``+ 0.0`` turns -0.0 into +0.0, so ``q``
+    and ``-q`` give the same bytes."""
     w, x, y, z = q
+    if type(q) is list:  # -0.0 and 0.0 are false, so ``or`` finds the lead
+        sign = -1.0 if (w or x or y or z) < 0.0 else 1.0
+        return np.array([c * sign + 0.0 for c in q])
     lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
     out = np.empty(lead.shape + (4,))
     np.multiply(q, np.where(lead < 0.0, -1.0, 1.0), out=np.moveaxis(out, -1, 0))
@@ -168,7 +172,7 @@ def _unit_quaternion(q: np.ndarray) -> np.ndarray:
     right, the order of ``np.sum`` and of :func:`_norm_sq`."""
     w, x, y, z = q
     q /= np.sqrt(w * w + x * x + y * y + z * z)
-    return _canonical_signs(q)
+    return _canonical_signs(q.tolist() if q.ndim == 1 else q)
 
 
 def quaternion_multiply(a, b) -> np.ndarray:
@@ -304,7 +308,8 @@ def axis_angle_to_gibbs(axis, angle=None) -> np.ndarray:
         raise InvalidInputError("angle must be finite")
     a, ang = _broadcast(axis=a, angle=ang[..., None])
     u = _columns(a, 1)
-    norm2 = _inner(u, u)
+    with np.errstate(over="ignore"):  # an overflowed |axis|^2 fails the check as inf
+        norm2 = _inner(u, u)
     if (np.abs(norm2 - 1.0) > 1e-9).any():
         raise InvalidInputError("axis must be unit length (within 1e-9 on |axis|^2)")
     u /= np.sqrt(norm2)

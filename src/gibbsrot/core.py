@@ -124,13 +124,14 @@ def _dot(a, b):
 
 
 def _cross(a, b):
-    """Cross products with ``np.cross``'s formula, as component columns."""
+    """Cross products with ``np.cross``'s formula, as component columns,
+    or as a list for one row's numbers given as lists."""
     out = []
     for i, j in ((1, 2), (2, 0), (0, 1)):
         x = a[i] * b[j]
         x -= a[j] * b[i]
         out.append(x)
-    return np.array(out)
+    return out if type(a) is list else np.array(out)
 
 
 def _max_abs(a):

@@ -3,6 +3,7 @@ its degeneracies, frame transport, and rotation-minimizing frames along
 polylines."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gibbsrot import (
     AntipodalError,
+    GibbsError,
     InvalidInputError,
     InvalidPairError,
     align_family,
@@ -817,6 +819,19 @@ def test_antipodal_basis_at_extreme_magnitudes_is_orthonormal(k):
     assert np.abs(basis @ (p / k)).max() <= 1e-15
 
 
+def test_family_of_a_subnormal_pair_is_a_typed_error_without_an_overflow_warning():
+    # the direction grows as 1 / |p|: at |p| = 1e-314 it is past the float
+    # range, and scaling it back by 2**-e overflowed with a RuntimeWarning
+    p, q = [1e-314, 0.0, 0.0], [0.0, 1e-314, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="direction is past the float range"):
+            align_family(p, q)
+        # a representable direction at the same scale is still returned
+        line = align_family([1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0])
+    assert np.isfinite(line.direction).all()
+
+
 def test_pair_errors_on_rescaled_rows_report_input_units():
     p1 = 1e300 * np.array([1.0, 0.0, 0.0])
     q1 = 1e300 * np.array([0.0, 1.001, 0.0])
@@ -843,3 +858,69 @@ def test_pair_non_finite_input_names_the_first_bad_argument(bad, at):
         args[3] = np.zeros(4)
         with pytest.raises(InvalidInputError, match=f"^{name} has non-finite entries"):
             align_pair(*args)
+
+
+# --- one row = its batch row ---------------------------------------------------
+
+PAIR_KINDS = ("generic", "half turn", "pair fixed", "both fixed", "fixed within tol",
+              "p2 parallel to p1", "antipodal", "in-plane half turn")
+# far from unit scale (the column code's power-of-two rescale), or in range
+PAIR_SCALES = st.sampled_from([1e300, 1e-300, 1e150, 1e-150, 2.0**600, 2.0**-600]) | st.floats(
+    1e-60, 1e60)
+
+
+def pair_row(seed, kind, k1, k2, noise):
+    """One ``align_pair`` row of ``kind``, pair 1 scaled by ``k1``, pair 2
+    by ``k2``, and each q perturbed by relative ``noise`` (0 keeps it)."""
+    rng = np.random.default_rng(seed)
+    p1, p2 = rng.normal(size=(2, 3))
+    r = random_gibbs(rng, 1, 1e-3, 1e3)[0]
+    if kind == "half turn":
+        r = pi_encode(r)
+    elif kind == "fixed within tol":
+        r = 1e-12 * rng.normal(size=3)
+    elif kind == "in-plane half turn":
+        r = pi_encode(p1 + rng.uniform(0.2, 5.0) * p2)
+    elif kind == "p2 parallel to p1":
+        p2 = rng.choice([-2.0, -0.5, 0.5, 3.0]) * p1
+    elif kind == "pair fixed":  # about p1 or p2, which is then kept exactly
+        p1, p2 = (p1, p2) if rng.random() < 0.5 else (p2, p1)
+        r = rng.uniform(-3.0, 3.0) * p1
+    elif kind == "antipodal":  # a half turn about an axis normal to p1
+        r = pi_encode(np.cross(p1, rng.normal(size=3)))
+    q1, q2 = rotate_vector(r, p1), rotate_vector(r, p2)
+    if kind == "pair fixed":
+        q1 = p1
+    elif kind == "both fixed":
+        q1, q2 = p1, p2
+    elif kind == "antipodal":
+        q1 = -p1
+    q1, q2 = (q * (1.0 + noise * rng.normal(size=3)) for q in (q1, q2))
+    return k1 * p1, k1 * q1, k2 * p2, k2 * q2
+
+
+def call_outcome(call):
+    """The output bytes of ``call()``, or its error's type, message, code,
+    condition and index; warnings are errors, so a warning shows too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return call().tobytes()
+        except (GibbsError, RuntimeWarning) as e:
+            return (type(e), str(e), getattr(e, "code", None),
+                    getattr(e, "condition", None), getattr(e, "index", None))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(PAIR_KINDS),
+    k1=PAIR_SCALES,
+    k2=PAIR_SCALES,
+    noise=st.sampled_from([0.0, 0.0, 0.0, 1e-13, 1e-10, 1e-6]),
+)
+def test_pair_one_row_equals_its_batch_row(seed, kind, k1, k2, noise):
+    row = pair_row(seed, kind, k1, k2, noise)
+    one = call_outcome(lambda: align_pair(*row))
+    batch = call_outcome(lambda: align_pair(*(x[None] for x in row)))
+    assert one == batch

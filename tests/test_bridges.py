@@ -1,6 +1,8 @@
 """Bridges to unit quaternions, axis-angle, and intrinsic z-y-x Euler
 angles: layout pins, oracle agreement, and the half-turn handoff."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -292,6 +294,15 @@ def test_axis_validation():
         axis_angle_to_gibbs([1.0, 1.0, 0.0], 0.5)  # not unit length
     with pytest.raises(InvalidInputError):
         axis_angle_to_gibbs([0.0, 0.0, 0.0], 0.5)
+
+
+@pytest.mark.parametrize("axis", [[1e155, 0.0, 0.0], [[0.0, 0.0, 1.0], [0.0, -1e200, 0.0]]])
+def test_huge_axis_is_not_unit_length_without_an_overflow_warning(axis):
+    # |axis|^2 overflowed: a RuntimeWarning, an error under -W error
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="axis must be unit length"):
+            axis_angle_to_gibbs(axis, 1.0)
 
 
 # --- euler angles ------------------------------------------------------------
