@@ -83,6 +83,7 @@ AUDITED = {
         "_in_range",
         "_unit_scale",
         "_line",
+        "_gamma_member",
         "_solve_off_gamma",
         "_reflection_pairs",
     ],
