@@ -363,6 +363,7 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     Batched: all four arguments broadcast together over leading axes.
     """
     _check_tol(tol)
+    tol = float(tol)  # a numpy scalar's or Fraction's too: one arithmetic for every route
     # Finiteness is checked on the squared norms in _align_pairs; if the
     # shapes fail, the full per-input checks run first, in argument order,
     # so the error raised is the one they give.
@@ -391,6 +392,7 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     inputs only, so they may be views of one array."""
     cols, sq, (e1, e2) = _in_range((a1, b1, a2, b2), _PAIR_NAMES)
     a1, b1, a2, b2 = cols
+    one = type(a1) is list  # one row of floats, in range
     n_a1, n_b1, n_a2, n_b2 = map(_sqrt, sq)
     _check_pair_lengths(n_a1, n_b1, tol, "pair 1", e1)
     _check_pair_lengths(n_a2, n_b2, tol, "pair 2", e2)
@@ -418,12 +420,12 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
             index=i,
         )
 
-    d = a2 - b2 if isinstance(a2, np.ndarray) else [x - y for x, y in zip(a2, b2)]
+    d = [x - y for x, y in zip(a2, b2)] if one else a2 - b2
     den_g = _inner(s1, d)
     # Off the gamma path: rows whose gamma denominator is small against
     # |s1| |p2|, each row with a pair fixed within tol included (see _GAMMA_CUT).
     off = abs(den_g) <= max(_GAMMA_CUT, 3 * tol) * _norms(s1) * n_a2
-    if type(off) is bool:  # one row of floats: gamma, or the column code
+    if one:  # gamma, or the column code
         if off:
             return _align_pairs(*map(np.asarray, cols), tol)
         return np.array(_gamma_member(out, s1, d, den_g, den1))
@@ -532,9 +534,7 @@ def _verify_rows(r, p1, q1, p2, q2, idx, tol) -> None:
     moved = _rotate_by_pair(*_row_pairs(_columns(r, 1)), np.stack([p1, p2], axis=1))
     res1, res2 = _norms(np.moveaxis(moved, -1, 0) - np.stack([q1, q2], axis=1))
     gate = max(1e3 * tol, 1e-8)
-    bad = (res1 > gate) | (res2 > gate)
-    if bad.any():
-        k = int(np.argmax(bad))
+    if (k := _first((res1 > gate) | (res2 > gate))) is not None:
         i = int(idx[k])
         raise InvalidPairError(
             f"pairs at index {i} pass the length checks but admit no "
@@ -579,16 +579,13 @@ def _polyline_transport(points: np.ndarray, tol: float = TOL_LEN):
     v1 = x[:, 1:] - x[:, :-1]
     t, v1 = _unit_scale(t), _unit_scale(v1)
     norms = _norms(t)
-    if (norms == 0.0).any():
-        raise InvalidInputError(
-            f"polyline has coincident points near sample {_first(norms == 0.0)}"
-        )
+    if (i := _first(norms == 0.0)) is not None:
+        raise InvalidInputError(f"polyline has coincident points near sample {i}")
     t /= norms
     v1 = np.where(_max_abs(v1) == 0.0, t[:, :-1], v1)  # a repeated sample
     w, v = _reflection_pairs(v1, t[:, :-1], t[:, 1:])
     short = _inner(v, v) + w * w <= tol * tol * _inner(v1, v1)  # |v1| |v2| = |(w, v)|
-    if short.any():
-        i = _first(short)
+    if (i := _first(short)) is not None:
         raise InvalidPairError(
             f"step {i} -> {i + 1}: the polyline doubles back along its chord (tangent "
             f"{i + 1} mirrors tangent {i} within tolerance {tol:g}); no step is defined",
@@ -630,14 +627,13 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     t, m = map(_unit_scale, _columns(f, 2).reshape(2, 3, n))
     nt, nm = _norms(t), _norms(m)
     for label, bad in (("tangent", nt == 0.0), ("normal", nm == 0.0)):
-        if bad.any():
-            raise InvalidInputError(f"zero {label} at frame {_first(bad)}")
+        if (i := _first(bad)) is not None:
+            raise InvalidInputError(f"zero {label} at frame {i}")
     that = t / nt
     w = m - _dot(m, that) * that
     nw = _norms(w)
-    sick = nw <= tol * nm
-    if sick.any():
-        raise InvalidInputError(f"normal parallel to tangent at frame {_first(sick)}")
+    if (i := _first(nw <= tol * nm)) is not None:
+        raise InvalidInputError(f"normal parallel to tangent at frame {i}")
     nhat = w / nw
 
     if n == 1:

@@ -4,6 +4,7 @@ polylines."""
 
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -918,9 +919,21 @@ def call_outcome(call):
     k1=PAIR_SCALES,
     k2=PAIR_SCALES,
     noise=st.sampled_from([0.0, 0.0, 0.0, 1e-13, 1e-10, 1e-6]),
+    tol=st.sampled_from([1e-9, 1e-9, 0, 1e-3, np.float64(1e-3)]),
 )
-def test_pair_one_row_equals_its_batch_row(seed, kind, k1, k2, noise):
+def test_pair_one_row_equals_its_batch_row(seed, kind, k1, k2, noise, tol):
     row = pair_row(seed, kind, k1, k2, noise)
-    one = call_outcome(lambda: align_pair(*row))
-    batch = call_outcome(lambda: align_pair(*(x[None] for x in row)))
+    one = call_outcome(lambda: align_pair(*row, tol=tol))
+    batch = call_outcome(lambda: align_pair(*(x[None] for x in row), tol=tol))
     assert one == batch
+
+
+@pytest.mark.parametrize("tol", [np.float64(1e-3), np.float32(1e-3), np.float16(1e-3),
+                                 Fraction(1, 1000)], ids=repr)
+@pytest.mark.parametrize("kind", ["generic", "both fixed"])
+def test_pair_one_row_takes_a_scalar_tolerance_of_any_real_type(kind, tol):
+    row = pair_row(7, kind, 1.0, 1.0, 0.0)
+    one = call_outcome(lambda: align_pair(*row, tol=tol))
+    assert isinstance(one, bytes)
+    assert one == call_outcome(lambda: align_pair(*(x[None] for x in row), tol=tol))
+    assert one == call_outcome(lambda: align_pair(*row, tol=float(tol)))
