@@ -24,7 +24,7 @@ are unpacked once into component columns (one row into Python floats),
 and the Hamilton product takes and returns ``v`` as its three columns.  The same kernel with ``w = 1``
 is the textbook quotient rule, exact on ``fractions.Fraction``.
 :func:`compose_scan` chains the kernel into an inclusive prefix scan of
-``ceil(log2 n)`` batched rounds, on scaled pairs throughout.
+``ceil(log2 n)`` batched rounds, on pairs rescaled by exact powers of two.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .core import (
     _homogeneous,
     _inner,
     _is_one,
-    _max_abs,
+    _pow2_scale,
     _quotient_rows,
     _row_pairs,
     _unpack,
@@ -116,8 +116,8 @@ def compose_scan(vectors) -> np.ndarray:
 
     ``out[k]`` applies ``vectors[0]`` first and ``vectors[k]`` last, i.e.
     ``out[k] == compose(vectors[k], out[k - 1])``.  A Hillis-Steele scan:
-    ``ceil(log2 n)`` rounds of batched Hamilton products, each round
-    renormalized by the max-abs of its pairs, so it stays free of square
+    ``ceil(log2 n)`` rounds of batched Hamilton products, each round's
+    pairs rescaled by an exact power of two, so it stays free of square
     roots and overflow.  Rounding grows with the depth ``log2 n`` rather
     than with ``n``.  An empty sequence gives an empty (0, 3) result.
 
@@ -129,15 +129,13 @@ def compose_scan(vectors) -> np.ndarray:
         raise InvalidInputError(
             f"vectors must be a sequence of 3-vectors, got shape {arr.shape}"
         )
-    w, v = _homogeneous(_columns(arr, 1))
+    q = np.vstack(_homogeneous(_columns(arr, 1)))  # the pairs (w : v) as four columns
     d = 1
     while d < arr.shape[0]:
-        wp, vp = _hamilton(w[d:], v[:, d:], w[:-d], v[:, :-d])
-        scale = np.maximum(np.abs(wp), _max_abs(vp))
-        w[d:] = wp / scale
-        v[:, d:] = vp / scale
+        w, v = _hamilton(q[0, d:], q[1:, d:], q[0, :-d], q[1:, :-d])
+        q[:, d:] = _pow2_scale(np.array([w, *v]))[0]
         d *= 2
-    return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
+    return _dehomogenize(q[0], q[1:], TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 
 
 def compose_sequence(vectors) -> np.ndarray:

@@ -17,19 +17,17 @@ step one rational vector of two reflections (``_reflection_pairs``).
 
 Every solver here is rational in its inputs.  Square roots appear only in
 validation and preprocessing (the norms behind the tolerance checks, the
-row routing, the unit scaling of routed rows, of ``frame_transport``'s
-frames and of polyline tangents, and the bases of :func:`_perp_basis`),
-never in a solution formula.
+row routing, the unit vectors of routed rows, frames and polyline tangents,
+and :func:`_perp_basis`), never in a solution formula.  Every formula is
+homogeneous in each pair, so rows far from unit scale are solved on pairs
+scaled by exact powers of two (``core._pow2_scale``), and a line member
+past the float range comes back as its limit, the half turn about p + q.
 
 As in ``core``, each public op unpacks every input once into component
 columns with the caller's batch shape kept.  One row of :func:`align_pair`
-unpacks into Python floats (``core._unpack``), on which the same checks
-and gamma formula run; a row outside ``_in_range``'s bounds, or one that
-leaves the gamma path, takes the column code on numpy scalars instead, as
-one row of ``align_line`` and ``align_family`` does, so no overflow turns
-silently into inf.  Flat ``(3, -1)`` views appear only where rows are
-picked by index: rescaled rows, rows solved off the gamma path, error
-messages.
+runs its checks and gamma formula on Python floats (``core._unpack``)
+while the row is in range and on the gamma path; other rows, and one row
+of ``align_line``, run the column code, where no overflow passes silently.
 """
 
 from __future__ import annotations
@@ -51,9 +49,11 @@ from .core import (
     _cross,
     _dehomogenize,
     _dot,
+    _encode_half_turns,
     _inner,
     _max_abs,
     _pivot_row,
+    _pow2_scale,
     _quotient_rows,
     _rotate_by_pair,
     _row_pairs,
@@ -99,13 +99,10 @@ TOL_ALIGN_SINGULAR = 1e-12
 # max(_GAMMA_CUT, 3 tol): above tol ~6.7e-6 (= cut / 3) it grows with tol.
 _GAMMA_CUT = 2e-5
 
-# The alignment solvers take rows whose squared norms (summed over all
-# inputs, and of each p alone) lie within these bounds as given (_in_range).
-# Inside them no product the checks or the gamma formula form, up to
-# cubic in a pair's length and times TOL_LEN, overflows or goes
-# subnormal.  Other rows have each pair scaled by the exact power of two
-# that brings max|p| into [0.5, 1): every rule is homogeneous in each
-# pair, so that changes no result.
+# Rows whose squared norms (summed over all inputs, and of each p alone) lie
+# within these bounds are solved as given (_in_range): no product the checks
+# or the gamma formula form, up to cubic in a pair's length and times
+# TOL_LEN, overflows or goes subnormal there.
 _SQ_NORM_HI = 2.0**400
 _SQ_NORM_LO = 2.0**-400
 
@@ -127,8 +124,10 @@ class AlignmentLine:
 
     def member(self, gamma) -> np.ndarray:
         """Evaluate ``base + gamma * direction`` (broadcasting over gamma);
-        ``gamma`` must be finite, as for :func:`align_line`."""
-        return self.base + _as_gamma(gamma)[..., None] * self.direction
+        ``gamma`` must be finite, and a member past the float range is the
+        half turn about p + q, as for :func:`align_line`."""
+        *rows, g = np.broadcast_arrays(self.base, self.direction, _as_gamma(gamma)[..., None])
+        return _member(*(np.moveaxis(x, -1, 0) for x in rows), np.ones(g.shape[:-1]), 0, g[..., 0])
 
 
 class TransportResult(NamedTuple):
@@ -177,14 +176,9 @@ def _norms(v):
 
 
 def _in_input_units(x, e, i: int) -> float:
-    """Flat batch row ``i`` of ``x`` times ``2**e[i]``: for ``x`` formed
-    from rows scaled so that it shrank by ``2**-e``, its value in the
-    caller's units.  ``e`` is None when no row was scaled."""
-    x = np.ravel(x)[i]
-    if e is None:
-        return x
-    with np.errstate(over="ignore"):
-        return np.ldexp(x, e[i])
+    """Flat batch row ``i`` of ``x``, formed from rows scaled so that it
+    shrank by ``2**-e``, times ``2**e[i]``: its value in the caller's units."""
+    return _pow2_scale(*(a.flat[i] for a in np.broadcast_arrays(x, -e)))[0]
 
 
 def _first(mask) -> int | None:
@@ -195,16 +189,10 @@ def _first(mask) -> int | None:
     return int(np.flatnonzero(mask)[0]) if mask.any() else None
 
 
-def _unit_scale(v: np.ndarray) -> np.ndarray:
-    """The rows of the component columns ``v`` scaled by the power of two
-    that brings each max|v| into [0.5, 1) (0 stays): norms stay in range."""
-    return np.ldexp(v, -np.frexp(_max_abs(v))[1])
-
-
 def _perp_basis(p: np.ndarray) -> np.ndarray:
     """Two orthonormal rows spanning the plane perpendicular to the
     nonzero 3-vector ``p`` (one row, so its own component columns)."""
-    p = _unit_scale(p)
+    p = _pow2_scale(p)[0]  # |p|^2 in range
     unit = p / _norms(p)
     e1 = _cross(unit, np.eye(3)[np.argmin(np.abs(unit))])
     e1 /= _norms(e1)
@@ -213,10 +201,9 @@ def _perp_basis(p: np.ndarray) -> np.ndarray:
     return np.stack([e1, e2])
 
 
-def _check_pair_lengths(np_, nq, tol: float, label: str, e=None) -> None:
-    """Raise unless every row's lengths ``np_`` and ``nq`` (of one batch
-    shape) are nonzero and agree within ``tol``; ``e`` is the rows'
-    scaling (see :func:`_in_input_units`) for the message."""
+def _check_pair_lengths(np_, nq, tol: float, label: str, e) -> None:
+    """Raise unless every row's lengths ``np_`` and ``nq`` are nonzero and
+    agree within ``tol``; ``e`` is their scaling (:func:`_in_input_units`)."""
     for n in (np_, nq):
         if (i := _first(n == 0.0)) is not None:
             raise InvalidInputError(f"{label}: zero vector at index {i}")
@@ -252,12 +239,9 @@ def align_family(p, q, *, tol: float = TOL_LEN) -> AlignmentLine:
         )
     # one row is its own component columns
     c, s, den, e = _checked_line(pp, qq, tol)
-    s /= den  # (p, q) scaled by 2**-e scale s / den by 2**e
-    if e is not None:
-        with np.errstate(over="ignore"):
-            s = np.ldexp(s, -e)
-        if not np.isfinite(s).all():
-            raise InvalidInputError("align_family: the direction is past the float range")
+    s = _pow2_scale(s / den, e)[0]  # (p, q) scaled by 2**-e scale s / den by 2**e
+    if not np.isfinite(s).all():
+        raise InvalidInputError("align_family: the direction is past the float range")
     return AlignmentLine(base=c / den, direction=s)
 
 
@@ -273,7 +257,7 @@ def _line(p, q):
 def _checked_line(p: np.ndarray, q: np.ndarray, tol: float):
     """:func:`_line` of the pairs brought into range by :func:`_in_range`,
     after the length and antipodal checks, and the rows' exponents ``e``
-    of that scaling (None if no row was scaled)."""
+    of that scaling."""
     (p, q), sq, (e,) = _in_range((p, q), ("p", "q"))
     np_, nq = map(_sqrt, sq)
     _check_pair_lengths(np_, nq, tol, "align", e)
@@ -299,10 +283,26 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     pp, qq, g = _broadcast(
         p=_as_vectors(p, "p"), q=_as_vectors(q, "q"), gamma=_as_gamma(gamma)[..., None]
     )
-    num, s, den, e = _checked_line(_columns(pp, 1), _columns(qq, 1), tol)
-    g = g[..., 0]  # for (p, q) scaled by 2**-e, gamma 2**-e gives the same member
-    num += (g if e is None else np.ldexp(g, -e.reshape(g.shape))) * s
-    return _quotient_rows(num, den)
+    return _member(*_checked_line(_columns(pp, 1), _columns(qq, 1), tol), g[..., 0])
+
+
+def _member(c, s, den, e, g):
+    """Rows ``(c + gamma s) / den``, ``gamma = g 2**-e``, of lines given as
+    component columns ``c``, ``s`` and columns ``den``, ``g`` of one batch
+    shape.  Rows that overflow are formed again from the pair scaled by
+    gamma's exponent, and past the float range are its half-turn encoding."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        ge = g if type(e) is int else _pow2_scale(g, e)[0]  # e = 0: no row scaled
+        out = _quotient_rows(c + ge * s, den)
+        if np.isfinite(out).all():
+            return out
+        far = ~np.isfinite(out).all(axis=-1)
+        f, k = _pow2_scale(g[None])  # gamma 2**-e = f 2**(k - e), f in [0.5, 1)
+        v = _pow2_scale(c, k - e)[0] + f * s
+        r = _quotient_rows(v, _pow2_scale(den, k - e)[0])
+        past = far & ~np.isfinite(r).all(axis=-1)
+        out[far] = np.where(past[..., None], np.moveaxis(v, 0, -1), r)[far]
+    return _encode_half_turns(out, np.flatnonzero(past))
 
 
 # ---------------------------------------------------------------------------
@@ -401,11 +401,10 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     dot_p = _inner(a1, a2)
     dot_q = _inner(b1, b2)
     if (i := _first(abs(dot_p - dot_q) > tol_a1 * n_a2)) is not None:
-        e = None if e1 is None else e1 + e2
         raise InvalidPairError(
             f"subtended angles differ at index {i}: "
-            f"p1.p2 = {_in_input_units(dot_p, e, i):.17g} "
-            f"but q1.q2 = {_in_input_units(dot_q, e, i):.17g} "
+            f"p1.p2 = {_in_input_units(dot_p, e1 + e2, i):.17g} "
+            f"but q1.q2 = {_in_input_units(dot_q, e1 + e2, i):.17g} "
             f"(relative tolerance {tol:g})",
             condition="ANGLE_MISMATCH",
             index=i,
@@ -459,33 +458,32 @@ def _gamma_member(c1, s1, d, den_g, den1):
 
 def _in_range(cols, names):
     """The component columns ``cols`` of pairs ``p, q, ...`` (``(3,) +
-    batch`` each), their squared norms and each pair's flat exponents ``e``.
-    Rows whose squares leave [_SQ_NORM_LO, _SQ_NORM_HI] (summed over all
-    inputs, or of a ``p``) have each pair scaled by the power of two
-    ``2**-e`` that brings max|p| into [0.5, 1) (p = 0 stays), after every
-    input is checked finite in turn (``names``); ``e`` is 0 on the other
-    rows, None if no row is scaled.  One row squares its Python floats;
-    given as lists, it comes back as given in range, else as (3,) arrays."""
+    batch`` each), their squared norms and each pair's exponents ``e``
+    (0 on unscaled rows).  Rows whose squares leave [_SQ_NORM_LO,
+    _SQ_NORM_HI] (summed over all inputs, or of a ``p``) have each pair
+    scaled by ``2**-e``, ``e`` the exponent of max|p| (``core._pow2_scale``),
+    after every input is checked finite in turn (``names``); a batch sums
+    the squares per row only if a screen on each input's largest and
+    smallest fails.  One row given as lists comes back as given in range."""
     one = type(cols[0]) is list
     if one or cols[0].ndim == 1:  # floats overflow to inf with no warning to suppress
         sq = [_inner(x, x) for x in (cols if one else map(np.ndarray.tolist, cols))]
         if sum(sq) <= _SQ_NORM_HI and min(sq[::2]) >= _SQ_NORM_LO:
-            return cols, sq, [None] * len(sq[::2])
+            return cols, sq, [0] * len(sq[::2])
         cols = list(map(np.asarray, cols))
     with np.errstate(over="ignore"):
         sq = [_inner(x, x) for x in cols]
-        total = sq[0] + sq[1]
-        for x in sq[2:]:
-            total += x
-        if not total.size or (
-            total.max() <= _SQ_NORM_HI and min(x.min() for x in sq[::2]) >= _SQ_NORM_LO
+        # the sum of each input's largest square bounds every row's sum
+        if not sq[0].size or (
+            sum(x.max() for x in sq) <= _SQ_NORM_HI
+            and min(x.min() for x in sq[::2]) >= _SQ_NORM_LO
         ):
-            return cols, sq, [None] * len(sq[::2])
+            return cols, sq, [0] * len(sq[::2])
         for x, name in zip(cols, names):
             _require_finite(x, name)
-        far = ((total > _SQ_NORM_HI) | (np.min(sq[::2], axis=0) < _SQ_NORM_LO)).ravel()
-        es = [np.where(far, np.frexp(_max_abs(p.reshape(3, -1)))[1], 0) for p in cols[::2]]
-        cols = [np.ldexp(x, -es[i // 2].reshape(total.shape)) for i, x in enumerate(cols)]
+        far = (sum(sq) > _SQ_NORM_HI) | (np.min(sq[::2], axis=0) < _SQ_NORM_LO)
+        es = [np.where(far, _pow2_scale(p)[1], 0) for p in cols[::2]]
+        cols = [_pow2_scale(x, es[i // 2])[0] for i, x in enumerate(cols)]
         return cols, [_inner(x, x) for x in cols], es
 
 
@@ -573,11 +571,11 @@ def _polyline_transport(points: np.ndarray, tol: float = TOL_LEN):
     raises :class:`InvalidPairError` (``ANTIPODAL``, ``index`` the step; the
     caller checks ``tol``).  Each tangent, chord and pair is scaled by a power
     of two, so scaling the curve by one keeps the steps bit for bit."""
-    # below 2^1022 no difference (at most 2 max|p|) overflows
-    x = _columns(np.ldexp(points, min(0, 1022 - np.frexp(np.abs(points).max())[1])), 1)
+    # below 2^1022 no difference (at most 2 max|p|) overflows; e is max|p|'s exponent
+    x = _columns(_pow2_scale(points, max(_pow2_scale(points.ravel())[1] - 1022, 0))[0], 1)
     t = np.concatenate([x[:, 1:2] - x[:, :1], x[:, 2:] - x[:, :-2], x[:, -1:] - x[:, -2:-1]], 1)
     v1 = x[:, 1:] - x[:, :-1]
-    t, v1 = _unit_scale(t), _unit_scale(v1)
+    t, v1 = _pow2_scale(t)[0], _pow2_scale(v1)[0]
     norms = _norms(t)
     if (i := _first(norms == 0.0)) is not None:
         raise InvalidInputError(f"polyline has coincident points near sample {i}")
@@ -592,10 +590,9 @@ def _polyline_transport(points: np.ndarray, tol: float = TOL_LEN):
             condition="ANTIPODAL",
             index=i,
         )
-    e = -np.frexp(np.maximum(np.abs(w), _max_abs(v)))[1]  # w^2 clear of underflow
-    steps = _dehomogenize(np.ldexp(w, e), np.ldexp(v, e), TOL_ALIGN_SINGULAR**2)
-    cumulative = np.zeros((x.shape[1], 3))
-    cumulative[1:] = compose_scan(steps)
+    pair = _pow2_scale(np.concatenate([w[None], v]))[0]  # w^2 clear of underflow
+    steps = _dehomogenize(pair[0], pair[1:], TOL_ALIGN_SINGULAR**2)
+    cumulative = np.concatenate([np.zeros((1, 3)), compose_scan(steps)])
     return _perp_basis(t[:, 0]), TransportResult(steps, cumulative)
 
 
@@ -624,7 +621,7 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     if n == 0:
         raise InvalidInputError("frames is empty")
     # tangent and normal component columns, (3, n) each, at unit scale
-    t, m = map(_unit_scale, _columns(f, 2).reshape(2, 3, n))
+    t, m = (_pow2_scale(x)[0] for x in _columns(f, 2).reshape(2, 3, n))
     nt, nm = _norms(t), _norms(m)
     for label, bad in (("tangent", nt == 0.0), ("normal", nm == 0.0)):
         if (i := _first(bad)) is not None:
@@ -635,10 +632,6 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     if (i := _first(nw <= tol * nm)) is not None:
         raise InvalidInputError(f"normal parallel to tangent at frame {i}")
     nhat = w / nw
-
-    if n == 1:
-        return TransportResult(np.zeros((0, 3)), np.zeros((1, 3)))
-
     try:
         steps = _align_pairs(that[:, :-1], that[:, 1:], nhat[:, :-1], nhat[:, 1:], tol)
     except InvalidPairError as e:
@@ -648,8 +641,5 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
         )
         err.step = step
         raise err from e
-
-    cumulative = np.zeros((n, 3))
-    cumulative[1:] = compose_scan(steps)
-    return TransportResult(steps, cumulative)
+    return TransportResult(steps, np.concatenate([np.zeros((1, 3)), compose_scan(steps)]))
 

@@ -139,6 +139,17 @@ def _max_abs(a):
     return np.maximum(np.maximum(np.abs(a[0]), np.abs(a[1])), np.abs(a[2]))
 
 
+def _pow2_scale(x, e=None):
+    """``x`` times ``2**-e``, and ``e``: by default per row the exponent of
+    the max-abs of the component columns ``x`` (``(k,) + batch``; a flat
+    array is one row), which that brings into [0.5, 1), 0 for a zero row.
+    Exact in the normal range; past it inf, quietly, for the caller to test."""
+    if e is None:
+        e = np.frexp(np.abs(x).max(axis=0))[1]
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, -e), e
+
+
 def _new_rows(like, width: int):
     """Rows of ``width`` components for the batch shape and type of
     ``like``: an array, or a list when ``like`` is one number."""
@@ -519,10 +530,10 @@ def _rotate_by_pair(w, v, s):
     the action of :func:`_matrix_from_pair`'s ``U`` without forming it,
     as rows.  ``v`` and ``s`` are three component columns (or numbers)
     each and ``w`` a scalar or of ``v``'s batch shape; the batch shapes
-    broadcast.  The
-    denominator divides ``v`` before ``v`` meets ``s``, so no intermediate
-    exceeds a few times ``|s|``.  Exact on ``fractions.Fraction`` (with
-    ``w = 1``); elementary arithmetic only.
+    broadcast.  The denominator divides ``v`` before ``v`` meets ``s``, so
+    intermediates reach up to about 2 ``|s|`` (overflow past ``|s|`` ~
+    9e307).  Exact on ``fractions.Fraction`` (with ``w = 1``); elementary
+    arithmetic only.
     """
     v0, v1, v2 = v[0], v[1], v[2]
     s0, s1, s2 = s[0], s[1], s[2]

@@ -283,6 +283,27 @@ def test_compose_scan_empty_and_single():
         compose_scan([[np.nan, 0.0, 0.0]])
 
 
+def test_compose_scan_on_small_integer_steps_is_the_exact_fold_rounded_once():
+    # the pairs of such steps stay short dyadic rationals, and each round
+    # rescales them by a power of two, which is exact, so every prefix is
+    # rounded once, in the final division (a rescale by a max-abs such as
+    # 3 or 5 would round in every round)
+    rng = np.random.default_rng(32)
+    for _ in range(50):
+        chain = rng.integers(-2, 3, size=(8, 3)).astype(float)
+        w, v, want = Fraction(1), [Fraction(0)] * 3, []
+        for r in ([Fraction(x) for x in row] for row in chain.tolist()):
+            # the pair (1 : r) after (w : v), as compose(r, previous prefix)
+            cross = [r[1] * v[2] - r[2] * v[1], r[2] * v[0] - r[0] * v[2],
+                     r[0] * v[1] - r[1] * v[0]]
+            w, v = w - sum(a * b for a, b in zip(r, v)), [
+                w * a + b - c for a, b, c in zip(r, v, cross)]
+            if w == 0:  # a half turn: compared up to it
+                break
+            want.append([float(x / w) for x in v])
+        assert compose_scan(chain)[: len(want)].tolist() == want
+
+
 def test_compose_scan_order():
     # out[k] applies vectors[0] first and vectors[k] last
     rng = np.random.default_rng(31)

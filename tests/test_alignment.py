@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbsrot import (
+    PI_ENCODING_MAGNITUDE,
     AntipodalError,
     GibbsError,
     InvalidInputError,
@@ -800,6 +801,7 @@ def test_line_and_family_at_extreme_magnitudes_are_the_unit_scale_rotation(k):
         assert got.tobytes() == want.tobytes()
     assert component_error(got, want) <= 1e-9
     for i in range(0, 200, 40):
+        assert align_line(k * p[i], k * q[i], k * gamma[i]).tobytes() == got[i].tobytes()
         line = align_family(p[i], q[i])
         scaled = align_family(k * p[i], k * q[i])
         if exact:
@@ -831,6 +833,77 @@ def test_family_of_a_subnormal_pair_is_a_typed_error_without_an_overflow_warning
         # a representable direction at the same scale is still returned
         line = align_family([1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0])
     assert np.isfinite(line.direction).all()
+
+
+def exact_member(p, q, gamma):
+    """``(q x p + gamma (p + q)) / (p . (p + q))`` in exact arithmetic."""
+    p, q, g = ([Fraction(x) for x in a] for a in (p, q, [gamma]))
+    c = [q[1] * p[2] - q[2] * p[1], q[2] * p[0] - q[0] * p[2], q[0] * p[1] - q[1] * p[0]]
+    s = [a + b for a, b in zip(p, q)]
+    den = sum(a * b for a, b in zip(p, s))
+    return [(ci + g[0] * si) / den for ci, si in zip(c, s)]
+
+
+def assert_member(got, p, q, gamma):
+    """``got`` is the line member at ``gamma`` to rounding or, past the
+    float range, the half-turn encoding along it."""
+    want = exact_member(p, q, gamma)
+    top = max(map(abs, want))
+    if top > PI_ENCODING_MAGNITUDE:
+        assert is_pi_encoded(got)
+        axis = np.array([float(x / top) for x in want])
+        assert np.abs(got / np.abs(got).max() - axis).max() <= 1e-15
+    else:
+        assert max(abs(Fraction(x) - y) for x, y in zip(got.tolist(), want)) <= 1e-15 * top
+
+
+@pytest.mark.parametrize("p, q, gamma", [
+    # rows brought into range by 2**996, where gamma 2**996 is past it
+    # (the plain formula gives [inf, inf, nan])
+    ([1e-300, 0.0, 0.0], [0.0, 1e-300, 0.0], 1e10),
+    # a representable member, (3.3e307, 3.3e307, -1), where gamma (p + q)
+    # overflows
+    ([3.0, 0.0, 0.0], [0.0, 3.0, 0.0], 1e308),
+    ([3.0, 0.0, 0.0], [0.0, 3.0, 0.0], -1e308),
+    # past the float range at unit scale, and at 2^-600 toward -(p + q)
+    ([1.0, 2.0, 0.0], [2.0, -1.0, 0.0], 1e308),
+    ([2.0**-600, 0.0, 0.0], [0.0, 2.0**-600, 0.0], -1e200),
+], ids=["tiny pair", "member near the ceiling", "negative gamma", "past the range",
+        "2^-600"])
+def test_line_member_near_the_float_range_is_the_member_or_its_half_turn(p, q, gamma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = align_line(p, q, gamma)
+        # next to an in-range row, which keeps its bytes
+        batch = align_line([p, p], [q, q], [gamma, 0.5])
+        member = align_family(p, q).member(gamma)
+        members = align_family(p, q).member([0.5, gamma])
+    assert_member(one, p, q, gamma)
+    assert_member(member, p, q, gamma)
+    assert one.tobytes() == batch[0].tobytes()
+    assert member.tobytes() == members[1].tobytes()
+    assert batch[1].tobytes() == align_line(p, q, 0.5).tobytes()
+    assert members[0].tobytes() == align_family(p, q).member(0.5).tobytes()
+
+
+def test_member_at_huge_gamma_is_the_member_or_its_half_turn():
+    # gamma * direction overflows at |gamma| near 1e308, also where the
+    # member itself is representable
+    rng = np.random.default_rng(88)
+    p = rng.normal(size=(40, 3)) / 16.0  # |direction| from ~9 up
+    q = rotate_vector(random_gibbs(rng, 40, 1e-2, 1e2), p)
+    gamma = rng.choice([-1.0, 1.0], 40) * 10.0 ** rng.uniform(306.0, 308.25, 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lines = align_line(p, q, gamma)
+        members = [align_family(p[i], q[i]).member(gamma[i]) for i in range(40)]
+    past = 0
+    for i in range(40):
+        assert_member(members[i], p[i], q[i], gamma[i])
+        assert_member(lines[i], p[i], q[i], gamma[i])
+        assert lines[i].tobytes() == align_line(p[i], q[i], gamma[i]).tobytes()
+        past += bool(np.abs(lines[i]).max() == PI_ENCODING_MAGNITUDE)
+    assert 0 < past < 40
 
 
 def test_pair_errors_on_rescaled_rows_report_input_units():
@@ -926,6 +999,28 @@ def test_pair_one_row_equals_its_batch_row(seed, kind, k1, k2, noise, tol):
     one = call_outcome(lambda: align_pair(*row, tol=tol))
     batch = call_outcome(lambda: align_pair(*(x[None] for x in row), tol=tol))
     assert one == batch
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(("generic", "half turn", "pair fixed", "antipodal")),
+    k=PAIR_SCALES,
+    noise=st.sampled_from([0.0, 0.0, 1e-13, 1e-6]),
+    gamma=st.sampled_from([0.0, -2.5, 1e10, -1e300, 1e308]) | st.floats(-1e308, 1e308),
+)
+def test_line_and_family_one_row_equals_its_batch_row(seed, kind, k, noise, gamma):
+    # rows far from unit scale and members past the float range included:
+    # the same bytes or error, and never an overflow warning
+    p, q = pair_row(seed, kind, k, 1.0, noise)[:2]
+    line = call_outcome(lambda: align_line(p[None], q[None], [gamma]))
+    assert call_outcome(lambda: align_line(p, q, gamma)) == line
+    member = call_outcome(lambda: align_family(p, q).member(gamma))
+    assert member == call_outcome(lambda: align_family(p, q).member([gamma]))
+    for got in (line, member):
+        assert isinstance(got, bytes) or got[0] is not RuntimeWarning
+    if not isinstance(line, bytes):  # the row's error, raised by align_family too
+        assert member == line
 
 
 @pytest.mark.parametrize("tol", [np.float64(1e-3), np.float32(1e-3), np.float16(1e-3),

@@ -59,6 +59,7 @@ AUDITED = {
         "_dot",
         "_cross",
         "_max_abs",
+        "_pow2_scale",
         "rotate_vector",
         "_rotate_by_pair",
         "_row_pairs",
@@ -81,8 +82,8 @@ AUDITED = {
         "align_pair_unchecked",
         "_pair_pivot_row",
         "_in_range",
-        "_unit_scale",
         "_line",
+        "_member",
         "_gamma_member",
         "_solve_off_gamma",
         "_reflection_pairs",
