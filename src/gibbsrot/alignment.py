@@ -25,9 +25,9 @@ past the float range comes back as its limit, the half turn about p + q.
 
 As in ``core``, each public op unpacks every input once into component
 columns with the caller's batch shape kept.  One row of :func:`align_pair`
-runs its checks and gamma formula on Python floats (``core._unpack``)
-while the row is in range and on the gamma path; other rows, and one row
-of ``align_line``, run the column code, where no overflow passes silently.
+in range is checked on Python floats (``core._unpack``) and solved there
+on the gamma path, else as a batch of one; other rows, and one row of
+``align_line``, run the column code, where no overflow passes silently.
 """
 
 from __future__ import annotations
@@ -341,21 +341,19 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     no meaning, so callers may swap the pairs if the other one is
     regular).
 
-    Each row is solved by one of four rules, chosen from that row alone:
+    Each row is solved by one of three rules, chosen from that row alone:
 
     * the gamma formula of :func:`align_pair_unchecked`, on rows where
       its denominator (p1 + q1) . (p2 - q2) is well away from zero;
-    * otherwise, with p1 not parallel to p2, the matrix ``Q P^-1``
-      carrying the frame ``P = [p1, p2, p1 x p2]`` onto
-      ``Q = [q1, q2, q1 x q2]``, read off Shepperd's pivot table as in
-      :func:`matrix_to_gibbs` — half turns included, and rows with a
-      pair fixed within ``tol``, sent here by the cut on the gamma
-      denominator, which grows as ``3 tol`` above tol ~6.7e-6;
-    * p2 parallel to p1 (within ``tol``) -> the smallest rotation
-      (gamma = 0; the second pair adds no constraint);
-    * both pairs exactly fixed (q1 == p1 and q2 == p2) -> the zero vector
-      (identity).  Pairs fixed only within ``tol`` take the pivot, so
-      ``tol`` never snaps a small rotation to the identity.
+    * otherwise, where pair 2 adds no constraint (p2 parallel to p1
+      within ``tol``, or both pairs exactly fixed), the smallest rotation
+      carrying p1 onto q1 (gamma = 0; the identity on fixed pairs);
+    * otherwise the matrix ``Q P^-1`` carrying the frame
+      ``P = [p1, p2, p1 x p2]`` onto ``Q = [q1, q2, q1 x q2]``, read off
+      Shepperd's pivot table as in :func:`matrix_to_gibbs` — half turns
+      included, and rows with a pair fixed only within ``tol`` (sent here
+      by the cut on the gamma denominator, which grows as ``3 tol`` above
+      tol ~6.7e-6), so ``tol`` never snaps a small rotation to the identity.
 
     Rows solved off the gamma path must map both pairs, or the call
     raises ``ANGLE_MISMATCH``.
@@ -387,20 +385,17 @@ def _broadcast_pairs(vectors, finite: bool = True) -> list[np.ndarray]:
 def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     """:func:`align_pair` on the component columns of its four inputs,
     ``(3,) + batch`` each, or on one row's Python floats (lists),
-    finiteness not yet checked; returns the rows as a view of the
-    solution's own component columns, or one row's new array.  Reads its
-    inputs only, so they may be views of one array."""
+    finiteness not yet checked: the range rule and the rigidity checks,
+    then :func:`_solve_pairs`."""
     cols, sq, (e1, e2) = _in_range((a1, b1, a2, b2), _PAIR_NAMES)
     a1, b1, a2, b2 = cols
-    one = type(a1) is list  # one row of floats, in range
     n_a1, n_b1, n_a2, n_b2 = map(_sqrt, sq)
     _check_pair_lengths(n_a1, n_b1, tol, "pair 1", e1)
     _check_pair_lengths(n_a2, n_b2, tol, "pair 2", e2)
 
-    tol_a1 = tol * n_a1
     dot_p = _inner(a1, a2)
     dot_q = _inner(b1, b2)
-    if (i := _first(abs(dot_p - dot_q) > tol_a1 * n_a2)) is not None:
+    if (i := _first(abs(dot_p - dot_q) > tol * n_a1 * n_a2)) is not None:
         raise InvalidPairError(
             f"subtended angles differ at index {i}: "
             f"p1.p2 = {_in_input_units(dot_p, e1 + e2, i):.17g} "
@@ -409,9 +404,19 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
             condition="ANGLE_MISMATCH",
             index=i,
         )
+    return _solve_pairs(*cols, n_a1, n_a2, tol)
 
+
+def _solve_pairs(a1, b1, a2, b2, n_a1, n_a2, tol: float) -> np.ndarray:
+    """The rotations carrying pairs (p1, p2) onto (q1, q2) that are rigid
+    within ``tol``, given as in :func:`_align_pairs` but in range, with the
+    lengths ``n_a1`` of p1 and ``n_a2`` of p2: the antipodal check, then each
+    row solved once.  Returns the rows as a view of the solution's own
+    component columns, or one row's new array.  Reads its inputs only, so
+    they may be views of one array."""
+    one = type(a1) is list  # one row of floats
     out, s1, den1 = _line(a1, b1)
-    if (i := _first(den1 <= tol_a1 * n_a1)) is not None:
+    if (i := _first(den1 <= tol * n_a1 * n_a1)) is not None:
         raise InvalidPairError(
             f"pair 1 is antipodal at index {i}: no one-parameter family "
             "exists; swap the pairs if pair 2 is regular",
@@ -424,12 +429,13 @@ def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
     # Off the gamma path: rows whose gamma denominator is small against
     # |s1| |p2|, each row with a pair fixed within tol included (see _GAMMA_CUT).
     off = abs(den_g) <= max(_GAMMA_CUT, 3 * tol) * _norms(s1) * n_a2
-    if one:  # gamma, or the column code
-        if off:
-            return _align_pairs(*map(np.asarray, cols), tol)
-        return np.array(_gamma_member(out, s1, d, den_g, den1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        _gamma_member(out, s1, d, den_g, den1)
+    if one:  # the gamma member, or on as a batch of one from the checked floats
+        if not off:
+            return np.array(_gamma_member(out, s1, d, den_g, den1))
+        out, a1, b1, a2, b2 = map(np.array, (out, a1, b1, a2, b2))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _gamma_member(out, s1, d, den_g, den1)
     off = np.flatnonzero(off)
     if off.size:
         flat = [x.reshape(3, -1) for x in (out, a1, b1, a2, b2)]
@@ -490,15 +496,13 @@ def _in_range(cols, names):
 def _solve_off_gamma(p1, q1, p2, q2, tol):
     """Rows solving the (3, k) columns that leave the gamma path, each pair
     scaled to unit |p| (every rule is homogeneous in each pair), from one
-    homogeneous pair per row: the identity (1 : 0) where both pairs are
-    exactly fixed, the smallest member (p1 . (p1 + q1) : q1 x p1) where p2
-    is parallel to p1 within ``tol``, else the pivot kernel's."""
+    homogeneous pair per row: the smallest member (p1 . (p1 + q1) : q1 x p1)
+    where pair 2 adds no constraint (p2 parallel to p1 within ``tol``, or
+    both pairs exactly fixed: q1 x p1 is +0), else the pivot kernel's."""
     c = _cross(p1, p2)
-    parallel = _dot(c, c) <= tol * tol
-    fixed = (p1 == q1).all(axis=0) & (p2 == q2).all(axis=0)
+    smallest = (_dot(c, c) <= tol * tol) | (p1 == q1).all(axis=0) & (p2 == q2).all(axis=0)
     c1, _, den1 = _line(p1, q1)
-    pair = np.where(parallel, [den1, *c1], _pair_pivot_row(p1, q1, p2, q2))
-    pair = np.where(fixed, np.eye(4, 1), pair)  # (1 : 0)
+    pair = np.where(smallest, [den1, *c1], _pair_pivot_row(p1, q1, p2, q2))
     return _dehomogenize(pair[0], pair[1:], TOL_ALIGN_SINGULAR**2)
 
 
@@ -604,10 +608,11 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     pairs).  Tangents are normalized and normals re-orthogonalized
     against them (raw inputs merely need nonzero length and a normal not
     parallel to its tangent).  ``steps[i]`` is the rotation carrying
-    frame i onto frame i+1 (from :func:`align_pair` on the unit tangent
-    and normal pairs); ``cumulative[i]`` composes steps 0..i-1, mapping
-    frame 0 onto frame i.  Alignment failures are re-raised with the
-    offending step attached.
+    frame i onto frame i+1 (solved as :func:`align_pair` solves the unit
+    tangent and normal pairs, which are rigid by construction, so ``tol``
+    bounds only the parallel and antipodal tests); ``cumulative[i]``
+    composes steps 0..i-1, mapping frame 0 onto frame i.  Alignment
+    failures are re-raised with the offending step attached.
     """
     _check_tol(tol)
     f = _as_float(frames, "frames")
@@ -632,8 +637,10 @@ def frame_transport(frames, *, tol: float = TOL_LEN) -> TransportResult:
     if (i := _first(nw <= tol * nm)) is not None:
         raise InvalidInputError(f"normal parallel to tangent at frame {i}")
     nhat = w / nw
+    # no rigidity check: a tol below the unit vectors' rounding would fail it
+    n1, n2 = _norms(that)[:-1], _norms(nhat)[:-1]
     try:
-        steps = _align_pairs(that[:, :-1], that[:, 1:], nhat[:, :-1], nhat[:, 1:], tol)
+        steps = _solve_pairs(that[:, :-1], that[:, 1:], nhat[:, :-1], nhat[:, 1:], n1, n2, tol)
     except InvalidPairError as e:
         step = e.index
         err = InvalidPairError(

@@ -468,6 +468,31 @@ def test_transport_at_extreme_magnitudes_takes_the_unit_scale_steps(k):
         assert got.steps.tobytes() == frame_transport(k * f / k).steps.tobytes()
 
 
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-14, 1e-12])
+def test_transport_of_its_own_unit_frames_takes_any_tolerance(tol):
+    # the unit tangents and normals frame_transport makes are rigid by
+    # construction, within their own rounding (|t| = 0.99999999999999989),
+    # so no tolerance below that rounding rejects them
+    rng = np.random.default_rng(62)
+    frames = rng.normal(size=(1000, 2, 3))
+    want = frame_transport(frames, tol=1e-9)
+    got = frame_transport(frames, tol=tol)
+    assert got.steps.tobytes() == want.steps.tobytes()
+    assert got.cumulative.tobytes() == want.cumulative.tobytes()
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_transport_errors_at_zero_tolerance_keep_their_messages(tol):
+    frames = quarter_arc_frames(6)
+    frames[3] = -frames[2]  # tangent reversal: antipodal pair
+    with pytest.raises(InvalidPairError, match=r"^step 2 -> 3: pair 1 is antipodal at index 2"):
+        frame_transport(frames, tol=tol)
+    frames = quarter_arc_frames(4)
+    frames[2, 1] = frames[2, 0]  # normal parallel to tangent
+    with pytest.raises(InvalidInputError, match="^normal parallel to tangent at frame 2$"):
+        frame_transport(frames, tol=tol)
+
+
 def test_closed_loop_comes_back_to_identity():
     t = np.linspace(0.0, 2.0 * np.pi, 361)
     tangents = np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)
