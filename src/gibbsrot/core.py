@@ -531,9 +531,9 @@ def _rotate_by_pair(w, v, s):
     as rows.  ``v`` and ``s`` are three component columns (or numbers)
     each and ``w`` a scalar or of ``v``'s batch shape; the batch shapes
     broadcast.  The denominator divides ``v`` before ``v`` meets ``s``, so
-    intermediates reach up to about 2 ``|s|`` (overflow past ``|s|`` ~
-    9e307).  Exact on ``fractions.Fraction`` (with ``w = 1``); elementary
-    arithmetic only.
+    intermediates reach up to about 2 ``|s|``, which ``rotate_vector``
+    keeps in range.  Exact on ``fractions.Fraction`` (with ``w = 1``);
+    elementary arithmetic only.
     """
     v0, v1, v2 = v[0], v[1], v[2]
     s0, s1, s2 = s[0], s[1], s[2]
@@ -696,21 +696,38 @@ def rotate_vector(r, s) -> np.ndarray:
     It agrees with ``gibbs_to_matrix(r) @ s`` to within 1e-12 of ``|s|``,
     and each row of a batch equals the call on that row alone.  ``r`` and
     ``s`` broadcast over their leading axes.  ``s`` must be finite; ``r``
-    may be pi-encoded.
+    may be pi-encoded.  A row of ``s`` whose largest |component| reaches
+    ``PI_ENCODING_THRESHOLD`` is rotated scaled by a power of two and
+    scaled back; one whose rotation is past the float range raises
+    :class:`InvalidInputError` naming the flat index of the output row.
 
     >>> rotate_vector([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]).tolist()
     [0.0, 0.0, -1.0]
     """
     a = _as_vec3(r, "r")
     b = _as_vec3(s, "s")
-    if not (all(map(math.isfinite, b.tolist())) if b.ndim == 1 else np.isfinite(b).all()):
+    # s is only read, so a batch's component columns can be a view
+    s = b.tolist() if b.ndim == 1 else np.moveaxis(b, -1, 0)
+    # one pass: below a quarter of the float ceiling, s is finite and the
+    # kernel's intermediates (up to 2|s| <= 2 sqrt(3) max|s|) cannot overflow
+    lo, hi = (min(s), max(s)) if b.ndim == 1 else (b.min(initial=0.0), b.max(initial=0.0))
+    far = not -PI_ENCODING_THRESHOLD < lo <= hi < PI_ENCODING_THRESHOLD
+    if far and not np.isfinite(b).all():
         raise InvalidInputError("s has non-finite components")
     # the check only: the kernel broadcasts itself, and an expanded r
     # would repeat its pair's work for every row of s
     _broadcast(r=a, s=b)
-    # s is only read, so a batch's component columns can be a view
-    s = b.tolist() if b.ndim == 1 else np.moveaxis(b, -1, 0)
-    return _rotate_by_pair(*_row_pairs(_unpack(a)), s)
+    pair = _row_pairs(_unpack(a))
+    if not far:
+        return _rotate_by_pair(*pair, s)
+    s = np.moveaxis(b, -1, 0)
+    e = np.where(_max_abs(s) >= PI_ENCODING_THRESHOLD, _pow2_scale(s)[1], 0)
+    out = _pow2_scale(_rotate_by_pair(*pair, _pow2_scale(s, e)[0]), -e[..., None])[0]
+    if (past := np.flatnonzero(~np.isfinite(out).all(axis=-1))).size:
+        raise InvalidInputError(
+            f"rotate_vector: s rotated at index {past[0]} is past the float range"
+        )
+    return out
 
 
 def invert(r) -> np.ndarray:

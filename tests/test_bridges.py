@@ -98,6 +98,22 @@ def test_canonicalization():
         canonicalize_quaternion([1.0, 1.0, 0.0, 0.0])  # not unit length
 
 
+@pytest.mark.parametrize("op", [
+    quaternion_to_gibbs, canonicalize_quaternion, lambda q: quaternion_multiply(q, q),
+], ids=["quaternion_to_gibbs", "canonicalize_quaternion", "quaternion_multiply"])
+def test_huge_quaternion_in_a_batch_is_the_norm_error_of_its_row(op):
+    # |q|^2 of a 1e200 entry overflows to inf: the batch raises the one
+    # row's typed error, with no RuntimeWarning from the squares
+    q = np.array([[1e200, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="is not unit length") as one:
+            op(q[0])
+        with pytest.raises(InvalidInputError, match="is not unit length") as batch:
+            op(q)
+    assert str(batch.value) == str(one.value)
+
+
 def test_canonical_quaternions_are_unique_in_bytes():
     # q and -q are one rotation: with zero components the flip used to
     # leave -0.0 entries, so the two gave different bytes

@@ -1,6 +1,8 @@
 """Core conversions: gibbs <-> matrix, rotation action, the half-turn
 encoding, and input validation."""
 
+import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,7 @@ import gibbsrot
 from gibbsrot.algebra import compose
 from gibbsrot.alignment import align_pair
 from gibbsrot.cli import main
-from gibbsrot.core import _pivot_row, _pivot_table
+from gibbsrot.core import _pivot_row, _pivot_table, _rotate_by_pair
 from helpers import component_error, matrix_about, mixed_rows, random_gibbs, random_units
 
 
@@ -377,6 +379,75 @@ def test_rotate_vector_keeps_huge_vectors_finite():
     big = rotate_vector(r, 1e300 * s)
     assert np.isfinite(big).all()
     assert np.abs(big / 1e300 - rotate_vector(r, s)).max() <= 1e-14 * np.abs(s).max()
+
+
+def rotate_outcome(r, s):
+    """``rotate_vector(r, s)``'s bytes, or its error's type and message;
+    warnings are errors, so a warning shows too."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return rotate_vector(r, s).tobytes()
+        except (InvalidInputError, RuntimeWarning) as e:
+            return type(e), str(e)
+
+
+def test_rotate_vector_near_the_float_maximum_does_not_overflow():
+    # one row came back [-1e308, -inf, 0] with no warning; the (1, 3)
+    # batch raised RuntimeWarning: the kernel's intermediates reach 2|s|
+    r, s = [0.0, 0.0, 1e60], [1e308, 0.0, 0.0]
+    got = rotate_outcome(r, s)
+    assert got == rotate_outcome([r], [s])
+    assert np.frombuffer(got).tolist() == pytest.approx([-1e308, -2e248, 0.0], rel=1e-15)
+
+
+def test_rotate_vector_past_the_float_range_is_a_typed_error_naming_the_row():
+    # an eighth turn about z carries (1.5e308, 1.5e308, 0) to 2.1e308 on an axis
+    r = [0.0, 0.0, math.sqrt(2.0) - 1.0]
+    s = [[1e308, 0.0, 0.0], [1.5e308, 1.5e308, 0.0]]
+    msg = "rotate_vector: s rotated at index {} is past the float range"
+    assert rotate_outcome(r, s) == (InvalidInputError, msg.format(1))
+    assert rotate_outcome(r, s[1]) == (InvalidInputError, msg.format(0))
+    assert rotate_outcome([[0.0, 0.0, 0.0], r], s[1]) == (InvalidInputError, msg.format(1))
+    assert rotate_outcome(r, [s[1], s[0]]) == (InvalidInputError, msg.format(0))
+    assert np.isfinite(np.frombuffer(rotate_outcome(r, s[0]))).all()
+
+
+FINITE_ROWS = [r for r in mixed_rows(np.random.default_rng(47)) if np.isfinite(r).all()]
+S_MAX_ABS = st.sampled_from([
+    PI_ENCODING_MAGNITUDE, 1e308, PI_ENCODING_THRESHOLD,
+    float(np.nextafter(PI_ENCODING_THRESHOLD, 0.0)), 2.0**1021, 1e300, 1.0,
+]) | st.floats(1e-300, PI_ENCODING_MAGNITUDE)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    i=st.integers(0, len(FINITE_ROWS) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    m=S_MAX_ABS,
+    spread=st.sampled_from([0.0, 0.0, 30.0, 400.0]),
+)
+def test_rotate_vector_up_to_the_float_maximum_is_the_exact_rotation(i, seed, m, spread):
+    # s with max|s| = m and its other components down to 10**-spread of it;
+    # compared with the exact rotation at the scale 2**-k of max|s|
+    r = FINITE_ROWS[i]
+    rng = np.random.default_rng(seed)
+    s = rng.normal(size=3) * 10.0 ** -rng.uniform(0.0, spread, size=3)
+    s = s / np.abs(s).max() * m
+    one = rotate_outcome(r, s)
+    assert one == rotate_outcome(r[None], s[None])
+    want = _rotate_by_pair(1, [Fraction(x) for x in r], [Fraction(x) for x in s])
+    top = max(map(abs, want)) / Fraction(PI_ENCODING_MAGNITUDE)
+    if not isinstance(one, bytes):
+        assert one[0] is InvalidInputError and "past the float range" in one[1]
+        assert top > 1 - Fraction(1, 10**12)
+        return
+    assert top < 1 + Fraction(1, 10**12)
+    got = np.frombuffer(one)
+    assert np.isfinite(got).all()
+    scale = Fraction(2) ** math.frexp(m)[1]
+    err = max(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want)) / scale
+    assert err <= Fraction(1, 10**12)
 
 
 def test_invert_is_inverse():

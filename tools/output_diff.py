@@ -6,8 +6,9 @@ Usage:
 
 Builds one seeded corpus with this checkout's ``tests/helpers.py`` (the
 ``mixed_rows`` Gibbs rows, vectors and alignment pairs at extreme scales,
-half turns, noisy matrices, quaternions, angles, a long composition chain
-and the overflow cases of the alignment line), then runs it through every
+half turns, noisy matrices, quaternions, angles, a long composition chain,
+the overflow cases of the alignment line, vectors near the float maximum
+and frames at several tolerances), then runs it through every
 public op of ``core``, ``algebra``, ``bridges`` and ``alignment`` in two
 fresh processes: one importing ``gibbsrot`` from this checkout's ``src``,
 one from ``DIR/src``.  Each input is run as one row and inside a batch;
@@ -80,12 +81,16 @@ def make_corpus(rng) -> dict[str, np.ndarray]:
     chain[5::501] *= 1e300
     frames = np.stack([random_units(rng, 64), random_units(rng, 64)], axis=1)
     frames *= scales[np.arange(64) % len(scales)][:, None, None]
+    # vectors whose max-abs is at or near the float maximum, for rotate_vector
+    s_far = rng.normal(size=(n, 3))
+    s_far /= np.abs(s_far).max(axis=1, keepdims=True)
+    s_far *= rng.choice([4.4e307, 4.5e307, 1e308, np.finfo(float).max], n)[:, None]
     return dict(
         r=r, r2=r[rng.permutation(n)], s=rng.normal(size=(n, 3)) * k,
         axis=random_units(rng, n), angle=angle, u=u, q=q, euler=euler, p1=p1 * k1, q1=q1, p2=p2 * k2, q2=q2, gamma=gamma,
         edge_p=edge_p, edge_q=edge_q,
         edge_gamma=np.array([1e10, 1e308, -1e308, 1e300, 2.0**1000, 1e200]),
-        chain=chain, frames=frames,
+        chain=chain, frames=frames, s_far=s_far,
     )
 
 
@@ -127,6 +132,7 @@ def calls(c: dict[str, np.ndarray]):
     yield from rows("gibbs_to_matrix", g.gibbs_to_matrix, "r")
     yield from rows("matrix_to_gibbs", g.matrix_to_gibbs, "u")
     yield from rows("rotate_vector", g.rotate_vector, "r", "s")
+    yield from rows("rotate_vector", lambda s, r: g.rotate_vector(r, s), "s_far", "r")
     yield from rows("invert", g.invert, "r")
     yield from rows("is_rotation_matrix", g.is_rotation_matrix, "u")
     yield from rows("is_pi_encoded", g.is_pi_encoded, "r")
@@ -166,6 +172,9 @@ def calls(c: dict[str, np.ndarray]):
     for k in (1.0, 1e300, 1e-300, 2.0**600):
         yield "frame_transport", f"frame_transport/{k!r}", (
             lambda k=k: g.frame_transport(frames[:8] * k)), None
+    for tol in (0.0, 1e-15, 1e-3):
+        yield "frame_transport", f"frame_transport/tol={tol!r}", (
+            lambda tol=tol: g.frame_transport(frames, tol=tol)), None
 
 
 def outcome(call):
@@ -240,7 +249,8 @@ def moves(op: str, a, b) -> tuple[float, float]:
             continue
         with np.errstate(all="ignore"):
             scale = np.abs(y).max(axis=-1, keepdims=True) if x.ndim else np.abs(y)
-            rel = max(rel, float(np.nanmax(np.abs(x - y) / scale)))
+            # a move to or from inf is inf (inf / inf is nan)
+            rel = max(rel, float(np.nan_to_num(np.abs(x - y) / scale, nan=np.inf).max()))
             if op in GIBBS_OPS and x.shape[-1:] == (3,):
                 mat = max(mat, float(np.abs(gibbs_to_matrix(x) - gibbs_to_matrix(y)).max()))
     return rel, mat
@@ -277,7 +287,7 @@ def main(argv=None) -> int:
         if a == b:
             continue
         if a is None or b is None:
-            print(f"{key}: only in {'parent' if a is None else 'change'}")
+            print(f"{key}: only in {'parent' if a is None else 'change'}: {show(a or b)}")
             per_op.setdefault(op, []).append((np.nan, np.nan))
             continue
         print(f"{key}:\n  parent {show(b)}\n  change {show(a)}")
