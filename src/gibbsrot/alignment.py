@@ -500,7 +500,7 @@ def _solve_off_gamma(p1, q1, p2, q2, tol):
     where pair 2 adds no constraint (p2 parallel to p1 within ``tol``, or
     both pairs exactly fixed: q1 x p1 is +0), else the pivot kernel's."""
     c = _cross(p1, p2)
-    smallest = (_dot(c, c) <= tol * tol) | (p1 == q1).all(axis=0) & (p2 == q2).all(axis=0)
+    smallest = (_dot(c, c) <= tol * tol) | ((p1 == q1).all(axis=0) & (p2 == q2).all(axis=0))
     c1, _, den1 = _line(p1, q1)
     pair = np.where(smallest, [den1, *c1], _pair_pivot_row(p1, q1, p2, q2))
     return _dehomogenize(pair[0], pair[1:], TOL_ALIGN_SINGULAR**2)

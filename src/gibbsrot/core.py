@@ -711,7 +711,7 @@ def rotate_vector(r, s) -> np.ndarray:
     # one pass: below a quarter of the float ceiling, s is finite and the
     # kernel's intermediates (up to 2|s| <= 2 sqrt(3) max|s|) cannot overflow
     lo, hi = (min(s), max(s)) if b.ndim == 1 else (b.min(initial=0.0), b.max(initial=0.0))
-    far = not -PI_ENCODING_THRESHOLD < lo <= hi < PI_ENCODING_THRESHOLD
+    far = not (-PI_ENCODING_THRESHOLD < lo and hi < PI_ENCODING_THRESHOLD)
     if far and not np.isfinite(b).all():
         raise InvalidInputError("s has non-finite components")
     # the check only: the kernel broadcasts itself, and an expanded r

@@ -249,8 +249,9 @@ def moves(op: str, a, b) -> tuple[float, float]:
             continue
         with np.errstate(all="ignore"):
             scale = np.abs(y).max(axis=-1, keepdims=True) if x.ndim else np.abs(y)
-            # a move to or from inf is inf (inf / inf is nan)
-            rel = max(rel, float(np.nan_to_num(np.abs(x - y) / scale, nan=np.inf).max()))
+            # equal entries (inf included) move 0; a move to or from inf or nan is inf
+            d = np.where((x == y) | np.isnan(x) & np.isnan(y), 0.0, np.abs(x - y) / scale)
+            rel = max(rel, float(np.nan_to_num(d, nan=np.inf, posinf=np.inf).max()))
             if op in GIBBS_OPS and x.shape[-1:] == (3,):
                 mat = max(mat, float(np.abs(gibbs_to_matrix(x) - gibbs_to_matrix(y)).max()))
     return rel, mat
