@@ -20,7 +20,8 @@ validation and preprocessing (the norms behind the tolerance checks, the
 row routing, the unit vectors of routed rows, frames and polyline tangents,
 and :func:`_perp_basis`), never in a solution formula.  Every formula is
 homogeneous in each pair, so rows far from unit scale are solved on pairs
-scaled by exact powers of two (``core._pow2_scale``), and a line member
+scaled by exact powers of two (``core._pow2_scale``; both two-pair solvers
+share one gate and this one range rule, ``_in_range``), and a line member
 past the float range comes back as its limit, the half turn about p + q.
 
 As in ``core``, each public op unpacks every input once into component
@@ -313,17 +314,21 @@ def align_pair_unchecked(p1, q1, p2, q2) -> np.ndarray:
     """The raw two-pair formula with no validity checking.
 
     Evaluates ``gamma = -[(q1 x p1) . (p2 - q2)] / [(p1 + q1) . (p2 - q2)]``
-    and returns the corresponding member of pair 1's line.  The formula
-    produces *some* vector for almost any four inputs, solution or not —
-    it does not know whether the pairs are rigidly compatible, and a
-    vanishing denominator yields non-finite output.  Prefer
-    :func:`align_pair`, which validates and handles every degeneracy.
+    and returns the corresponding member of pair 1's line: *some* vector
+    for almost any four inputs, solution or not.  Pairs far from unit scale
+    are first scaled by powers of two as :func:`align_pair` scales them (the
+    formula is homogeneous in each pair); then the formula runs under one
+    ``np.errstate``.  On pairs of equal lengths a row is non-finite only where
+    a denominator, (p1 + q1) . (p2 - q2) or p1 . (p1 + q1), vanishes or is
+    too small for gamma to be a float.  Prefer :func:`align_pair`, which
+    validates and handles every degeneracy.
     """
-    a1, b1, a2, b2 = (_columns(x, 1) for x in _broadcast_pairs((p1, q1, p2, q2)))
-    d = a2 - b2
-    c1 = _cross(b1, a1)
-    s1 = a1 + b1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    pairs = [_columns(x, 1) for x in _broadcast_pairs((p1, q1, p2, q2))]
+    a1, b1, a2, b2 = _in_range(pairs, _PAIR_NAMES)[0]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        d = a2 - b2
+        c1 = _cross(b1, a1)
+        s1 = a1 + b1
         gamma = -_dot(c1, d) / _dot(s1, d)
         return _quotient_rows(c1 + gamma * s1, _dot(a1, s1))
 
@@ -362,24 +367,24 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
     """
     _check_tol(tol)
     tol = float(tol)  # a numpy scalar's or Fraction's too: one arithmetic for every route
-    # Finiteness is checked on the squared norms in _align_pairs; if the
-    # shapes fail, the full per-input checks run first, in argument order,
-    # so the error raised is the one they give.
-    try:
-        pairs = _broadcast_pairs((p1, q1, p2, q2), finite=False)
-    except InvalidInputError:
-        for v, name in zip((p1, q1, p2, q2), _PAIR_NAMES):
-            _as_vectors(v, name)
-        raise
-    return _align_pairs(*map(_unpack, pairs), tol)
+    return _align_pairs(*map(_unpack, _broadcast_pairs((p1, q1, p2, q2))), tol)
 
 
 _PAIR_NAMES = ("p1", "q1", "p2", "q2")
 
 
-def _broadcast_pairs(vectors, finite: bool = True) -> list[np.ndarray]:
-    """``p1, q1, p2, q2`` checked in turn and broadcast together."""
-    return _broadcast(**{n: _as_vectors(v, n, finite) for v, n in zip(vectors, _PAIR_NAMES)})
+def _broadcast_pairs(vectors) -> list[np.ndarray]:
+    """``p1, q1, p2, q2`` shape-checked in turn and broadcast together, the
+    one gate of both two-pair solvers.  Finiteness is left to
+    :func:`_in_range`, which checks it on the squared norms."""
+    try:
+        return _broadcast(**{n: _as_vectors(v, n, False) for v, n in zip(vectors, _PAIR_NAMES)})
+    except InvalidInputError:
+        # the full per-input checks run first, in argument order, so the
+        # error raised is the one they give
+        for v, name in zip(vectors, _PAIR_NAMES):
+            _as_vectors(v, name)
+        raise
 
 
 def _align_pairs(a1, b1, a2, b2, tol: float) -> np.ndarray:
@@ -433,8 +438,8 @@ def _solve_pairs(a1, b1, a2, b2, n_a1, n_a2, tol: float) -> np.ndarray:
         if not off:
             return np.array(_gamma_member(out, s1, d, den_g, den1))
         out, a1, b1, a2, b2 = map(np.array, (out, a1, b1, a2, b2))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
+    else:  # off rows are solved again below, whatever their gamma member gave
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             _gamma_member(out, s1, d, den_g, den1)
     off = np.flatnonzero(off)
     if off.size:
@@ -500,32 +505,32 @@ def _solve_off_gamma(p1, q1, p2, q2, tol):
     where pair 2 adds no constraint (p2 parallel to p1 within ``tol``, or
     both pairs exactly fixed: q1 x p1 is +0), else the pivot kernel's."""
     c = _cross(p1, p2)
-    smallest = (_dot(c, c) <= tol * tol) | ((p1 == q1).all(axis=0) & (p2 == q2).all(axis=0))
+    k = _inner(c, c)
+    smallest = (k <= tol * tol) | ((p1 == q1).all(axis=0) & (p2 == q2).all(axis=0))
     c1, _, den1 = _line(p1, q1)
-    pair = np.where(smallest, [den1, *c1], _pair_pivot_row(p1, q1, p2, q2))
+    pair = np.where(smallest, [den1, *c1], _pair_pivot_row(p1, q1, p2, q2, c, k))
     return _dehomogenize(pair[0], pair[1:], TOL_ALIGN_SINGULAR**2)
 
 
-def _pair_pivot_row(p1, q1, p2, q2):
+def _pair_pivot_row(p1, q1, p2, q2, c, k):
     """Homogeneous solution ``4 k q_i (w, x, y, z)`` of the rotation
     carrying (p1, p2) onto (q1, q2), for rows with p1 not parallel to p2.
 
-    With ``P = [p1, p2, c]``, ``c = p1 x p2``, ``k = |c|^2 = det P`` and
-    ``Q = [q1, q2, q1 x q2]``, the rows of ``adj P`` are ``p2 x c``,
-    ``c x p1`` and ``c``, so ``k U = Q adj P`` is polynomial in the inputs
-    (Black's TRIAD without its normalizations).  It goes to Shepperd's
-    table with ``k`` in place of 1; the largest row, as in
-    :func:`matrix_to_gibbs`, is returned as ``(4,) + batch`` columns, and
-    its ``v / w`` is the Gibbs vector.  Takes component columns; exact on
-    ``fractions.Fraction``.  Elementary arithmetic only.
+    With ``P = [p1, p2, c]``, the caller's ``c = p1 x p2`` and
+    ``k = |c|^2 = det P``, and ``Q = [q1, q2, q1 x q2]``, the rows of
+    ``adj P`` are ``p2 x c``, ``c x p1`` and ``c``, so ``k U = Q adj P`` is
+    polynomial in the inputs (Black's TRIAD without its normalizations).
+    It goes to Shepperd's table with ``k`` in place of 1; the largest row,
+    as in :func:`matrix_to_gibbs`, is returned as ``(4,) + batch`` columns,
+    and its ``v / w`` is the Gibbs vector.  Takes component columns; exact
+    on ``fractions.Fraction``.  Elementary arithmetic only.
     """
-    c = _cross(p1, p2)
     a, b, n = _cross(p2, c), _cross(c, p1), _cross(q1, q2)
     # k U = q1 a^T + q2 b^T + n c^T; entry (i, j) is component column 3 i + j
     ku = np.array([
         q1[i] * a[j] + q2[i] * b[j] + n[i] * c[j] for i in range(3) for j in range(3)
     ])
-    return _pivot_row(ku, _dot(c, c))
+    return _pivot_row(ku, k)
 
 
 def _verify_rows(r, p1, q1, p2, q2, idx, tol) -> None:

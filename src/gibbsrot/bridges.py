@@ -168,10 +168,8 @@ def _canonical_signs(q) -> np.ndarray:
 def _unit_quaternion(q: np.ndarray) -> np.ndarray:
     """Canonical unit quaternions, as rows, of the homogeneous pairs
     given as ``(4,) + batch`` component columns ``q = (w, x, y, z)`` the
-    caller owns.  ``|q|^2`` is summed ``w^2 + x^2 + y^2 + z^2`` left to
-    right, the order of ``np.sum`` and of :func:`_norm_sq`."""
-    w, x, y, z = q
-    q /= np.sqrt(w * w + x * x + y * y + z * z)
+    caller owns, ``|q|^2`` from :func:`_norm_sq`."""
+    q /= np.sqrt(_norm_sq(q))
     return _canonical_signs(q.tolist() if q.ndim == 1 else q)
 
 

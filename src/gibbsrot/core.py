@@ -293,18 +293,12 @@ def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
         if i == j:
             g -= 1.0
         gram.append(g)
-    # det U by the first row: u00 (u11 u22 - u12 u21) - u01 (...) + u02 (...)
-    det = u11 * u22
-    det -= u12 * u21
+    # det U = row 0 . (row 1 x row 2), row 0 folded into the cross in place
+    det, *rest = _cross([u10, u11, u12], [u20, u21, u22])
     det *= u00
-    m = u10 * u22
-    m -= u12 * u20
-    m *= u01
-    det -= m
-    m = u10 * u21
-    m -= u11 * u20
-    m *= u02
-    det += m
+    for m, x in zip(rest, (u01, u02)):
+        m *= x
+        det += m
     det -= 1.0
     # one array of the six entries, so one max reads them all (and keeps
     # a NaN entry as the residual)

@@ -347,6 +347,24 @@ def test_pair_unchecked_matches_on_clean_input():
     assert np.allclose(raw[ok], checked[ok], atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "k1, k2",
+    [(1e150, 1e150), (1e300, 1e300), (1e-150, 1e-150), (1e-300, 1e-300), (1e-310, 1e-310),
+     (2.0**600, 2.0**600), (1e300, 1e-300), (2.0**-600, 1e150)],
+)
+def test_pair_unchecked_solves_far_from_unit_scale_as_align_pair(k1, k2):
+    # the gamma formula is homogeneous in each pair: far rows are solved on
+    # pairs scaled by powers of two, as align_pair solves them, where the
+    # raw products overflowed (a RuntimeWarning, then NaN) or underflowed
+    r = np.array([0.3, -0.2, 0.5])
+    p1, p2 = np.array([1.0, 2.0, 3.0]), np.array([-1.0, 0.5, 2.0])
+    row = (p1 * k1, rotate_vector(r, p1) * k1, p2 * k2, rotate_vector(r, p2) * k2)
+    want = call_outcome(lambda: align_pair(*row))
+    assert np.abs(np.frombuffer(want) - r).max() <= 1e-12
+    assert call_outcome(lambda: align_pair_unchecked(*row)) == want
+    assert call_outcome(lambda: align_pair_unchecked(*(x[None] for x in row))) == want
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_pair_property(seed):
@@ -1009,6 +1027,18 @@ def call_outcome(call):
         except (GibbsError, RuntimeWarning) as e:
             return (type(e), str(e), getattr(e, "code", None),
                     getattr(e, "condition", None), getattr(e, "index", None))
+
+
+def test_pair_batch_row_off_the_gamma_path_does_not_warn():
+    # a half turn whose gamma denominator is tiny but not 0: a batch forms
+    # every row's gamma member before the off-path rows are solved again,
+    # and this one's gamma overflowed (RuntimeWarning) where one row returns
+    row = [np.array(x) for x in ([1.0, -1.0, 1.5], [1.0, 1.0, -1.5], [0.0, 1.0, 0.0],
+                                 [-1e-310, -1.0, 1e-100])]
+    one = call_outcome(lambda: align_pair(*row))
+    assert isinstance(one, bytes) and is_pi_encoded(np.frombuffer(one))
+    assert call_outcome(lambda: align_pair(*(x[None] for x in row))) == one
+    assert call_outcome(lambda: align_pair(*(np.stack([x, -x]) for x in row))) == one * 2
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

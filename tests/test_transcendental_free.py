@@ -273,12 +273,12 @@ def test_exact_pair_alignment_through_the_pivot():
     p2 = rational_vectors(200, 39)
     c = np.cross(p1, p2)
     keep = np.array([any(v != 0 for v in row) for row in c])  # p1, p2 not parallel
-    r, p1, p2 = r[keep], p1[keep], p2[keep]
+    r, p1, p2, c = r[keep], p1[keep], p2[keep], c[keep]
     assert len(r) >= 150
     u = _matrix_from_gibbs_direct(r)
     q1 = np.matmul(u, p1[..., None])[..., 0]
     q2 = np.matmul(u, p2[..., None])[..., 0]
-    row = _pair_pivot_row(p1.T, q1.T, p2.T, q2.T)
+    row = _pair_pivot_row(p1.T, q1.T, p2.T, q2.T, c.T, (c * c).sum(axis=1))
     assert all(type(v) is Fraction for v in row.flat)
     assert (row[1:] / row[0] == r.T).all()
     pivots = {int(np.argmax([abs(x) for x in (1, *v)])) for v in r}

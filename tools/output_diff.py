@@ -12,11 +12,12 @@ and frames at several tolerances), then runs it through every
 public op of ``core``, ``algebra``, ``bridges`` and ``alignment`` in two
 fresh processes: one importing ``gibbsrot`` from this checkout's ``src``,
 one from ``DIR/src``.  Each input is run as one row and inside a batch;
-warnings are errors.  A record is one row's output bytes, or the error's
-type and message.  Every record that differs is printed, then per op the
+warnings are errors.  A record is one call's output bytes (a named
+tuple's fields together; a batch's split into rows), or the error's type
+and message.  Every record that differs is printed, then per op the
 count, the largest move of a float output relative to its row's max-abs
-and, for Gibbs outputs, the largest matrix-entry difference.  Exits 1 if
-any record differs.  Needs only the standard library and numpy.
+and, for Gibbs outputs, the largest matrix-entry difference (inf where a
+row holds NaN on one side).  Exits 1 if any record differs.  Needs only the standard library and numpy.
 """
 
 from __future__ import annotations
@@ -198,10 +199,7 @@ def work(corpus_path: str) -> None:
             records[key] = [op, got]
         elif n and (parts := split_rows(got[1], n)) is not None:
             records[key] = [op, ["rows", [leaves(part) for part in parts]]]
-        elif hasattr(got[1], "_fields"):  # a named tuple: one record per field
-            for name, value in zip(got[1]._fields, got[1]):
-                records[f"{key}.{name}"] = [op, ["ok", leaves(value)]]
-        else:
+        else:  # one record per call, a named tuple's fields included
             records[key] = [op, ["ok", leaves(got[1])]]
     json.dump(records, sys.stdout)
 
@@ -237,7 +235,8 @@ def show(result) -> str:
 
 def moves(op: str, a, b) -> tuple[float, float]:
     """Largest move of ``a`` against ``b`` relative to each row's max-abs,
-    and for Gibbs outputs the largest matrix-entry difference."""
+    and for Gibbs outputs the largest matrix-entry difference; a Gibbs row
+    holding NaN has no matrix, and moves inf unless both sides agree."""
     from gibbsrot import gibbs_to_matrix
 
     rel = mat = 0.0
@@ -253,7 +252,11 @@ def moves(op: str, a, b) -> tuple[float, float]:
             d = np.where((x == y) | np.isnan(x) & np.isnan(y), 0.0, np.abs(x - y) / scale)
             rel = max(rel, float(np.nan_to_num(d, nan=np.inf, posinf=np.inf).max()))
             if op in GIBBS_OPS and x.shape[-1:] == (3,):
-                mat = max(mat, float(np.abs(gibbs_to_matrix(x) - gibbs_to_matrix(y)).max()))
+                nan = (np.isnan(x) | np.isnan(y)).any(axis=-1)
+                if (d[nan] != 0.0).any():
+                    mat = np.inf
+                x, y = x[~nan], y[~nan]
+                mat = max(mat, float(np.abs(gibbs_to_matrix(x) - gibbs_to_matrix(y)).max(initial=0)))
     return rel, mat
 
 
@@ -296,7 +299,7 @@ def main(argv=None) -> int:
     print(f"{sum(map(len, per_op.values()))} of {total} records differ")
     for op, found in sorted(per_op.items()):
         rel, mat = (np.array(x) for x in zip(*found))
-        both = np.isfinite(rel)  # records with a float output on both sides
+        both = ~np.isnan(rel)  # records with a float output on both sides
         summary = (f"{both.sum()} with outputs on both sides, largest relative move "
                   f"{rel[both].max():.3g}, largest matrix-entry difference "
                   f"{mat[both].max():.3g}") if both.any() else "none with outputs on both sides"
