@@ -3,11 +3,17 @@ sweeps, benchmarking, and a self-test.
 
 This module parses arguments, reads input, calls the library and
 formats what it returns; the geometry, the frames of a polyline
-included, lives in the library modules.  Each result kind's JSON fields
-and text lines are built in one place (``_records``).  Besides the
-subcommands it holds the ``bench`` table (:func:`bench_rows`), the
-``selftest`` checks (:func:`selftest_checks`) and the OBJ tube writer
-behind ``sweep --obj``.
+included, lives in the library modules.  Each representation is one
+entry of ``_REPRESENTATIONS``: the numbers its ``--value`` takes, their
+parse into the Gibbs vector every conversion goes through, and the
+``(kind, payload)`` printed for a Gibbs vector; the Gibbs-vector inputs
+of ``compose``, ``align`` and ``align-pair`` are parsed by its ``gibbs``
+entry.  Each result kind's JSON fields and text lines are built in one
+place (``_records``).  Besides the subcommands it holds the ``bench``
+table (:func:`bench_rows`: the corpus and every row's error built once,
+then one timing loop over its (operation, representation, call, error)
+rows), the ``selftest`` checks (:func:`selftest_checks`) and the OBJ
+tube writer behind ``sweep --obj``.
 
 Exit codes: 0 on success, 1 on computation errors (reported to stderr as
 one machine-parseable line ``error: <CODE>: <detail>``) and when the
@@ -26,6 +32,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,14 +72,36 @@ from .errors import GibbsError, InvalidInputError, InvalidPairError
 
 __all__ = ["main", "bench_rows", "selftest_checks"]
 
-_VALUE_COUNTS = {
-    "gibbs": 3,
-    "matrix": 9,
-    "quaternion": 4,
-    "axis-angle": 4,
-    "euler": 3,
+
+class _Representation(NamedTuple):
+    """A representation ``convert`` reads and prints."""
+
+    count: int  # the numbers one --value takes
+    to_gibbs: Callable  # those numbers -> their Gibbs vector (the conversion hub)
+    output: Callable  # a Gibbs vector -> the (kind, payload) printed for it
+
+
+_REPRESENTATIONS = {
+    "gibbs": _Representation(3, lambda v: np.asarray(v, dtype=float), lambda r: ("gibbs", r)),
+    "matrix": _Representation(
+        9,
+        lambda v: matrix_to_gibbs(np.asarray(v, dtype=float).reshape(3, 3)),
+        lambda r: ("matrix", gibbs_to_matrix(r)),
+    ),
+    "quaternion": _Representation(
+        4, quaternion_to_gibbs, lambda r: ("quaternion", gibbs_to_quaternion(r))
+    ),
+    "axis-angle": _Representation(
+        4,
+        lambda v: axis_angle_to_gibbs(v[:3], v[3]),
+        lambda r: ("axis_angle", gibbs_to_axis_angle(r)),
+    ),
+    "euler": _Representation(
+        3,
+        lambda v: matrix_to_gibbs(euler_to_matrix(*v), check=False),
+        lambda r: ("euler", matrix_to_euler(gibbs_to_matrix(r), check=False)),
+    ),
 }
-_REPRESENTATIONS = tuple(_VALUE_COUNTS)
 
 
 class _UsageError(Exception):
@@ -108,13 +137,15 @@ def _csv_floats(text: str) -> list[float]:
         ) from None
 
 
-def _need(values: list[float], rep: str) -> list[float]:
-    want = _VALUE_COUNTS[rep]
-    if len(values) != want:
+def _to_gibbs(rep: str, values: list[float]) -> np.ndarray:
+    """The Gibbs vector of one --value payload of representation ``rep``,
+    after its count is checked."""
+    entry = _REPRESENTATIONS[rep]
+    if len(values) != entry.count:
         raise _UsageError(
-            f"a {rep} value takes {want} comma-separated numbers, got {len(values)}"
+            f"a {rep} value takes {entry.count} comma-separated numbers, got {len(values)}"
         )
-    return values
+    return entry.to_gibbs(values)
 
 
 def _fmt(x) -> str:
@@ -127,34 +158,6 @@ def _fmt_vec(v) -> str:
 
 def _floats(v) -> list[float]:
     return [float(x) for x in np.asarray(v).reshape(-1)]
-
-
-def _value_to_gibbs(rep: str, values: list[float]) -> np.ndarray:
-    """Parse one --value payload of representation ``rep`` into a Gibbs
-    vector (the conversion hub)."""
-    _need(values, rep)
-    if rep == "gibbs":
-        return np.asarray(values, dtype=float)
-    if rep == "matrix":
-        return matrix_to_gibbs(np.asarray(values, dtype=float).reshape(3, 3))
-    if rep == "quaternion":
-        return quaternion_to_gibbs(values)
-    if rep == "axis-angle":
-        return axis_angle_to_gibbs(values[:3], values[3])
-    return matrix_to_gibbs(euler_to_matrix(*values), check=False)
-
-
-def _gibbs_to_output(rep: str, r: np.ndarray):
-    """Convert the Gibbs hub value to (kind, payload) for printing."""
-    if rep == "gibbs":
-        return "gibbs", r
-    if rep == "matrix":
-        return "matrix", gibbs_to_matrix(r)
-    if rep == "quaternion":
-        return "quaternion", gibbs_to_quaternion(r)
-    if rep == "axis-angle":
-        return "axis_angle", gibbs_to_axis_angle(r)
-    return "euler", matrix_to_euler(gibbs_to_matrix(r), check=False)
 
 
 def _records(kind: str, payload):
@@ -214,22 +217,19 @@ def _print_result(kind: str, payload, as_json: bool) -> None:
 
 
 def _cmd_convert(args) -> int:
-    r = _value_to_gibbs(args.from_rep, args.value[0])
-    kind, payload = _gibbs_to_output(args.to_rep, r)
-    _print_result(kind, payload, args.json)
+    r = _to_gibbs(args.from_rep, args.value[0])
+    _print_result(*_REPRESENTATIONS[args.to_rep].output(r), args.json)
     return 0
 
 
 def _cmd_compose(args) -> int:
-    vecs = [np.asarray(_need(v, "gibbs"), dtype=float) for v in args.value]
-    result = compose_sequence(np.stack(vecs))
+    result = compose_sequence(np.stack([_to_gibbs("gibbs", v) for v in args.value]))
     _print_result("gibbs", result, args.json)
     return 0
 
 
 def _cmd_align(args) -> int:
-    p = np.asarray(_need(args.p, "gibbs"), dtype=float)
-    q = np.asarray(_need(args.q, "gibbs"), dtype=float)
+    p, q = _to_gibbs("gibbs", args.p), _to_gibbs("gibbs", args.q)
     if args.gamma is None:
         line = align_family(p, q, tol=args.tol)
         _print_result("line", line, args.json)
@@ -240,10 +240,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_align_pair(args) -> int:
-    vals = [
-        np.asarray(_need(getattr(args, name), "gibbs"), dtype=float)
-        for name in ("p1", "q1", "p2", "q2")
-    ]
+    vals = [_to_gibbs("gibbs", getattr(args, name)) for name in ("p1", "q1", "p2", "q2")]
     r = align_pair(*vals, tol=args.tol)
     _print_result("gibbs", r, args.json)
     return 0
@@ -353,112 +350,82 @@ def _time_ns(fn, repeats: int = 3) -> int:
 def bench_rows(iters: int, seed: int) -> list[dict]:
     """The benchmark table as dicts (the CSV emitted by ``bench``).
 
-    Each row times one batched operation over ``iters`` items and reports
-    a representation-appropriate round-trip (or cross-check) error:
-    component error relative to the vector scale for Gibbs round trips,
-    absolute component error for canonical quaternions, matrix-entry
-    error for Euler round trips, matrix-entry cross-checks for the two
-    compose alternatives, orthogonality drift for matrix compose, the
-    largest difference between the matrix-free and the matrix action,
-    relative to the vector's length, for both ``rotate`` rows, the worst
-    relative residual of mapping both pairs for ``align_pair``, and the
-    orthogonality residual ``is_rotation_matrix`` reports for the
-    ``validate`` row.
+    The corpus and every row's error are built first, then one loop
+    times each row's batched operation over ``iters`` items.  Each row
+    reports a representation-appropriate round-trip (or cross-check)
+    error: component error relative to the vector scale for Gibbs round
+    trips, absolute component error for canonical quaternions,
+    matrix-entry error for Euler round trips, matrix-entry cross-checks
+    for the two compose alternatives, orthogonality drift for matrix
+    compose, the largest difference between the matrix-free and the
+    matrix action, relative to the vector's length, for both ``rotate``
+    rows, the worst relative residual of mapping both pairs for
+    ``align_pair``, and the orthogonality residual
+    ``is_rotation_matrix`` reports for the ``validate`` row.
     """
     if iters < 1:
         raise _UsageError("--iters must be at least 1")
     r, s = _bench_corpus(iters, seed)
-    u = gibbs_to_matrix(r)
-    q = gibbs_to_quaternion(r)
-    e = matrix_to_euler(u, check=False)
-    e_arr = np.stack(e, axis=-1)
-    us = gibbs_to_matrix(s)
-    qs = gibbs_to_quaternion(s)
+    u, us = gibbs_to_matrix(r), gibbs_to_matrix(s)
+    q, qs = gibbs_to_quaternion(r), gibbs_to_quaternion(s)
+    e = np.stack(matrix_to_euler(u, check=False), axis=-1)
 
+    # round trips through the matrix, shared by to_matrix and from_matrix
+    gibbs_err = np.max(np.abs(matrix_to_gibbs(u) - r).max(axis=-1) / np.abs(r).max(axis=-1))
+    qb = matrix_to_quaternion(quaternion_to_matrix(q), check=False)
+    quaternion_err = np.abs(qb - q).max()
+    ue = euler_to_matrix(e)
+    ueb = euler_to_matrix(np.stack(matrix_to_euler(ue, check=False), axis=-1))
+    euler_err = np.abs(ueb - ue).max()
+
+    uu = u @ us
+    compose_err = np.abs(gibbs_to_matrix(compose(r, s)) - uu).max()
+    qq = quaternion_multiply(qs, q)
+    qq = qq / np.sqrt(np.sum(qq * qq, axis=-1, keepdims=True))
+    quaternion_compose_err = np.abs(quaternion_to_matrix(qq) - uu).max()
+    gram = np.einsum("nji,njk->nik", uu, uu)
+    matrix_compose_err = np.abs(gram - np.eye(3)).max()
+
+    diff = rotate_vector(r, s) - (u @ s[..., None])[..., 0]
+    rotate_err = np.max(np.linalg.norm(diff, axis=-1) / np.linalg.norm(s, axis=-1))
+
+    p1, p2 = s, np.roll(s, 1, axis=0)
+    q1, q2 = rotate_vector(r, p1), rotate_vector(r, p2)
+    a = align_pair(p1, q1, p2, q2)
+    align_err = max(
+        np.max(np.linalg.norm(rotate_vector(a, p) - q, axis=-1) / np.linalg.norm(p, axis=-1))
+        for p, q in ((p1, q1), (p2, q2))
+    )
+
+    validate_err = is_rotation_matrix(u).max_orthogonality_residual
+    table = [
+        ("to_matrix", "gibbs", lambda: gibbs_to_matrix(r), gibbs_err),
+        ("to_matrix", "quaternion", lambda: quaternion_to_matrix(q), quaternion_err),
+        ("to_matrix", "euler", lambda: euler_to_matrix(e), euler_err),
+        ("from_matrix", "gibbs", lambda: matrix_to_gibbs(u), gibbs_err),
+        ("from_matrix", "quaternion", lambda: matrix_to_quaternion(u), quaternion_err),
+        ("from_matrix", "euler", lambda: matrix_to_euler(u), euler_err),
+        ("compose", "gibbs", lambda: compose(r, s), compose_err),
+        ("compose", "quaternion", lambda: quaternion_multiply(qs, q), quaternion_compose_err),
+        ("compose", "matrix", lambda: u @ us, matrix_compose_err),
+        ("rotate", "gibbs", lambda: rotate_vector(r, s), rotate_err),
+        ("rotate", "matrix", lambda: u @ s[..., None], rotate_err),
+        ("align_pair", "gibbs", lambda: align_pair(p1, q1, p2, q2), align_err),
+        ("validate", "matrix", lambda: is_rotation_matrix(u), validate_err),
+    ]
     rows = []
-
-    def add(operation, representation, total_ns, err):
+    for operation, representation, call, err in table:
+        total_ns = _time_ns(call)
         rows.append(
             {
                 "operation": operation,
                 "representation": representation,
                 "iterations": iters,
-                "total_ns": int(total_ns),
-                "ns_per_op": float(total_ns) / iters,
+                "total_ns": total_ns,
+                "ns_per_op": total_ns / iters,
                 "max_roundtrip_err": float(err),
             }
         )
-
-    # --- to_matrix
-    t = _time_ns(lambda: gibbs_to_matrix(r))
-    back = matrix_to_gibbs(u)
-    err = np.max(np.abs(back - r).max(axis=-1) / np.abs(r).max(axis=-1))
-    add("to_matrix", "gibbs", t, err)
-
-    t = _time_ns(lambda: quaternion_to_matrix(q))
-    qb = matrix_to_quaternion(quaternion_to_matrix(q), check=False)
-    add("to_matrix", "quaternion", t, np.abs(qb - q).max())
-
-    t = _time_ns(lambda: euler_to_matrix(e_arr))
-    ue = euler_to_matrix(e_arr)
-    eb = matrix_to_euler(ue, check=False)
-    ueb = euler_to_matrix(np.stack(eb, axis=-1))
-    add("to_matrix", "euler", t, np.abs(ueb - ue).max())
-
-    # --- from_matrix (same round-trip errors, timed in the other direction)
-    t = _time_ns(lambda: matrix_to_gibbs(u))
-    add("from_matrix", "gibbs", t, err)
-
-    t = _time_ns(lambda: matrix_to_quaternion(u))
-    add("from_matrix", "quaternion", t, np.abs(qb - q).max())
-
-    t = _time_ns(lambda: matrix_to_euler(u))
-    add("from_matrix", "euler", t, np.abs(ueb - ue).max())
-
-    # --- compose: one product per corpus item, cross-checked against the
-    # matrix product, which in turn reports its orthogonality drift.
-    uu = u @ us
-    t = _time_ns(lambda: compose(r, s))
-    err = np.abs(gibbs_to_matrix(compose(r, s)) - uu).max()
-    add("compose", "gibbs", t, err)
-
-    t = _time_ns(lambda: quaternion_multiply(qs, q))
-    qq = quaternion_multiply(qs, q)
-    qq = qq / np.sqrt(np.sum(qq * qq, axis=-1, keepdims=True))
-    err = np.abs(quaternion_to_matrix(qq) - uu).max()
-    add("compose", "quaternion", t, err)
-
-    t = _time_ns(lambda: u @ us)
-    gram = np.einsum("nji,njk->nik", uu, uu)
-    err = np.abs(gram - np.eye(3)).max()
-    add("compose", "matrix", t, err)
-
-    # --- rotate: turn a corpus vector by each rotation, matrix-free against
-    # a batched product on matrices computed in advance; both rows report
-    # the largest difference between the two, relative to |s|.
-    t = _time_ns(lambda: rotate_vector(r, s))
-    diff = rotate_vector(r, s) - (u @ s[..., None])[..., 0]
-    err = np.max(np.linalg.norm(diff, axis=-1) / np.linalg.norm(s, axis=-1))
-    add("rotate", "gibbs", t, err)
-
-    t = _time_ns(lambda: u @ s[..., None])
-    add("rotate", "matrix", t, err)
-
-    # --- align_pair: recover r from the images of two corpus vectors,
-    # reporting the worst residual of mapping either pair, relative to |p|.
-    p1, p2 = s, np.roll(s, 1, axis=0)
-    q1, q2 = rotate_vector(r, p1), rotate_vector(r, p2)
-    t = _time_ns(lambda: align_pair(p1, q1, p2, q2))
-    a = align_pair(p1, q1, p2, q2)
-    err = max(
-        np.max(np.linalg.norm(rotate_vector(a, p) - q, axis=-1) / np.linalg.norm(p, axis=-1))
-        for p, q in ((p1, q1), (p2, q2))
-    )
-    add("align_pair", "gibbs", t, err)
-
-    # --- validate: the rotation check that guards every matrix input
-    t = _time_ns(lambda: is_rotation_matrix(u))
-    add("validate", "matrix", t, is_rotation_matrix(u).max_orthogonality_residual)
     return rows
 
 

@@ -586,6 +586,27 @@ def test_family_rejects_a_batch():
         align_family(np.eye(3), np.eye(3))
 
 
+# each alignment op with the names of its vector operands
+ALIGN_OPS = {
+    "align_line": (lambda *v: align_line(*v, 0.5), ("p", "q")),
+    "align_family": (align_family, ("p", "q")),
+    "align_pair": (align_pair, ("p1", "q1", "p2", "q2")),
+    "align_pair_unchecked": (align_pair_unchecked, ("p1", "q1", "p2", "q2")),
+}
+
+
+@pytest.mark.parametrize("bad", [np.ones((2, 4)), np.ones(4), np.float64(1.0)], ids=["2x4", "4", "0d"])
+@pytest.mark.parametrize("op", ALIGN_OPS)
+def test_alignment_ops_name_the_operand_without_three_components(op, bad):
+    fn, names = ALIGN_OPS[op]
+    good = [np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])] * 2
+    for at, name in enumerate(names):
+        args = good[:len(names)]
+        args[at] = bad
+        with pytest.raises(InvalidInputError, match=rf"^{name} must have shape \(\.\.\., 3\)"):
+            fn(*args)
+
+
 def test_line_and_pair_reject_shapes_that_do_not_broadcast():
     p, q = np.eye(3)[:2], np.eye(3)[1:]
     with pytest.raises(InvalidInputError, match="shapes do not broadcast"):
@@ -684,6 +705,27 @@ def test_polyline_step_with_perpendicular_reflections_is_a_half_turn():
     _, result = _polyline_transport(pts)
     assert is_pi_encoded(result.steps).tolist() == [False, True, False]
     assert result.steps[1].tolist() == pi_encode([0.0, 0.0, 1.0]).tolist()
+
+
+@pytest.mark.parametrize("pts", [
+    [[0.0, 0, 0], [1, 0, 0], [2, 1e-160, 0], [3, 1e-160, 1e-158], [4, 0, 1e-150]],
+    np.array([[0.0, 0, 0], [1, 1e-300, 0], [2, 0, 5e-324], [3, 1e-310, 0]]) * 1e300,
+])
+def test_polyline_steps_are_their_pairs_rounded_once(monkeypatch, pts):
+    # steps with subnormal components: scaling the pair (w : v) before the
+    # divide rounded v's low bits away (-2.49997e-319 for -2.5e-319, -0.0
+    # for -5e-324)
+    pairs = []
+
+    def spy(*args):
+        pairs.append(_reflection_pairs(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(gibbsrot.alignment, "_reflection_pairs", spy)
+    _, result = _polyline_transport(np.array(pts), 0.0)
+    (w, v), = pairs
+    exact = [[float(Fraction(x) / Fraction(d)) for x in row] for row, d in zip(v.T.tolist(), w)]
+    assert result.steps.tolist() == exact
 
 
 @pytest.mark.parametrize(

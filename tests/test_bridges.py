@@ -375,6 +375,52 @@ def test_euler_exact_gimbal_lock_representative():
     assert np.abs(euler_to_matrix(yaw, pitch, roll) - u).max() < 1e-15
 
 
+def locked_matrix(yaw, sign, roll):
+    """``euler_to_matrix``'s formula at pitch = sign pi/2 with cos(pitch)
+    exactly 0.0 (``np.cos(np.pi / 2)`` is 6e-17, so the function itself
+    never builds one)."""
+    ca, sa, cc, sc = np.cos(yaw), np.sin(yaw), np.cos(roll), np.sin(roll)
+    cb, sb = 0.0, sign
+    return np.array([
+        [ca * cb, sa * cc + ca * sb * sc, sa * sc - ca * sb * cc],
+        [-sa * cb, ca * cc - sa * sb * sc, ca * sc + sa * sb * cc],
+        [sb, -cb * sc, cb * cc],
+    ])
+
+
+@pytest.mark.parametrize("roll", [0.3, 2.5, -2.5, -0.4])
+@pytest.mark.parametrize("yaw", [0.7, -2.0, 3.0])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_euler_exact_gimbal_lock_puts_everything_into_yaw(sign, yaw, roll):
+    # arctan2 of the locked roll entries (+-0.0, +-0.0) reads 0, +-pi or -0.0
+    u = locked_matrix(yaw, sign, roll)
+    back = matrix_to_euler(u)
+    assert back.roll == 0.0 and np.copysign(1.0, back.roll) == 1.0
+    assert back.pitch == sign * np.pi / 2
+    assert np.abs(euler_to_matrix(back) - u).max() <= 1e-15
+
+
+@pytest.mark.parametrize("diagonal, want", [
+    ((1.0, -1.0, -1.0), (0.0, 0.0, np.pi)),  # roll reads arctan2(-0.0, -1) = -pi
+    ((-1.0, -1.0, 1.0), (np.pi, 0.0, 0.0)),  # yaw reads arctan2(-0.0, -1) = -pi
+])
+def test_euler_half_turn_angles_are_plus_pi_and_one_matrix_gives_floats(diagonal, want):
+    got = matrix_to_euler(np.diag(diagonal))
+    assert [type(x) for x in got] == [float] * 3
+    assert got == want
+    batch = matrix_to_euler(np.diag(diagonal)[None])
+    assert [x.tolist() for x in batch] == [[x] for x in want]
+
+
+def test_axis_within_tolerance_is_renormalized():
+    # |axis|^2 - 1 ~ 8e-10 passes the 1e-9 check; the Gibbs vector takes the unit axis
+    axes = random_units(np.random.default_rng(61), 20)
+    for theta in (0.3, -2.0, 3.0):
+        want = axis_angle_to_gibbs(axes, theta)
+        got = axis_angle_to_gibbs(axes * (1.0 + 4e-10), theta)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_euler_angles_named_tuple_round_trip():
     e = EulerAngles(yaw=0.3, pitch=0.2, roll=-0.9)
     u = euler_to_matrix(e)

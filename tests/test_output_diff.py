@@ -1,12 +1,14 @@
 """``tools/output_diff.py``, the byte-for-byte comparison of two checkouts,
 run as a script: against this checkout itself, and against a copy of
-``src`` with one op changed."""
+``src`` with one op changed; and, imported, its corpus's frame scales."""
 
 import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -74,3 +76,20 @@ def test_output_diff_counts_a_call_flipping_between_error_and_result_once(tmp_pa
     total, per_op, keys = differing(proc)
     assert per_op == {"frame_transport": 3} and total == 3 and len(keys) == 3
     assert proc.stdout.count("parent InvalidInputError: tol given") == 3
+
+
+def test_frame_transport_scale_records_reach_the_op():
+    # each frame_transport/{k} set is unit frames times k: the records hold
+    # the op's result, not an overflow or a zero tangent of the corpus
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import output_diff as tool
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    corpus = tool.make_corpus(np.random.default_rng(22))
+    records = {key: tool.outcome(call) for op, key, call, _ in tool.calls(corpus)
+               if re.fullmatch(r"frame_transport/[^a-z].*", key)}
+    assert len(records) == len(tool.FRAME_SCALES)
+    for key, got in records.items():
+        assert got[0] == "ok", (key, got)
+        assert np.isfinite(got[1].steps).all(), key

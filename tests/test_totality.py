@@ -2,19 +2,23 @@
 
 Every public op below is fed inputs its validators accept, with magnitudes
 from the smallest subnormal (5e-324) to the float maximum, exact zero
-components and half turns.  Warnings are errors.  The contract:
+components and half turns; rotation matrices carry entry noise up to
+``TOL_ORTHO_INPUT``.  Warnings are errors.  The contract:
 
 * every call returns, or raises a :class:`GibbsError`;
 * no output holds NaN, except ``align_pair_unchecked`` on rows where a
   denominator of its formula (nearly) vanishes, which its docstring names;
   outputs that are not Gibbs vectors are finite;
 * one row's output has the bytes of the same row given as a batch of one,
-  NaN compared as equal, or both raise the same error type; a batch that
-  returns has the one-row outputs as its rows.
+  NaN compared as equal, or both raise the same error type with the same
+  message; a batch that returns has the one-row outputs as its rows
+  (``is_rotation_matrix`` reports one check per batch: the conjunction
+  and maxima of its rows' checks).
 
 The draws are seeded, so the module is deterministic.
 """
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -91,6 +95,8 @@ def outcome(call):
 
 
 def leaves(out) -> list[np.ndarray]:
+    if dataclasses.is_dataclass(out):
+        out = dataclasses.astuple(out)
     return [np.asarray(x) for x in out] if isinstance(out, tuple) else [np.asarray(out)]
 
 
@@ -113,7 +119,7 @@ def check_rows(fn, *args, gibbs=True, nan_rows=()):
         row = outcome(lambda: fn(*(a[i:i + 1] for a in args)))
         ones.append(one)
         if isinstance(one, GibbsError) or isinstance(row, GibbsError):
-            assert type(one) is type(row), (i, one, row)
+            assert (type(one), str(one)) == (type(row), str(row)), (i, one, row)
             continue
         got, want = leaves(one), [x[0] for x in leaves(row)]
         assert all(map(same, got, want)), (i, got, want)
@@ -150,6 +156,42 @@ def test_gibbs_ops(rng):
     check_rows(g.gibbs_to_axis_angle, r, gibbs=False)
 
 
+def noisy_rotations(rng, n):
+    """Rotation matrices of every regime (``gibbs_rows``), exact and near
+    half turns (pi less 1e-3 ... 1e-16) among them, with entry noise of
+    ``TOL_ORTHO_INPUT`` / 4 times 1e-12 ... 1: orthogonality residuals
+    (each a sum of two column products) up to ~0.9 ``TOL_ORTHO_INPUT``."""
+    r = gibbs_rows(rng, n)
+    axes = directions(rng, n // 4)
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    r[::4] = g.axis_angle_to_gibbs(axes, np.pi - 10.0 ** -rng.uniform(3, 16, n // 4))
+    r[1::8] = g.pi_encode(directions(rng, len(r[1::8])))
+    noise = rng.uniform(-1.0, 1.0, (n, 3, 3)) * 10.0 ** rng.uniform(-12, 0, (n, 1, 1))
+    return g.gibbs_to_matrix(r) + g.TOL_ORTHO_INPUT / 4 * noise
+
+
+def test_matrix_ops(rng):
+    u = noisy_rotations(rng, N)
+    check_rows(g.matrix_to_gibbs, u)
+    check_rows(g.matrix_to_quaternion, u, gibbs=False)
+    check_rows(g.matrix_to_euler, u, gibbs=False)
+    ones = [outcome(lambda: g.is_rotation_matrix(m)) for m in u]
+    assert all(x == outcome(lambda: g.is_rotation_matrix(m[None])) for x, m in zip(ones, u))
+    batch = g.is_rotation_matrix(u)
+    assert batch.ok and all(ones)
+    assert batch.max_orthogonality_residual > g.TOL_ORTHO_INPUT / 100
+    assert batch.max_orthogonality_residual == max(x.max_orthogonality_residual for x in ones)
+    assert batch.max_det_deviation == max(x.max_det_deviation for x in ones)
+
+
+def test_axis_angle_to_gibbs_over_wide_angles(rng):
+    axes = directions(rng, N)
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = wide(rng, N)
+    angles[::6] = rng.choice([np.pi, -np.pi, 3 * np.pi, 2 * np.pi, -FMAX], len(angles[::6]))
+    check_rows(g.axis_angle_to_gibbs, axes, angles)
+
+
 def test_single_pair_ops(rng):
     p, q, _, _ = rigid_pairs(rng, N)
     check_rows(g.align_line, p, q, wide(rng, N))
@@ -157,6 +199,7 @@ def test_single_pair_ops(rng):
         line = outcome(lambda: g.align_family(p[i], q[i]))
         if not isinstance(line, GibbsError):
             assert np.isfinite(line.base).all() and np.isfinite(line.direction).all(), i
+            check_rows(line.member, wide(rng, 8))
 
 
 def unit_pairs(p, q):
@@ -191,8 +234,14 @@ def test_pair_ops(rng):
 
 def test_batch_only_ops(rng):
     for _ in range(6):
-        out = outcome(lambda: g.compose_scan(gibbs_rows(rng, 16)))
+        vs = gibbs_rows(rng, 16)
+        out = outcome(lambda: g.compose_scan(vs))
         assert isinstance(out, GibbsError) or not np.isnan(out).any()
+        seq = outcome(lambda: g.compose_sequence(vs[::-1]))
+        if isinstance(out, GibbsError):
+            assert (type(seq), str(seq)) == (type(out), str(out))
+        else:
+            assert same(seq, out[-1])
         t, m = (directions(rng, 8) * magnitudes(rng, 8)[:, None] for _ in range(2))
         out = outcome(lambda: g.frame_transport(np.stack([t, m], axis=1)))
         assert isinstance(out, GibbsError) or not any(np.isnan(x).any() for x in out)

@@ -15,7 +15,8 @@ the current directory, holds per workload the parsed last JSON line of
 every run and, per metric, the values, the best of the runs (by the
 ``better`` direction in ``BENCHMARK.json``), their median and their
 spread ``(max - min) / median``; and the commit, the Python and numpy
-versions and the CPU count.
+versions, the CPU count and the CPUs this process may use (the CPU count
+where the OS has no ``os.sched_getaffinity``, as on macOS).
 """
 
 from __future__ import annotations
@@ -99,7 +100,8 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
-        "cpus_usable": len(os.sched_getaffinity(0)),
+        "cpus_usable": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                        else os.cpu_count()),
         "machine": platform.machine(),
         "command": {"argv": spec["command"], "seconds": spec["run_seconds"], "trace": 0,
                     "seeds": list(SEEDS)},

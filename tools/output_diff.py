@@ -7,11 +7,11 @@ Usage:
 Builds one seeded corpus with this checkout's ``tests/helpers.py`` (the
 ``mixed_rows`` Gibbs rows, vectors and alignment pairs at extreme scales,
 half turns, noisy matrices, quaternions, angles, a long composition chain,
-the overflow cases of the alignment line, vectors near the float maximum
-and frames at several tolerances), then runs it through every
-public op of ``core``, ``algebra``, ``bridges`` and ``alignment`` in two
-fresh processes: one importing ``gibbsrot`` from this checkout's ``src``,
-one from ``DIR/src``.  Each input is run as one row and inside a batch;
+the overflow cases of the alignment line, vectors near the float maximum,
+frames at several tolerances and unit frames at several scales), then
+runs it through every public op of ``core``, ``algebra``, ``bridges`` and
+``alignment`` in two fresh processes: one importing ``gibbsrot`` from
+this checkout's ``src``, one from ``DIR/src``.  Each input is run as one row and inside a batch;
 warnings are errors.  A record is one call's output bytes (a named
 tuple's fields together; a batch's split into rows), or the error's type
 and message.  Every record that differs is printed, then per op the
@@ -41,6 +41,9 @@ GIBBS_OPS = {
     "quaternion_to_gibbs", "axis_angle_to_gibbs", "align_line", "align_pair",
     "align_pair_unchecked", "member", "frame_transport",
 }
+
+# the scales k of the ``frame_transport/{k}`` records: one set of unit frames times k
+FRAME_SCALES = (1.0, 1e300, 1e-300, 2.0**600)
 
 
 def make_corpus(rng) -> dict[str, np.ndarray]:
@@ -80,8 +83,10 @@ def make_corpus(rng) -> dict[str, np.ndarray]:
     chain = random_gibbs(rng, 4096, 1e-3, 1e3)
     chain[::97] = pi_encode(chain[::97])
     chain[5::501] *= 1e300
-    frames = np.stack([random_units(rng, 64), random_units(rng, 64)], axis=1)
-    frames *= scales[np.arange(64) % len(scales)][:, None, None]
+    unit_frames = np.stack([random_units(rng, 64), random_units(rng, 64)], axis=1)
+    frames = unit_frames * scales[np.arange(64) % len(scales)][:, None, None]
+    # eight unit frames, all scaled by one k per set
+    frames_k = unit_frames[:8] * np.array(FRAME_SCALES)[:, None, None, None]
     # vectors whose max-abs is at or near the float maximum, for rotate_vector
     s_far = rng.normal(size=(n, 3))
     s_far /= np.abs(s_far).max(axis=1, keepdims=True)
@@ -91,7 +96,7 @@ def make_corpus(rng) -> dict[str, np.ndarray]:
         axis=random_units(rng, n), angle=angle, u=u, q=q, euler=euler, p1=p1 * k1, q1=q1, p2=p2 * k2, q2=q2, gamma=gamma,
         edge_p=edge_p, edge_q=edge_q,
         edge_gamma=np.array([1e10, 1e308, -1e308, 1e300, 2.0**1000, 1e200]),
-        chain=chain, frames=frames, s_far=s_far,
+        chain=chain, frames=frames, frames_k=frames_k, s_far=s_far,
     )
 
 
@@ -170,9 +175,9 @@ def calls(c: dict[str, np.ndarray]):
             lambda n=n: g.compose_sequence(chain[:n])), None
     frames = c["frames"]
     yield "frame_transport", "frame_transport/all", (lambda: g.frame_transport(frames)), None
-    for k in (1.0, 1e300, 1e-300, 2.0**600):
+    for k, frames_k in zip(FRAME_SCALES, c["frames_k"]):
         yield "frame_transport", f"frame_transport/{k!r}", (
-            lambda k=k: g.frame_transport(frames[:8] * k)), None
+            lambda f=frames_k: g.frame_transport(f)), None
     for tol in (0.0, 1e-15, 1e-3):
         yield "frame_transport", f"frame_transport/tol={tol!r}", (
             lambda tol=tol: g.frame_transport(frames, tol=tol)), None
