@@ -578,8 +578,8 @@ def _polyline_transport(points: np.ndarray, tol: float = TOL_LEN):
     tangents.  Coincident neighbours raise :class:`InvalidInputError`, a
     repeated sample takes the smallest rotation, and a step with |v2| <= tol
     raises :class:`InvalidPairError` (``ANTIPODAL``, ``index`` the step; the
-    caller checks ``tol``).  Each tangent and chord is scaled by a power of
-    two, so scaling the curve by one keeps the steps bit for bit."""
+    caller checks ``tol``).  Each tangent, chord and pair is scaled by a power
+    of two, so scaling the curve by one keeps the steps bit for bit."""
     # below 2^1022 no difference (at most 2 max|p|) overflows; e is max|p|'s exponent
     x = _columns(_pow2_scale(points, max(_pow2_scale(points.ravel())[1] - 1022, 0))[0], 1)
     t = np.concatenate([x[:, 1:2] - x[:, :1], x[:, 2:] - x[:, :-2], x[:, -1:] - x[:, -2:-1]], 1)
@@ -599,7 +599,11 @@ def _polyline_transport(points: np.ndarray, tol: float = TOL_LEN):
             condition="ANTIPODAL",
             index=i,
         )
-    steps = _dehomogenize(w, v, TOL_ALIGN_SINGULAR**2)
+    # each pair scaled up only, which is exact, so w^2 clears underflow and
+    # v / w is still rounded once
+    pair = np.concatenate([w[None], v])
+    pair = _pow2_scale(pair, np.minimum(_pow2_scale(pair)[1], 0))[0]
+    steps = _dehomogenize(pair[0], pair[1:], TOL_ALIGN_SINGULAR**2)
     cumulative = np.concatenate([np.zeros((1, 3)), compose_scan(steps)])
     return _perp_basis(t[:, 0]), TransportResult(steps, cumulative)
 

@@ -728,6 +728,14 @@ def test_polyline_steps_are_their_pairs_rounded_once(monkeypatch, pts):
     assert result.steps.tolist() == exact
 
 
+def test_polyline_step_with_a_tiny_pair_is_its_quotient_not_a_half_turn():
+    # step 1's pair is (w : v) = (5e-163 : 0, 5e-162, 0); unscaled, w^2
+    # underflows to 0 and the step came back as the half turn about y
+    pts = np.array([[1.0, -1, 0], [0, 0, 0], [1, 0, 0], [1e-162, 1, 1e-161]])
+    _, result = _polyline_transport(pts, 0.0)
+    assert result.steps[1].tolist() == [0.0, 10.0, 0.0]
+
+
 @pytest.mark.parametrize(
     "call",
     [

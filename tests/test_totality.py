@@ -18,7 +18,6 @@ components and half turns; rotation matrices carry entry noise up to
 The draws are seeded, so the module is deterministic.
 """
 
-import dataclasses
 import warnings
 
 import numpy as np
@@ -95,8 +94,6 @@ def outcome(call):
 
 
 def leaves(out) -> list[np.ndarray]:
-    if dataclasses.is_dataclass(out):
-        out = dataclasses.astuple(out)
     return [np.asarray(x) for x in out] if isinstance(out, tuple) else [np.asarray(out)]
 
 
