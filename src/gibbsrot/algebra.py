@@ -21,8 +21,9 @@ Pairs multiply as Hamilton products (``|q1 q2| = |q1| |q2|``, so the
 result never vanishes) and are divided once at the end: ``v / w``, or
 the half-turn encoding along ``v`` where ``w`` vanished.  The operands
 are unpacked once into component columns (one row into Python floats),
-and the Hamilton product takes and returns ``v`` as its three columns.  The same kernel with ``w = 1``
-is the textbook quotient rule, exact on ``fractions.Fraction``.
+and the Hamilton product takes and returns ``v`` as its three columns.
+It always multiplies by both weights; with ``w = 1`` it is the textbook
+quotient rule, exact on ``fractions.Fraction``.
 :func:`compose_scan` chains the kernel into an inclusive prefix scan of
 ``ceil(log2 n)`` batched rounds, on pairs rescaled by exact powers of two.
 """
@@ -39,7 +40,6 @@ from .core import (
     _dehomogenize,
     _homogeneous,
     _inner,
-    _is_one,
     _pow2_scale,
     _quotient_rows,
     _row_pairs,
@@ -60,23 +60,19 @@ def _hamilton(w1, v1, w2, v2):
 
     ``w = w1 w2 - v1.v2`` and ``v = w2 v1 + w1 v2 - v1 x v2``, with each
     ``v`` given and returned as three component columns; the weights may
-    be scalars, and scalar weights 1 skip their products.  Elementary
-    arithmetic only; exact on ``fractions.Fraction``.
+    be scalars.  Elementary arithmetic only; exact on
+    ``fractions.Fraction``.
     """
     x1, y1, z1 = v1
     x2, y2, z2 = v2
     w = w1 * w2 - _inner(v1, v2)
-    one = _is_one(w1) and _is_one(w2)
     v = []
     # component i: w2 a1 + w1 a2 - (b1 c2 - c1 b2), (a, b, c) cycling x, y, z
     for a1, a2, b1, c2, c1, b2 in (
         (x1, x2, y1, z2, z1, y2), (y1, y2, z1, x2, x1, z2), (z1, z2, x1, y2, y1, x2),
     ):
-        if one:
-            e = a1 + a2
-        else:
-            e = w2 * a1
-            e += w1 * a2
+        e = w2 * a1
+        e += w1 * a2
         c = b1 * c2
         c -= c1 * b2
         e -= c

@@ -469,14 +469,6 @@ def _row_pairs(r):
     return w.reshape(r.shape[1:]), r
 
 
-def _is_one(w) -> bool:
-    """True for a scalar pair weight ``w = 1``: the kernels skip its
-    products, since ``x * 1 == x`` bit for bit.  It stays: on a batch they
-    are batch-sized temporaries, and 16384-row ``gibbs_to_matrix`` ran
-    10-16% slower without it (same bytes; 2-vCPU Xeon VM, numpy 2.4.6)."""
-    return isinstance(w, (int, float)) and w == 1
-
-
 def _matrix_from_pair(w, v):
     """Rotation matrices of homogeneous pairs ``(w : v)``, with ``v``
     given as three component columns of one batch shape, or as three
@@ -492,7 +484,7 @@ def _matrix_from_pair(w, v):
     only.
     """
     x, y, z = v
-    wx, wy, wz = (x, y, z) if _is_one(w) else (w * x, w * y, w * z)
+    wx, wy, wz = w * x, w * y, w * z
     xx, yy, zz = x * x, y * y, z * z
     den = xx + yy
     den += zz
@@ -526,12 +518,11 @@ def _rotate_by_pair(w, v, s):
     each and ``w`` a scalar or of ``v``'s batch shape; the batch shapes
     broadcast.  The denominator divides ``v`` before ``v`` meets ``s``, so
     intermediates reach up to about 2 ``|s|``, which ``rotate_vector``
-    keeps in range.  Exact on ``fractions.Fraction`` (with ``w = 1``);
-    elementary arithmetic only.
+    keeps in range.  Exact on ``fractions.Fraction``; elementary
+    arithmetic only.
     """
     v0, v1, v2 = v[0], v[1], v[2]
     s0, s1, s2 = s[0], s[1], s[2]
-    one = _is_one(w)
     ww = w * w
     h = _inner(v, v)
     k = ww - h
@@ -548,8 +539,7 @@ def _rotate_by_pair(w, v, s):
     )):
         e = a * b
         e -= c * d
-        if not one:
-            e *= w
+        e *= w
         o = k * si
         o += t * vi
         o += e

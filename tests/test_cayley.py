@@ -1,11 +1,15 @@
 """The Cayley map: skew-matrix packing, any-size transforms, the 3D
 equivalence with the rational paths, and singularity handling."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gibbsrot import (
+    TOL_ORTHO_INPUT,
+    GibbsError,
     InvalidInputError,
     OutOfDomainError,
     SingularCayleyError,
@@ -47,6 +51,20 @@ def test_skew_matrix_symmetrizes_roundoff():
     s = SkewMatrix.from_array(a)
     back = s.to_array()
     assert np.array_equal(back, -back.T)  # exactly antisymmetric
+
+
+def test_skew_matrix_from_array_near_the_float_maximum():
+    # a - a.T overflowed past half the float maximum: a raw RuntimeWarning,
+    # or with warnings off an infinite coefficient
+    fmax = np.finfo(float).max
+    a = np.array([[0.0, fmax, -5e-324], [-fmax, 0.0, 1e308], [5e-324, -1e308, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = SkewMatrix.from_array(a)
+        assert np.array_equal(s.to_array(), a)
+        assert vector_from_skew(a).tolist() == [1e308, 5e-324, fmax]
+        with pytest.raises(OutOfDomainError):
+            cayley_inverse(a)
 
 
 def test_skew_matrix_rejects_asymmetry_and_shape():
@@ -157,3 +175,50 @@ def test_inverse_accepts_dense_antisymmetric_arrays():
     u = cayley_inverse(a)
     want = cayley_inverse(SkewMatrix.from_array(a))
     assert np.array_equal(u, want)
+
+
+def cayley_inverse_outcome(r):
+    """``cayley_inverse`` of ``r``'s carrier, warnings raised: the matrix,
+    or the GibbsError it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return cayley_inverse(skew_from_vector(r))
+        except GibbsError as e:
+            return e
+
+
+def test_inverse_returns_a_rotation_or_a_typed_error():
+    # rounded, the solve's error grows as ~2e-16 |r|: at 1e17 it returned a
+    # matrix with orthogonality residual 4, at ~1e208 NaN and inf, and where
+    # I - S rounds to singular a raw numpy LinAlgError
+    rng = np.random.default_rng(34)
+    d = rng.normal(size=(300, 3)) * 10.0 ** rng.uniform(-12, 0, (300, 3))
+    d /= np.abs(d).max(axis=1, keepdims=True)
+    cases = [[1e17] * 3, [0.0, 3.5635669507180646e208, 3.039057355300787e175]]
+    cases += list(d * 1e60) + list(d[:60] * 10.0 ** rng.uniform(0, 300, (60, 1)))
+    refused = 0
+    for r in cases:
+        u = cayley_inverse_outcome(r)
+        if isinstance(u, GibbsError):
+            assert isinstance(u, OutOfDomainError), (r, u)
+            assert "I - S" in str(u), u
+            refused += 1
+            continue
+        assert np.isfinite(u).all(), r
+        assert np.abs(u.T @ u - np.eye(3)).max() <= TOL_ORTHO_INPUT, r
+        assert abs(np.linalg.det(u) - 1.0) <= TOL_ORTHO_INPUT, r
+    assert refused >= 300
+    for r in cases[:2]:
+        assert isinstance(cayley_inverse_outcome(r), OutOfDomainError), r
+
+
+def test_inverse_domain_is_the_stated_bound():
+    # within the documented |r| <= 1e6 every direction returns
+    rng = np.random.default_rng(35)
+    d = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-12, 0, (200, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    for r in d * 10.0 ** rng.uniform(-3, 6, (200, 1)):
+        u = cayley_inverse_outcome(r)
+        assert not isinstance(u, GibbsError), (r, u)
+        assert np.abs(u - gibbs_to_matrix(r)).max() <= 1e-9, r

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,31 @@ def test_sweep_reversal_is_a_computation_error():
     code, out, err = run_cli(["sweep"], stdin=polyline_text(pts))
     assert (code, out) == (1, "")
     assert err.startswith("error: ANTIPODAL: step 1 -> 2: the polyline doubles back")
+
+
+@pytest.mark.parametrize("bend, last", [
+    ("1e-150", "0.0,0.0,-2.5e-151\n"),
+    ("1e-200", "0.0,0.0,-2.5e-201\n"),
+    ("1e-300", "0.0,0.0,-2.5e-301\n"),
+])
+def test_sweep_doubling_back_test_does_not_underflow(bend, last):
+    # the step pair's squared norm is tested after the pair is scaled up:
+    # unscaled it underflowed to 0 below ~1e-162, a false ANTIPODAL at tol 0
+    text = f"0,0,0\n1,0,0\n-1,{bend},0\n"
+    assert run_cli(["sweep", "--tol", "0"], stdin=text) == (
+        0, "pi-rotation axis=0.0,0.0,-1.0\n" + last, ""
+    )
+    # at the default tol the bend is short, and the scaled bound overflows
+    # to inf quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["sweep"], stdin=text)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ANTIPODAL: step 0 -> 1: the polyline doubles back")
+    # an exact reversal is short at tol 0 too
+    code, out, err = run_cli(["sweep", "--tol", "0"], stdin="0,0,0\n1,0,0\n-1,0,0\n")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ANTIPODAL: step 0 -> 1: the polyline doubles back")
 
 
 def test_sweep_coincident_points_are_a_usage_error():

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
+import gibbsrot.errors
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -78,18 +80,49 @@ def test_output_diff_counts_a_call_flipping_between_error_and_result_once(tmp_pa
     assert proc.stdout.count("parent InvalidInputError: tol given") == 3
 
 
-def test_frame_transport_scale_records_reach_the_op():
-    # each frame_transport/{k} set is unit frames times k: the records hold
-    # the op's result, not an overflow or a zero tangent of the corpus
+def corpus_records(pattern: str) -> tuple[object, dict]:
+    """The imported tool, and the outcome of each corpus call whose key
+    matches ``pattern``: ``(op, outcome)`` by key."""
     sys.path.insert(0, str(ROOT / "tools"))
     try:
         import output_diff as tool
     finally:
         sys.path.remove(str(ROOT / "tools"))
     corpus = tool.make_corpus(np.random.default_rng(22))
-    records = {key: tool.outcome(call) for op, key, call, _ in tool.calls(corpus)
-               if re.fullmatch(r"frame_transport/[^a-z].*", key)}
+    return tool, {key: (op, tool.outcome(call)) for op, key, call, _ in tool.calls(corpus)
+                  if re.fullmatch(pattern, key)}
+
+
+def test_frame_transport_scale_records_reach_the_op():
+    # each frame_transport/{k} set is unit frames times k: the records hold
+    # the op's result, not an overflow or a zero tangent of the corpus
+    tool, found = corpus_records(r"frame_transport/[^a-z].*")
+    records = {key: got for key, (_, got) in found.items()}
     assert len(records) == len(tool.FRAME_SCALES)
     for key, got in records.items():
         assert got[0] == "ok", (key, got)
         assert np.isfinite(got[1].steps).all(), key
+
+
+def test_sweep_and_cayley_records_are_results_or_typed_errors():
+    # six polylines at nine scales and three tolerances; twenty Gibbs
+    # vectors for each cayley op
+    _, records = corpus_records(r"(sweep|skew_from_vector|vector_from_skew|cayley_\w+)/.*")
+    ops = [op for op, _ in records.values()]
+    assert {op: ops.count(op) for op in set(ops)} == {
+        "sweep": 162, "skew_from_vector": 20, "vector_from_skew": 20,
+        "cayley_inverse": 20, "cayley_forward": 20,
+    }
+    kinds = set()
+    for key, (op, got) in records.items():
+        if op == "sweep":  # the CLI's exit code and output, never a raised error
+            assert got[0] == "ok", (key, got)
+            code, out, err = got[1]
+            assert (code, err) == (0, "") and out or code in (1, 2) and not out, (key, got)
+            assert code == 0 or re.fullmatch(r"error: [A-Z_]+: .*\n", err), (key, got)
+            kinds.add((op, code))
+        else:
+            assert got[0] == "ok" or got[1] in gibbsrot.errors.__all__, (key, got)
+            kinds.add((op, got[0]))
+    assert {("sweep", 0), ("sweep", 1)} <= kinds
+    assert {(op, x) for op in ("cayley_inverse", "cayley_forward") for x in ("ok", "err")} <= kinds

@@ -13,7 +13,8 @@ components and half turns; rotation matrices carry entry noise up to
   NaN compared as equal, or both raise the same error type with the same
   message; a batch that returns has the one-row outputs as its rows
   (``is_rotation_matrix`` reports one check per batch: the conjunction
-  and maxima of its rows' checks).
+  and maxima of its rows' checks); the ``cayley`` functions take one
+  matrix per call, so this clause does not apply to them.
 
 The draws are seeded, so the module is deterministic.
 """
@@ -242,3 +243,57 @@ def test_batch_only_ops(rng):
         t, m = (directions(rng, 8) * magnitudes(rng, 8)[:, None] for _ in range(2))
         out = outcome(lambda: g.frame_transport(np.stack([t, m], axis=1)))
         assert isinstance(out, GibbsError) or not any(np.isnan(x).any() for x in out)
+
+
+def unit_quaternions(rng, n):
+    """Unit quaternions ``[w, x, y, z]`` of wide components (subnormal and
+    zero ones among them), and with ``w`` exactly +-0, subnormal, and on
+    both sides of ``TOL_QUATERNION_REAL``."""
+    q = np.where(rng.random((n, 1)) < 0.5, rng.normal(size=(n, 4)), wide(rng, (n, 4)))
+    q[np.abs(q).max(axis=1) == 0.0] = [0.0, 0.0, 0.0, 1.0]
+    q /= np.abs(q).max(axis=1, keepdims=True)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    tol = g.TOL_QUATERNION_REAL
+    w = rng.choice([0.0, -0.0, 5e-324, tol / 2, tol, -tol, 2 * tol, -4 * tol, 1e-300], n // 3)
+    v = directions(rng, len(w))
+    q[::3] = np.concatenate([w[:, None], v / np.linalg.norm(v, axis=1, keepdims=True)], 1)
+    return q
+
+
+def test_quaternion_ops(rng):
+    q, p = unit_quaternions(rng, N), unit_quaternions(rng, N)
+    check_rows(g.quaternion_multiply, q, p, gibbs=False)
+    check_rows(g.quaternion_to_matrix, q, gibbs=False)
+    check_rows(g.quaternion_to_gibbs, q)
+    check_rows(g.canonicalize_quaternion, q, gibbs=False)
+
+
+def test_euler_to_matrix_over_wide_angles(rng):
+    yaw, pitch, roll = wide(rng, (3, N))
+    pitch[::5] = rng.choice([np.pi / 2, -np.pi / 2, FMAX, -FMAX], len(pitch[::5]))
+    check_rows(g.euler_to_matrix, yaw, pitch, roll, gibbs=False)
+
+
+def test_cayley_ops(rng):
+    # one matrix per call: the contract without its one-row-equals-batch
+    # clause; cayley_inverse's outputs are rotations within its stated bound
+    skews = [outcome(lambda: g.skew_from_vector(r)) for r in gibbs_rows(rng, N)]
+    for n in (2, 3, 4):  # dense antisymmetric arrays of wide entries
+        for _ in range(N // 4):
+            a = np.zeros((n, n))
+            a[np.tril_indices(n, -1)] = wide(rng, n * (n - 1) // 2)
+            skews.append(a - a.T)
+    for s in skews:
+        if isinstance(s, GibbsError):
+            continue
+        n = len(np.asarray(s))
+        if n == 3:
+            back = outcome(lambda: g.vector_from_skew(s))
+            assert not isinstance(back, GibbsError) and np.isfinite(back).all(), s
+        u = outcome(lambda: g.cayley_inverse(s))
+        if not isinstance(u, GibbsError):
+            assert np.abs(u.T @ u - np.eye(n)).max() <= g.TOL_ORTHO_INPUT, s
+            assert abs(np.linalg.det(u) - 1.0) <= g.TOL_ORTHO_INPUT, s
+    for u in noisy_rotations(rng, N):
+        s = outcome(lambda: g.cayley_forward(u))
+        assert isinstance(s, GibbsError) or np.isfinite(np.asarray(s)).all(), u

@@ -63,7 +63,6 @@ AUDITED = {
         "rotate_vector",
         "_rotate_by_pair",
         "_row_pairs",
-        "_is_one",
         "_new_rows",
         "_put",
         "_unpack",

@@ -8,13 +8,16 @@ Builds one seeded corpus with this checkout's ``tests/helpers.py`` (the
 ``mixed_rows`` Gibbs rows, vectors and alignment pairs at extreme scales,
 half turns, noisy matrices, quaternions, angles, a long composition chain,
 the overflow cases of the alignment line, vectors near the float maximum,
-frames at several tolerances and unit frames at several scales), then
+frames at several tolerances, unit frames at several scales, polylines
+at every scale and Gibbs vectors of moderate and extreme magnitude), then
 runs it through every public op of ``core``, ``algebra``, ``bridges`` and
-``alignment`` in two fresh processes: one importing ``gibbsrot`` from
-this checkout's ``src``, one from ``DIR/src``.  Each input is run as one row and inside a batch;
-warnings are errors.  A record is one call's output bytes (a named
-tuple's fields together; a batch's split into rows), or the error's type
-and message.  Every record that differs is printed, then per op the
+``alignment``, the four ``cayley`` functions and ``gibbsrot sweep --json``
+at three tolerances, in two fresh processes: one importing ``gibbsrot``
+from this checkout's ``src``, one from ``DIR/src``.  Each input is run
+as one row and inside a batch; warnings are errors.  A record is one
+call's output bytes (a named tuple's fields together; a batch's split
+into rows; for ``sweep`` the exit code, stdout and stderr), or the
+error's type and message.  Every record that differs is printed, then per op the
 count, the largest move of a float output relative to its row's max-abs
 and, for Gibbs outputs, the largest matrix-entry difference (inf where a
 row holds NaN on one side).  Exits 1 if any record differs.  Needs only the standard library and numpy.
@@ -23,7 +26,9 @@ row holds NaN on one side).  Exits 1 if any record differs.  Needs only the stan
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import subprocess
 import sys
@@ -91,12 +96,30 @@ def make_corpus(rng) -> dict[str, np.ndarray]:
     s_far = rng.normal(size=(n, 3))
     s_far /= np.abs(s_far).max(axis=1, keepdims=True)
     s_far *= rng.choice([4.4e307, 4.5e307, 1e308, np.finfo(float).max], n)[:, None]
+    # polylines for ``gibbsrot sweep``, each times every corpus scale
+    t = np.linspace(0.0, 4.0 * np.pi, 40)
+    curves = {
+        "helix": np.stack([np.cos(t), np.sin(t), 0.2 * t], axis=1),
+        "straight": np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 1, 0], [4, 2, 0], [4, 3, 1]]),
+        "near_reversal": np.array([[0.0, 0, 0], [1, 0, 0], [0.5, 1e-6, 0], [0, 2e-6, 0]]),
+        **{f"bend_{b!r}": np.array([[0.0, 0, 0], [1, 0, 0], [-1, b, 0]])
+           for b in (1e-150, 1e-200, 1e-300)},
+    }
+    polylines = {f"polyline:{name}:{float(k)!r}": pts * k for name, pts in curves.items() for k in scales}
+    # Gibbs vectors for the cayley ops, of moderate and extreme |r|, and their matrices
+    cayley_r = np.concatenate([
+        random_gibbs(rng, 8, 1e-3, 1e3),
+        random_units(rng, 8) * np.array([1e5, 1e6, 1e7, 1e17, 1e60, 1e200, 1e300, 5e-324])[:, None],
+        [[1e17] * 3, [0.0, 3.5635669507180646e208, 3.039057355300787e175], [0.0, 0.0, 0.0]],
+        pi_encode([[0.0, 0.0, 1.0]]),
+    ])
     return dict(
         r=r, r2=r[rng.permutation(n)], s=rng.normal(size=(n, 3)) * k,
         axis=random_units(rng, n), angle=angle, u=u, q=q, euler=euler, p1=p1 * k1, q1=q1, p2=p2 * k2, q2=q2, gamma=gamma,
         edge_p=edge_p, edge_q=edge_q,
         edge_gamma=np.array([1e10, 1e308, -1e308, 1e300, 2.0**1000, 1e200]),
         chain=chain, frames=frames, frames_k=frames_k, s_far=s_far,
+        cayley_r=cayley_r, cayley_u=gibbs_to_matrix(cayley_r), **polylines,
     )
 
 
@@ -120,6 +143,22 @@ def split_rows(out, n: int):
         parts = [split_rows(x, n) for x in out]
         return None if None in parts else [tuple(p) for p in zip(*parts)]
     return None
+
+
+def sweep(points: np.ndarray, tol: str) -> tuple:
+    """``gibbsrot sweep --json --tol tol`` in-process on ``points`` as
+    stdin: its exit code, stdout and stderr."""
+    from gibbsrot import cli
+
+    text = "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in points.tolist())
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["sweep", "--json", "--tol", tol])
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
 
 
 def calls(c: dict[str, np.ndarray]):
@@ -181,6 +220,17 @@ def calls(c: dict[str, np.ndarray]):
     for tol in (0.0, 1e-15, 1e-3):
         yield "frame_transport", f"frame_transport/tol={tol!r}", (
             lambda tol=tol: g.frame_transport(frames, tol=tol)), None
+    for key in sorted(x for x in c if x.startswith("polyline:")):
+        for tol in ("0", "1e-09", "0.001"):
+            yield "sweep", f"sweep/{key[9:]}/tol={tol}", (
+                lambda p=c[key], tol=tol: sweep(p, tol)), None
+    for i, (r, u) in enumerate(zip(c["cayley_r"], c["cayley_u"])):
+        yield "skew_from_vector", f"skew_from_vector/{i}", (lambda r=r: g.skew_from_vector(r)), None
+        yield "vector_from_skew", f"vector_from_skew/{i}", (
+            lambda r=r: g.vector_from_skew(g.skew_from_vector(r))), None
+        yield "cayley_inverse", f"cayley_inverse/{i}", (
+            lambda r=r: g.cayley_inverse(g.skew_from_vector(r))), None
+        yield "cayley_forward", f"cayley_forward/{i}", (lambda u=u: g.cayley_forward(u)), None
 
 
 def outcome(call):
