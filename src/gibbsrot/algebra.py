@@ -40,7 +40,7 @@ from .core import (
     _dehomogenize,
     _homogeneous,
     _inner,
-    _pow2_scale,
+    _max_abs,
     _quotient_rows,
     _row_pairs,
     _unpack,
@@ -129,7 +129,11 @@ def compose_scan(vectors) -> np.ndarray:
     d = 1
     while d < arr.shape[0]:
         w, v = _hamilton(q[0, d:], q[1:, d:], q[0, :-d], q[1:, :-d])
-        q[:, d:] = _pow2_scale(np.array([w, *v]))[0]
+        out = q[:, d:]
+        out[0], out[1:] = w, v
+        # pairs of max-abs at most 1 have products of max-abs at most 4, so
+        # scaling each row's max-abs into [0.5, 1) cannot overflow
+        np.ldexp(out, -np.frexp(np.maximum(np.abs(w), _max_abs(v)))[1], out=out)
         d *= 2
     return _dehomogenize(q[0], q[1:], TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 

@@ -165,10 +165,14 @@ def _canonical_signs(q) -> np.ndarray:
     return out
 
 
-def _unit_quaternion(q: np.ndarray) -> np.ndarray:
+def _unit_quaternion(q) -> np.ndarray:
     """Canonical unit quaternions, as rows, of the homogeneous pairs
     given as ``(4,) + batch`` component columns ``q = (w, x, y, z)`` the
-    caller owns, ``|q|^2`` from :func:`_norm_sq`."""
+    caller owns, or as one pair's four Python floats in a list, ``|q|^2``
+    from :func:`_norm_sq`."""
+    if type(q) is list:  # math.sqrt is correctly rounded, as np.sqrt is
+        n = math.sqrt(_norm_sq(q))
+        return _canonical_signs([c / n for c in q])
     q /= np.sqrt(_norm_sq(q))
     return _canonical_signs(q.tolist() if q.ndim == 1 else q)
 
@@ -383,6 +387,6 @@ def matrix_to_euler(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_INPUT
     yaw = np.where(locked, np.arctan2(u01, np.where(sb >= 0.0, -u02, u02)), np.arctan2(-u10, u00))
     roll = np.where(locked, 0.0, np.arctan2(-u21, u22))
     yaw, roll = (np.where(x == -np.pi, np.pi, x) for x in (yaw, roll))
-    if cols.ndim == 1:
+    if yaw.ndim == 0:
         return EulerAngles(float(yaw), float(pitch), float(roll))
     return EulerAngles(yaw, pitch, roll)

@@ -27,14 +27,13 @@ call first unpacks its input once into contiguous component columns
 (``_columns``: a ``(3,) + batch`` array for vectors, ``(9,) + batch`` for
 matrices), runs the kernel's formula on those columns and writes its
 output rows once.  Every kernel and row helper reads this one layout; a
-caller holding rows passes a transposed view.  The batch shape is kept,
-so one matrix unpacks into numpy scalars, and one row of the pair ops
-into Python floats (``_unpack``), which the same kernels take with no
-numpy call per operation; each row of a batch equals the call on that
-row alone, byte for byte.  Inside a kernel each
-intermediate is made by one out-of-place operation and every later term
-is folded in with augmented assignment (``s = a * b; s += c * d``), in
-the order of the written formula, so no pass allocates a fresh
+caller holding rows passes a transposed view.  One row of the pair ops
+and one matrix unpack instead into a list of Python floats (``_unpack``),
+which the same kernels take with no numpy call per operation; each row
+of a batch equals the call on that row alone, byte for byte.  Inside a
+kernel each intermediate is made by one out-of-place operation and every
+later term is folded in with augmented assignment (``s = a * b; s += c *
+d``), in the order of the written formula, so no pass allocates a fresh
 batch-sized temporary it need not.
 
 Convention
@@ -236,17 +235,20 @@ def _columns(a: np.ndarray, row_ndim: int) -> np.ndarray:
     Batched kernels read each component many times; on row-major
     (n, 3) or (n, 3, 3) input every such read is strided and pulls the
     whole array through the cache, so each input is copied once here.
-    The batch shape is kept, so one row unpacks into scalars.
+    The batch shape is kept, so one row unpacks into numpy scalars;
+    :func:`_unpack` gives one row as Python floats instead.
     """
     batch = a.shape[: a.ndim - row_ndim]
     width = math.prod(a.shape[a.ndim - row_ndim:])
     return a.reshape(-1, width).T.copy().reshape((width,) + batch)
 
 
-def _unpack(a: np.ndarray):
-    """The component columns of the rows ``a``, or one row's Python floats:
-    the kernels run on both, as Python's ``+ - * /`` are numpy's IEEE ops."""
-    return a.tolist() if a.ndim == 1 else _columns(a, 1)
+def _unpack(a: np.ndarray, row_ndim: int = 1):
+    """The component columns (:func:`_columns`) of the rows ``a``, its last
+    ``row_ndim`` axes, or one row's components as a list of Python floats,
+    row-major: the kernels run on both, as Python's ``+ - * /`` are
+    numpy's IEEE ops."""
+    return a.ravel().tolist() if a.ndim == row_ndim else _columns(a, row_ndim)
 
 
 @dataclass(frozen=True)
@@ -276,12 +278,14 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
     return _rotation_check(_rotation_columns(u, False, tol), tol)
 
 
-def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
+def _rotation_check(u, tol: float) -> RotationCheck:
     """:func:`is_rotation_matrix` on the nine component columns ``u`` of a
-    batch (``u00, u01, ..., u22``, as :func:`_columns` gives them)."""
-    if not np.isfinite(u).all():
+    batch (``u00, u01, ..., u22``, as :func:`_columns` gives them), or on
+    one matrix's nine numbers as a list (:func:`_unpack`)."""
+    one = type(u) is list
+    if not (all(map(math.isfinite, u)) if one else np.isfinite(u).all()):
         raise InvalidInputError("matrix has non-finite entries")
-    if u.size == 0:
+    if not (one or u.size):
         return RotationCheck(True, 0.0, 0.0)
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
     cols = ((u00, u10, u20), (u01, u11, u21), (u02, u12, u22))
@@ -300,30 +304,40 @@ def _rotation_check(u: np.ndarray, tol: float) -> RotationCheck:
         m *= x
         det += m
     det -= 1.0
-    # one array of the six entries, so one max reads them all (and keeps
-    # a NaN entry as the residual)
-    gram = np.array(gram)
-    res = float(np.abs(gram, out=gram).max())
-    dev = float(np.abs(det).max())
+    # a NaN entry (inf - inf of huge entries) is the residual: numpy's max
+    # keeps it, Python's may not
+    if one:
+        res = math.nan if any(map(math.isnan, gram)) else max(map(abs, gram))
+        dev = abs(det)
+    else:  # one array of the six entries, so one max reads them all
+        gram = np.array(gram)
+        res = float(np.abs(gram, out=gram).max())
+        dev = float(np.abs(det).max())
     return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
 
 
-def _rotation_columns(u, check: bool, ortho_tol: float) -> np.ndarray:
-    """The nine component columns (:func:`_columns`) of the 3x3 matrices
-    ``u``, the one gate of every matrix operand: ``ortho_tol`` checked,
-    the shape, then with ``check`` set :func:`_rotation_check`."""
+def _rotation_columns(u, check: bool, ortho_tol: float):
+    """The nine component columns of the 3x3 matrices ``u`` as
+    :func:`_unpack` gives them, one matrix's as its Python floats: the one
+    gate of every matrix operand, ``ortho_tol`` checked, the shape, then
+    with ``check`` set :func:`_rotation_check`.  One unchecked matrix with
+    a non-finite entry gets numpy scalars instead, whose ``inf - inf`` and
+    ``0 / 0`` give NaN where Python's ``/`` would raise, as in a batch."""
     _check_tol(ortho_tol, "ortho_tol")
     a = _as_float(u, "matrix")
     if a.ndim < 2 or a.shape[-2:] != (3, 3):
         raise InvalidInputError(f"matrix must be 3x3 (last two axes), got shape {a.shape}")
-    cols = _columns(a, 2)
-    if check and not (chk := _rotation_check(cols, ortho_tol)):
-        raise InvalidInputError(
-            "not a rotation matrix within tolerance "
-            f"{ortho_tol:g} (orthogonality residual {chk.max_orthogonality_residual:.3e}, "
-            f"determinant deviation {chk.max_det_deviation:.3e})",
-            code="NOT_ROTATION",
-        )
+    cols = _unpack(a, 2)
+    if check:
+        if not (chk := _rotation_check(cols, ortho_tol)):
+            raise InvalidInputError(
+                "not a rotation matrix within tolerance "
+                f"{ortho_tol:g} (orthogonality residual {chk.max_orthogonality_residual:.3e}, "
+                f"determinant deviation {chk.max_det_deviation:.3e})",
+                code="NOT_ROTATION",
+            )
+    elif type(cols) is list and not all(map(math.isfinite, cols)):
+        cols = _columns(a, 2)
     return cols
 
 
@@ -561,33 +575,35 @@ def _pivot_table(u, scale=1):
     """Shepperd's table of the nine component columns ``u`` of a batch
     (``u00, u01, ..., u22``, as :func:`_columns` gives them): the
     ``(4, 4) + batch`` array whose ``[k, :]`` is ``4 q_k (w, x, y, z)``,
-    its diagonal ``1 + tr`` and ``1 + 2 u_kk - tr``.  Ten distinct
-    entries, each a signed sum of named matrix entries; exact on
-    ``fractions.Fraction``.  Elementary arithmetic only.
+    its diagonal ``1 + tr`` and ``1 + 2 u_kk - tr``; for one matrix's
+    nine numbers as a list (:func:`_unpack`), the table as four lists.
+    Ten distinct entries, each a signed sum of named matrix entries; exact
+    on ``fractions.Fraction``.  Elementary arithmetic only.
 
     ``u`` may be a rotation matrix times ``scale`` (a scalar or a batch
     column): the table, every entry homogeneous in ``(u, scale)``, is then
     ``scale`` times the rotation's.
     """
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
-    t = np.empty((4, 4) + u.shape[1:], u.dtype)
     d = u00 + u11
     d += u22
     d += scale
-    t[0, 0] = d  # 4 w^2
+    diag = [d]  # 4 w^2
     # 4 x^2, 4 y^2, 4 z^2: u_kk minus the other two, plus scale
-    for k, (a, b, c) in enumerate(((u00, u11, u22), (u11, u00, u22), (u22, u00, u11)), 1):
+    for a, b, c in ((u00, u11, u22), (u11, u00, u22), (u22, u00, u11)):
         d = a - b
         d -= c
         d += scale
-        t[k, k] = d
-    t[0, 1] = t[1, 0] = u12 - u21  # 4 w x
-    t[0, 2] = t[2, 0] = u20 - u02  # 4 w y
-    t[0, 3] = t[3, 0] = u01 - u10  # 4 w z
-    t[1, 2] = t[2, 1] = u01 + u10  # 4 x y
-    t[1, 3] = t[3, 1] = u02 + u20  # 4 x z
-    t[2, 3] = t[3, 2] = u12 + u21  # 4 y z
-    return t
+        diag.append(d)
+    wx, wy, wz = u12 - u21, u20 - u02, u01 - u10  # 4 w (x, y, z)
+    xy, xz, yz = u01 + u10, u02 + u20, u12 + u21  # 4 x y, 4 x z, 4 y z
+    t = [
+        [diag[0], wx, wy, wz],
+        [wx, diag[1], xy, xz],
+        [wy, xy, diag[2], yz],
+        [wz, xz, yz, diag[3]],
+    ]
+    return t if type(u) is list else np.array(t)
 
 
 # flat offsets of a table row's four entries, per batch element
@@ -597,7 +613,8 @@ _ROW_ENTRIES = np.arange(4)[:, None]
 def _pivot_row(u, scale=1):
     """The row of :func:`_pivot_table` with the largest own entry, for the
     nine component columns ``u`` (a rotation matrix times ``scale``): the
-    ``(4,) + batch`` columns ``4 scale q_k (w, x, y, z)``.
+    ``(4,) + batch`` columns ``4 scale q_k (w, x, y, z)``, or one
+    matrix's row as a list.
 
     The four own entries sum to ``4 scale``, so for a nonzero ``scale``
     the chosen row is never zero, and its ratios are the quaternion up to
@@ -606,7 +623,10 @@ def _pivot_row(u, scale=1):
     reads it.  Elementary arithmetic only.
     """
     t = _pivot_table(u, scale)
-    d0, d1, d2, d3 = t[0, 0], t[1, 1], t[2, 2], t[3, 3]
+    d0, d1, d2, d3 = t[0][0], t[1][1], t[2][2], t[3][3]
+    if type(t) is list:  # finite numbers (see _rotation_columns): no NaN
+        hi = max(d2, d3) > max(d0, d1)
+        return t[2 * hi + (d3 > d2 if hi else d1 > d0)]
     hi = np.maximum(d2, d3) > np.maximum(d0, d1)
     k = (2 * hi + ((d3 > d2) & hi | (d1 > d0) & np.logical_not(hi))).reshape(-1)
     n = k.size

@@ -280,6 +280,7 @@ def test_pivot_choice_is_the_lowest_index_argmax_of_the_table():
     want = table[diag.argmax(axis=0), :, np.arange(cols.shape[1])].T
     got = _pivot_row(cols)
     assert got.tobytes() == want.tobytes()
+    assert all(_pivot_row(c.tolist()) == w.tolist() for c, w in zip(cols.T, want.T))
     ties = (diag == diag.max(axis=0)).sum(axis=0) > 1
     assert ties.sum() > 1000
     # the same choice on the pivot ties of real rotations
@@ -289,6 +290,88 @@ def test_pivot_choice_is_the_lowest_index_argmax_of_the_table():
     diag = np.stack([table[k, k] for k in range(4)])
     want = table[diag.argmax(axis=0), :, np.arange(len(m))].T
     assert _pivot_row(cols).tobytes() == want.tobytes()
+    # one matrix's nine floats pick the same row
+    for i in range(len(m)):
+        assert _pivot_row(cols[:, i].tolist()) == want[:, i].tolist(), i
+
+
+def half_turn(axis):
+    a = np.asarray(axis, float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(a, a) - np.eye(3)
+
+
+def one_matrix_cases():
+    """Matrices for the one-matrix route: pivot ties (half turns about
+    (1, 1, 0) and (1, 1, 1), the identity with noise, small-integer
+    non-rotations), huge entries (one with a Gram entry inf - inf) and
+    non-finite ones, whose unchecked extraction has 0 / 0 in its divide."""
+    rng = np.random.default_rng(62)
+    nan_gram = np.eye(3)
+    nan_gram[:2, :2] = [[1e200, 1e200], [1e200, -1e200]]
+    zero_by_zero = np.diag([-1.0, 1.0, -1.0])
+    zero_by_zero[0, 1], zero_by_zero[1, 0] = np.inf, -np.inf
+    with_nan = np.eye(3)
+    with_nan[2, 1] = np.nan
+    return np.concatenate([
+        [half_turn(a) for a in ([1, 1, 0], [1, 1, 1], [0, -1, 1], [1, 1, -1])],
+        [np.diag([1.0, -1, -1]), np.diag([-1.0, -1, 1]), np.eye(3)],
+        np.eye(3) + 1e-11 * rng.normal(size=(8, 3, 3)),
+        rng.integers(-1, 2, size=(40, 3, 3)),
+        rng.normal(size=(8, 3, 3)) * 10.0 ** rng.integers(150, 300, (8, 1, 1)),
+        [nan_gram, zero_by_zero, with_nan],
+    ])
+
+
+ONE_MATRIX_CALLS = {
+    "matrix_to_gibbs": matrix_to_gibbs,
+    "matrix_to_gibbs-unchecked": lambda u: matrix_to_gibbs(u, check=False),
+    "matrix_to_gibbs-pi_trace_tol": lambda u: matrix_to_gibbs(u, pi_trace_tol=4.0, ortho_tol=0.5),
+    "matrix_to_gibbs-unchecked-pi_trace_tol": lambda u: matrix_to_gibbs(
+        u, check=False, pi_trace_tol=1e300
+    ),
+    "matrix_to_quaternion": gibbsrot.matrix_to_quaternion,
+    "matrix_to_quaternion-unchecked": lambda u: gibbsrot.matrix_to_quaternion(u, check=False),
+    "matrix_to_euler": gibbsrot.matrix_to_euler,
+    "matrix_to_euler-unchecked": lambda u: gibbsrot.matrix_to_euler(u, check=False),
+    "is_rotation_matrix": is_rotation_matrix,
+}
+
+
+def matrix_outcome(call):
+    """The output's bytes (a report's fields, NaN as itself), or the
+    error's type, message and code; numpy warnings off, as a batch's
+    huge and non-finite entries raise them where one matrix's floats do
+    not."""
+    with np.errstate(all="ignore"):
+        try:
+            out = call()
+        except InvalidInputError as exc:
+            return type(exc), str(exc), exc.code
+    if isinstance(out, gibbsrot.RotationCheck):
+        return out.ok, repr(out.max_orthogonality_residual), repr(out.max_det_deviation)
+    return [np.asarray(x).tobytes() for x in (out if isinstance(out, tuple) else [out])]
+
+
+@pytest.mark.parametrize("call", ONE_MATRIX_CALLS.values(), ids=ONE_MATRIX_CALLS.keys())
+def test_one_matrix_gives_the_bytes_of_its_batch_of_one(call):
+    # one matrix runs the kernels on its nine Python floats, a batch on
+    # component columns; both give the same bytes or the same error
+    cases = one_matrix_cases()
+    outcomes = [matrix_outcome(lambda: call(u)) for u in cases]
+    for i, u in enumerate(cases):
+        assert outcomes[i] == matrix_outcome(lambda: call(u[None])), i
+    assert sum(not isinstance(x[0], type) for x in outcomes) >= 7
+
+
+def test_a_nan_gram_entry_is_the_residual_of_one_matrix():
+    # huge finite entries make a Gram entry inf - inf; numpy's max keeps the
+    # NaN and Python's max drops it after an inf, which would report inf
+    u = one_matrix_cases()[-3]
+    chk = is_rotation_matrix(u)
+    assert not chk.ok and math.isnan(chk.max_orthogonality_residual)
+    with pytest.raises(InvalidInputError, match="orthogonality residual nan") as exc:
+        matrix_to_gibbs(u)
+    assert exc.value.code == "NOT_ROTATION"
 
 
 def test_compose_batch_rows_equal_single_calls_byte_for_byte():

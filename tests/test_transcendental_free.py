@@ -22,12 +22,14 @@ from gibbsrot.algebra import _compose_direct, _hamilton
 from gibbsrot.alignment import _line, _pair_pivot_row, _reflection_pairs
 from gibbsrot.core import (
     _columns,
+    _dehomogenize,
     _matrix_from_pair,
     _gibbs_from_matrix_direct,
     _matrix_from_gibbs_direct,
     _pivot_row,
     _quotient_rows,
     _rotate_by_pair,
+    _rotation_check,
 )
 
 FORBIDDEN_CALLS = {
@@ -215,8 +217,10 @@ def test_exact_extraction_through_every_pivot_row():
 
 
 def test_exact_column_kernels_on_a_single_matrix():
-    # one matrix unpacks into scalar columns; the kernels stay exact and
-    # give the batched row
+    # one matrix unpacks into scalar columns, or into a list of its nine
+    # numbers as one matrix's route takes it; the kernels stay exact and
+    # give the batched row, the gate finds no residual and the divide the
+    # Gibbs row
     r = rational_vectors(30, 29)
     m = _matrix_from_gibbs_direct(r)
     rows = _pivot_row(_columns(m, 2))
@@ -225,6 +229,14 @@ def test_exact_column_kernels_on_a_single_matrix():
         one = _pivot_row(_columns(m[i], 2))
         assert one.shape == (4,) and all(type(v) is Fraction for v in one)
         assert (one == rows[:, i]).all()
+        nine = m[i].ravel().tolist()
+        row = _pivot_row(nine)
+        assert type(row) is list and all(type(v) is Fraction for v in row)
+        assert row == rows[:, i].tolist()
+        chk = _rotation_check(nine, 0)
+        assert chk.ok and chk.max_orthogonality_residual == chk.max_det_deviation == 0
+        gibbs = _dehomogenize(row[0], row[1:], 0)
+        assert all(type(v) is Fraction for v in gibbs) and (gibbs == r[i]).all()
         assert (_gibbs_from_matrix_direct(m[i]) == back[i]).all()
         assert (_matrix_from_gibbs_direct(r[i]) == m[i]).all()
 
