@@ -72,7 +72,6 @@ class SkewMatrix:
         """
         _check_tol(tol)
         a = _as_square(a, "matrix")
-        n = a.shape[0]
         scale = max(1.0, float(np.abs(a).max()))
         residue = float(np.abs(a + a.T).max()) / 2.0
         if residue > tol * scale:
@@ -80,12 +79,17 @@ class SkewMatrix:
                 f"matrix is not antisymmetric within {tol:g} "
                 f"(symmetric residue {residue:.3e}, scale {scale:g})"
             )
+        return cls._antisymmetric_part(a)
+
+    @classmethod
+    def _antisymmetric_part(cls, a: np.ndarray) -> "SkewMatrix":
+        """The packed ``(A - A^T)/2`` of a finite square float array."""
         with np.errstate(over="ignore"):
             exact = (a - a.T) / 2.0
         # entries past half the float maximum: the difference overflows, the
         # halves (exact there) do not
         exact = np.where(np.isinf(exact), a / 2.0 - a.T / 2.0, exact)
-        return cls(n, exact[np.tril_indices(n, -1)])
+        return cls(a.shape[0], exact[np.tril_indices(a.shape[0], -1)])
 
     def to_array(self) -> np.ndarray:
         """Dense form; exactly antisymmetric by construction."""
@@ -140,7 +144,15 @@ def cayley_forward(u, *, tol: float = TOL_ORTHO_INPUT) -> SkewMatrix:
 
     Raises :class:`SingularCayleyError` when ``U + I`` is singular (the
     rotation has a half-turn plane), reporting |det(U + I)| as the
-    diagnostic.  Implemented as a linear solve, not an explicit inverse.
+    diagnostic.  Implemented as a linear solve, not an explicit inverse,
+    whose antisymmetric part is returned: the solve's rounding and the
+    input's drift from a rotation grow with the conditioning of ``U + I``,
+    about ``1 + s^2`` for ``s`` the largest |entry| of ``S``.  For a 3x3
+    input every entry of ``S`` is within ``2 (eps + g)(1 + s^2)`` of
+    ``skew_from_vector(matrix_to_gibbs(U))``, ``g`` the larger of the
+    input's orthogonality residual and determinant deviation (measured up
+    to 0.6 of that bound on seeded rotations up to the singular cut, with
+    entry noise up to 3e-10).
     """
     _check_tol(tol)
     u = _as_square(u, "matrix")
@@ -156,7 +168,7 @@ def cayley_forward(u, *, tol: float = TOL_ORTHO_INPUT) -> SkewMatrix:
         )
     # Solve S (U + I) = (U - I) by transposing both sides.
     s = np.linalg.solve((u + eye).T, (u - eye).T).T
-    return SkewMatrix.from_array(s)
+    return SkewMatrix._antisymmetric_part(s)
 
 
 def cayley_inverse(s) -> np.ndarray:

@@ -281,9 +281,9 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
 def _rotation_check(u, tol: float) -> RotationCheck:
     """:func:`is_rotation_matrix` on the nine component columns ``u`` of a
     batch (``u00, u01, ..., u22``, as :func:`_columns` gives them), or on
-    one matrix's nine numbers as a list (:func:`_unpack`)."""
+    one matrix's nine finite numbers as a list (:func:`_rotation_columns`)."""
     one = type(u) is list
-    if not (all(map(math.isfinite, u)) if one else np.isfinite(u).all()):
+    if not (one or np.isfinite(u).all()):
         raise InvalidInputError("matrix has non-finite entries")
     if not (one or u.size):
         return RotationCheck(True, 0.0, 0.0)
@@ -318,26 +318,25 @@ def _rotation_check(u, tol: float) -> RotationCheck:
 
 def _rotation_columns(u, check: bool, ortho_tol: float):
     """The nine component columns of the 3x3 matrices ``u`` as
-    :func:`_unpack` gives them, one matrix's as its Python floats: the one
-    gate of every matrix operand, ``ortho_tol`` checked, the shape, then
-    with ``check`` set :func:`_rotation_check`.  One unchecked matrix with
-    a non-finite entry gets numpy scalars instead, whose ``inf - inf`` and
-    ``0 / 0`` give NaN where Python's ``/`` would raise, as in a batch."""
+    :func:`_unpack` gives them, one finite matrix's as its Python floats:
+    the one gate of every matrix operand, ``ortho_tol`` checked, the
+    shape, then with ``check`` set :func:`_rotation_check`."""
     _check_tol(ortho_tol, "ortho_tol")
     a = _as_float(u, "matrix")
     if a.ndim < 2 or a.shape[-2:] != (3, 3):
         raise InvalidInputError(f"matrix must be 3x3 (last two axes), got shape {a.shape}")
     cols = _unpack(a, 2)
-    if check:
-        if not (chk := _rotation_check(cols, ortho_tol)):
-            raise InvalidInputError(
-                "not a rotation matrix within tolerance "
-                f"{ortho_tol:g} (orthogonality residual {chk.max_orthogonality_residual:.3e}, "
-                f"determinant deviation {chk.max_det_deviation:.3e})",
-                code="NOT_ROTATION",
-            )
-    elif type(cols) is list and not all(map(math.isfinite, cols)):
+    # a non-finite entry gets numpy scalars, as in a batch: their inf - inf
+    # and 0 / 0 give NaN where Python's / raises
+    if type(cols) is list and not all(map(math.isfinite, cols)):
         cols = _columns(a, 2)
+    if check and not (chk := _rotation_check(cols, ortho_tol)):
+        raise InvalidInputError(
+            "not a rotation matrix within tolerance "
+            f"{ortho_tol:g} (orthogonality residual {chk.max_orthogonality_residual:.3e}, "
+            f"determinant deviation {chk.max_det_deviation:.3e})",
+            code="NOT_ROTATION",
+        )
     return cols
 
 
@@ -624,11 +623,13 @@ def _pivot_row(u, scale=1):
     """
     t = _pivot_table(u, scale)
     d0, d1, d2, d3 = t[0][0], t[1][1], t[2][2], t[3][3]
-    if type(t) is list:  # finite numbers (see _rotation_columns): no NaN
-        hi = max(d2, d3) > max(d0, d1)
-        return t[2 * hi + (d3 > d2 if hi else d1 > d0)]
+    # one pick for columns and numbers: np.maximum keeps a NaN, so a NaN
+    # entry loses every comparison, as in a batch
     hi = np.maximum(d2, d3) > np.maximum(d0, d1)
-    k = (2 * hi + ((d3 > d2) & hi | (d1 > d0) & np.logical_not(hi))).reshape(-1)
+    k = 2 * hi + ((d3 > d2) & hi | (d1 > d0) & np.logical_not(hi))
+    if type(t) is list:  # one matrix's numbers
+        return t[k]
+    k = k.reshape(-1)
     n = k.size
     at = k * (4 * n) + np.arange(n) + _ROW_ENTRIES * n
     return np.take(t, at).reshape(t.shape[1:])

@@ -17,6 +17,7 @@ from gibbsrot import (
     cayley_forward,
     cayley_inverse,
     gibbs_to_matrix,
+    is_rotation_matrix,
     matrix_to_gibbs,
     pi_encode,
     skew_from_vector,
@@ -222,3 +223,35 @@ def test_inverse_domain_is_the_stated_bound():
         u = cayley_inverse_outcome(r)
         assert not isinstance(u, GibbsError), (r, u)
         assert np.abs(u - gibbs_to_matrix(r)).max() <= 1e-9, r
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 5.5, 6, 7])
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 2e-10])
+def test_forward_near_a_half_turn_returns_its_skew_or_a_singular_error(k, noise):
+    # theta = pi - 10^-k: U + I has |det| ~ 2 10^-2k, and the solve leaves
+    # S asymmetric by about (eps + drift)(1 + |S|^2); from k = 4 that passed
+    # the 1e-12 antisymmetry check of input arrays, and rotations the gate
+    # accepted raised "matrix is not antisymmetric"
+    rng = np.random.default_rng([36, int(2 * k)])
+    eps = np.finfo(float).eps
+    axes = random_units(rng, 50)
+    u = gibbs_to_matrix(axes * np.tan((np.pi - 10.0**-k) / 2.0)[..., None])
+    u += noise * rng.normal(size=u.shape)
+    singular, checked = 0, 0
+    for m in u:
+        chk = is_rotation_matrix(m)
+        if not chk:
+            continue
+        checked += 1
+        try:
+            s = cayley_forward(m).to_array()
+        except SingularCayleyError as exc:
+            assert "|det| = " in str(exc)
+            singular += 1
+            continue
+        # the stated bound: 2 (eps + g)(1 + s^2), g the input's larger gap
+        gap = max(chk.max_orthogonality_residual, chk.max_det_deviation)
+        bound = 2.0 * (eps + gap) * (1.0 + np.abs(s).max() ** 2)
+        ref = skew_from_vector(matrix_to_gibbs(m)).to_array()
+        assert np.abs(s - ref).max() <= bound, m
+    assert checked >= 25 and singular == (checked if k >= 6 else 0)
