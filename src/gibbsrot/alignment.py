@@ -251,7 +251,7 @@ def _line(p, q):
     columns, or as one row's floats (lists): their lines
     r(gamma) = (q x p + gamma (p + q)) / (p . (p + q)).
     Exact on ``fractions.Fraction``; elementary arithmetic only."""
-    s = p + q if isinstance(p, np.ndarray) else [x + y for x, y in zip(p, q)]
+    s = p + q if isinstance(p, np.ndarray) else [p[0] + q[0], p[1] + q[1], p[2] + q[2]]
     return _cross(q, p), s, _inner(p, s)
 
 
@@ -380,7 +380,12 @@ def _broadcast_pairs(vectors) -> list[np.ndarray]:
     one gate of both two-pair solvers.  Finiteness is left to
     :func:`_in_range`, which checks it on the squared norms."""
     try:
-        return _broadcast(**{n: _as_vectors(v, n, False) for v, n in zip(vectors, _PAIR_NAMES)})
+        arrays = list(map(_as_vectors, vectors, _PAIR_NAMES, (False,) * 4))
+        p1, q1, p2, q2 = arrays
+        # one shape, as one row's four vectors have, needs no broadcast
+        if p1.shape == q1.shape == p2.shape == q2.shape:
+            return arrays
+        return _broadcast(**dict(zip(_PAIR_NAMES, arrays)))
     except InvalidInputError:
         # the full per-input checks run first, in argument order, so the
         # error raised is the one they give
@@ -431,7 +436,7 @@ def _solve_pairs(a1, b1, a2, b2, n_a1, n_a2, tol: float) -> np.ndarray:
             index=i,
         )
 
-    d = [x - y for x, y in zip(a2, b2)] if one else a2 - b2
+    d = [a2[0] - b2[0], a2[1] - b2[1], a2[2] - b2[2]] if one else a2 - b2
     den_g = _inner(s1, d)
     # Off the gamma path: rows whose gamma denominator is small against
     # |s1| |p2|, each row with a pair fixed within tol included (see _GAMMA_CUT).
@@ -483,9 +488,10 @@ def _in_range(cols, names):
     # instead of 18 and align_pair_unchecked 35 instead of 21 (2-vCPU Xeon
     # VM, numpy 2.4.6); floats overflow to inf with no warning to suppress
     if one or cols[0].ndim == 1:
-        sq = [_inner(x, x) for x in (cols if one else map(np.ndarray.tolist, cols))]
+        xs = cols if one else [x.tolist() for x in cols]
+        sq = list(map(_inner, xs, xs))
         if sum(sq) <= _SQ_NORM_HI and min(sq[::2]) >= _SQ_NORM_LO:
-            return cols, sq, [0] * len(sq[::2])
+            return cols, sq, [0] * (len(sq) // 2)
         cols = list(map(np.asarray, cols))
     with np.errstate(over="ignore"):
         sq = [_inner(x, x) for x in cols]

@@ -170,11 +170,14 @@ def _put(out, i: int, a, d=None) -> None:
 
 def _quotient_rows(v, d):
     """Rows ``v / d`` of three component columns ``v`` over ``d``, of one
-    batch shape, each column divided straight into a new row output."""
+    batch shape, each column divided straight into a new row output; one
+    row of numbers is divided in a list."""
+    if not isinstance(d, np.ndarray):
+        return np.array([v[0] / d, v[1] / d, v[2] / d])
     out = _new_rows(d, 3)
     for i in range(3):
         _put(out, i, v[i], d)
-    return np.asarray(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +251,9 @@ def _unpack(a: np.ndarray, row_ndim: int = 1):
     ``row_ndim`` axes, or one row's components as a list of Python floats,
     row-major: the kernels run on both, as Python's ``+ - * /`` are
     numpy's IEEE ops."""
-    return a.ravel().tolist() if a.ndim == row_ndim else _columns(a, row_ndim)
+    if a.ndim != row_ndim:
+        return _columns(a, row_ndim)
+    return (a if row_ndim == 1 else a.ravel()).tolist()
 
 
 @dataclass(frozen=True)
@@ -282,11 +287,29 @@ def _rotation_check(u, tol: float) -> RotationCheck:
     """:func:`is_rotation_matrix` on the nine component columns ``u`` of a
     batch (``u00, u01, ..., u22``, as :func:`_columns` gives them), or on
     one matrix's nine finite numbers as a list (:func:`_rotation_columns`)."""
-    one = type(u) is list
-    if not (one or np.isfinite(u).all()):
+    res, dev = _rotation_residuals(u)
+    return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
+
+
+def _rotation_residuals(u):
+    """The orthogonality residual and the determinant deviation of
+    :func:`_rotation_check`, the gate's two numbers; 0.0 each for an
+    empty batch.  A batch's huge finite entries overflow quietly, as one
+    matrix's Python floats do, and give residuals inf or NaN."""
+    if type(u) is list:
+        return _residuals(u)
+    if not np.isfinite(u).all():
         raise InvalidInputError("matrix has non-finite entries")
-    if not (one or u.size):
-        return RotationCheck(True, 0.0, 0.0)
+    if not u.size:
+        return 0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _residuals(u)
+
+
+def _residuals(u):
+    """:func:`_rotation_residuals`' arithmetic on the columns or numbers
+    ``u``: the six distinct entries of ``U^T U - I`` and ``det U - 1``,
+    each reduced to its largest magnitude."""
     u00, u01, u02, u10, u11, u12, u20, u21, u22 = u
     cols = ((u00, u10, u20), (u01, u11, u21), (u02, u12, u22))
     # the six distinct entries of U^T U - I: dot products of the columns,
@@ -306,21 +329,17 @@ def _rotation_check(u, tol: float) -> RotationCheck:
     det -= 1.0
     # a NaN entry (inf - inf of huge entries) is the residual: numpy's max
     # keeps it, Python's may not
-    if one:
-        res = math.nan if any(map(math.isnan, gram)) else max(map(abs, gram))
-        dev = abs(det)
-    else:  # one array of the six entries, so one max reads them all
-        gram = np.array(gram)
-        res = float(np.abs(gram, out=gram).max())
-        dev = float(np.abs(det).max())
-    return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
+    if type(u) is list:
+        return math.nan if any(map(math.isnan, gram)) else max(map(abs, gram)), abs(det)
+    gram = np.array(gram)  # one array of the six entries, so one max reads them all
+    return float(np.abs(gram, out=gram).max()), float(np.abs(det).max())
 
 
 def _rotation_columns(u, check: bool, ortho_tol: float):
     """The nine component columns of the 3x3 matrices ``u`` as
     :func:`_unpack` gives them, one finite matrix's as its Python floats:
     the one gate of every matrix operand, ``ortho_tol`` checked, the
-    shape, then with ``check`` set :func:`_rotation_check`."""
+    shape, then with ``check`` set :func:`_rotation_residuals`."""
     _check_tol(ortho_tol, "ortho_tol")
     a = _as_float(u, "matrix")
     if a.ndim < 2 or a.shape[-2:] != (3, 3):
@@ -330,13 +349,15 @@ def _rotation_columns(u, check: bool, ortho_tol: float):
     # and 0 / 0 give NaN where Python's / raises
     if type(cols) is list and not all(map(math.isfinite, cols)):
         cols = _columns(a, 2)
-    if check and not (chk := _rotation_check(cols, ortho_tol)):
-        raise InvalidInputError(
-            "not a rotation matrix within tolerance "
-            f"{ortho_tol:g} (orthogonality residual {chk.max_orthogonality_residual:.3e}, "
-            f"determinant deviation {chk.max_det_deviation:.3e})",
-            code="NOT_ROTATION",
-        )
+    if check:
+        res, dev = _rotation_residuals(cols)
+        if not (res <= ortho_tol and dev <= ortho_tol):
+            raise InvalidInputError(
+                "not a rotation matrix within tolerance "
+                f"{ortho_tol:g} (orthogonality residual {res:.3e}, "
+                f"determinant deviation {dev:.3e})",
+                code="NOT_ROTATION",
+            )
     return cols
 
 
@@ -617,19 +638,25 @@ def _pivot_row(u, scale=1):
 
     The four own entries sum to ``4 scale``, so for a nonzero ``scale``
     the chosen row is never zero, and its ratios are the quaternion up to
-    scale: ``v / w`` is the Gibbs vector.  Three comparisons pick the row,
-    the lowest index on ties as ``argmax`` would, and one flat gather
-    reads it.  Elementary arithmetic only.
+    scale: ``v / w`` is the Gibbs vector.  Comparisons alone pick the row,
+    the lowest index on ties as ``argmax`` would, with the same spelling
+    on columns and on one matrix's Python floats, and one flat gather
+    reads a batch's rows.  Elementary arithmetic only.
     """
     t = _pivot_table(u, scale)
     d0, d1, d2, d3 = t[0][0], t[1][1], t[2][2], t[3][3]
-    # one pick for columns and numbers: np.maximum keeps a NaN, so a NaN
-    # entry loses every comparison, as in a batch
-    hi = np.maximum(d2, d3) > np.maximum(d0, d1)
-    k = 2 * hi + ((d3 > d2) & hi | (d1 > d0) & np.logical_not(hi))
+    # rows 2, 3 when d2 or d3 beats both d0 and d1.  A diagonal NaN comes
+    # from a NaN entry (all four) or from inf - inf among u00, u11, u22,
+    # which makes a NaN d2 or d3 only with a NaN d0, d1 or both of d2, d3;
+    # as a NaN fails every comparison, any NaN keeps rows 0, 1, and a NaN
+    # d0 or d1 picks row 0.  ``hi ^ True`` negates a bool and a bool column
+    # alike, where Python's ``~True`` is -2.
+    hi = (d2 > d0) & (d2 > d1) | (d3 > d0) & (d3 > d1)
+    k = 2 * hi + ((d3 > d2) & hi | (d1 > d0) & (hi ^ True))
     if type(t) is list:  # one matrix's numbers
         return t[k]
-    k = k.reshape(-1)
+    # a Fraction table of one matrix gives a Python int
+    k = np.reshape(k, -1)
     n = k.size
     at = k * (4 * n) + np.arange(n) + _ROW_ENTRIES * n
     return np.take(t, at).reshape(t.shape[1:])

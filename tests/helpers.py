@@ -104,3 +104,35 @@ def tilted_pairs(rng, n: int, tilt: float, theta=None):
     axis = np.cos(tilt) * (np.cos(phi) * e1 + np.sin(phi) * e2) + np.sin(tilt) * normal
     angle = rng.uniform(0.1, 3.0, size=n) if theta is None else np.full(n, theta)
     return p1, turn_about(axis, angle, p1), p2, turn_about(axis, angle, p2)
+
+
+def half_turn(axis) -> np.ndarray:
+    """The half-turn matrix ``2 a a^T - I`` about the unit ``a`` along ``axis``."""
+    a = np.asarray(axis, float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(a, a) - np.eye(3)
+
+
+def pivot_pick_matrices() -> dict[str, np.ndarray]:
+    """Matrices on which Shepperd's pivot pick meets its hard cases, by
+    kind: ``ties``, pivot ties (half turns about (1, 1, 0) and (1, 1, 1),
+    the identity with noise) and small-integer non-rotations; ``huge``,
+    huge finite entries, the last with a Gram entry inf - inf; and
+    ``nonfinite``, non-finite entries, one with 0 / 0 in the unchecked
+    extraction's divide.  Seeded, so the same on every call."""
+    rng = np.random.default_rng(62)
+    nan_gram = np.eye(3)
+    nan_gram[:2, :2] = [[1e200, 1e200], [1e200, -1e200]]
+    zero_by_zero = np.diag([-1.0, 1.0, -1.0])
+    zero_by_zero[0, 1], zero_by_zero[1, 0] = np.inf, -np.inf
+    with_nan = np.eye(3)
+    with_nan[2, 1] = np.nan
+    ties = np.concatenate([
+        [half_turn(a) for a in ([1, 1, 0], [1, 1, 1], [0, -1, 1], [1, 1, -1])],
+        [np.diag([1.0, -1, -1]), np.diag([-1.0, -1, 1]), np.eye(3)],
+        np.eye(3) + 1e-11 * rng.normal(size=(8, 3, 3)),
+        rng.integers(-1, 2, size=(40, 3, 3)),
+    ])
+    huge = np.concatenate([
+        rng.normal(size=(8, 3, 3)) * 10.0 ** rng.integers(150, 300, (8, 1, 1)), [nan_gram],
+    ])
+    return {"ties": ties, "huge": huge, "nonfinite": np.stack([zero_by_zero, with_nan])}

@@ -18,7 +18,7 @@ for flag in ("--workload", "--seed", "--seconds", "--trace"):
 a = ap.parse_args()
 k = {"fast": 1.0, "slow": 10.0}[a.workload] * int(a.seed)
 print("# a log line first")
-print(json.dumps({"workload": a.workload, "metrics": {
+print(json.dumps({"workload": a.workload, "trace": a.trace, "metrics": {
     "throughput": {"value": 100.0 * k, "unit": "rot/s"},
     "latency": {"value": 7.0 / k, "unit": "us"},
 }}))
@@ -47,9 +47,11 @@ def test_bench_record_summarizes_each_metric(tmp_path, monkeypatch):
     record = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert record["commit"] == "unknown"
     assert record["cpus_usable"] == os.cpu_count()
+    assert record["command"]["trace"] == 0
     for name, scale in (("fast", 1.0), ("slow", 10.0)):
         workload = record["workloads"][name]
         assert [run["workload"] for run in workload["runs"]] == [name] * 3
+        assert [run["trace"] for run in workload["runs"]] == ["0"] * 3
         summary = workload["summary"]
         throughput = [100.0 * scale * seed for seed in (1, 2, 3)]
         latency = [7.0 / (scale * seed) for seed in (1, 2, 3)]
@@ -62,3 +64,11 @@ def test_bench_record_summarizes_each_metric(tmp_path, monkeypatch):
             assert got["best"] == best
             assert got["median"] == median
             assert got["spread"] == (max(values) - min(values)) / median
+
+    # a traced record of one workload: the flag reaches every run and the record
+    assert bench_record.main(["--label", "tr", "--root", str(tmp_path), "--trace", "1",
+                              "--workload", "slow"]) == 0
+    record = json.loads((tmp_path / "BENCH_tr.json").read_text())
+    assert record["command"]["trace"] == 1
+    assert list(record["workloads"]) == ["slow"]
+    assert [run["trace"] for run in record["workloads"]["slow"]["runs"]] == ["1"] * 3

@@ -3,6 +3,7 @@ encoding, and input validation."""
 
 import math
 import warnings
+from contextlib import nullcontext
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,14 @@ from gibbsrot.algebra import compose
 from gibbsrot.alignment import align_pair
 from gibbsrot.cli import main
 from gibbsrot.core import _pivot_row, _pivot_table, _rotate_by_pair
-from helpers import component_error, matrix_about, mixed_rows, random_gibbs, random_units
+from helpers import (
+    component_error,
+    matrix_about,
+    mixed_rows,
+    pivot_pick_matrices,
+    random_gibbs,
+    random_units,
+)
 
 
 def test_identity_is_exact():
@@ -269,6 +277,14 @@ def test_matrix_to_gibbs_batch_rows_equal_single_calls_byte_for_byte():
     assert matrix_to_gibbs(m[: 2 * k].reshape(2, k, 3, 3)).tobytes() == out[: 2 * k].tobytes()
 
 
+def pivot_choice(diag):
+    """The pick's rule on the table's diagonals ``diag`` (4, n): the lowest
+    index of the largest entry, inf included; with a NaN among the four,
+    row 1 where d1 > d0, else row 0."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isnan(diag).any(axis=0), diag[1] > diag[0], diag.argmax(axis=0))
+
+
 def test_pivot_choice_is_the_lowest_index_argmax_of_the_table():
     # small-integer "matrices" make ties between the diagonal entries
     # common; the choice must match a full-table argmax, ties to the
@@ -283,6 +299,22 @@ def test_pivot_choice_is_the_lowest_index_argmax_of_the_table():
     assert all(_pivot_row(c.tolist()) == w.tolist() for c, w in zip(cols.T, want.T))
     ties = (diag == diag.max(axis=0)).sum(axis=0) > 1
     assert ties.sum() > 1000
+    # entries of +-inf and NaN give diagonals of +-inf (ties among them) and
+    # NaN; columns and one matrix's floats pick the same row
+    cols[rng.random(cols.shape) < 0.05] = np.nan
+    cols[rng.random(cols.shape) < 0.05] = np.inf
+    cols[rng.random(cols.shape) < 0.05] = -np.inf
+    with np.errstate(invalid="ignore"):
+        table = _pivot_table(cols)
+        got = _pivot_row(cols)
+    diag = np.stack([table[k, k] for k in range(4)])
+    nan = np.isnan(diag)
+    assert nan.any(axis=0).sum() > 500 and (nan[2:].any(axis=0) & ~nan[:2].any(axis=0)).sum() > 10
+    assert ((diag == np.inf).sum(axis=0) > 1).sum() > 500
+    want = table[pivot_choice(diag), :, np.arange(cols.shape[1])].T
+    assert got.tobytes() == want.tobytes()
+    for c, w in zip(cols.T, want.T):
+        assert np.array(_pivot_row(c.tolist())).tobytes() == w.tobytes()
     # the same choice on the pivot ties of real rotations
     m = near_half_turn_matrices(np.random.default_rng(47))
     cols = m.reshape(-1, 9).T.copy()
@@ -295,31 +327,9 @@ def test_pivot_choice_is_the_lowest_index_argmax_of_the_table():
         assert _pivot_row(cols[:, i].tolist()) == want[:, i].tolist(), i
 
 
-def half_turn(axis):
-    a = np.asarray(axis, float) / np.linalg.norm(axis)
-    return 2.0 * np.outer(a, a) - np.eye(3)
-
-
 def one_matrix_cases():
-    """Matrices for the one-matrix route: pivot ties (half turns about
-    (1, 1, 0) and (1, 1, 1), the identity with noise, small-integer
-    non-rotations), huge entries (one with a Gram entry inf - inf) and
-    non-finite ones, whose unchecked extraction has 0 / 0 in its divide."""
-    rng = np.random.default_rng(62)
-    nan_gram = np.eye(3)
-    nan_gram[:2, :2] = [[1e200, 1e200], [1e200, -1e200]]
-    zero_by_zero = np.diag([-1.0, 1.0, -1.0])
-    zero_by_zero[0, 1], zero_by_zero[1, 0] = np.inf, -np.inf
-    with_nan = np.eye(3)
-    with_nan[2, 1] = np.nan
-    return np.concatenate([
-        [half_turn(a) for a in ([1, 1, 0], [1, 1, 1], [0, -1, 1], [1, 1, -1])],
-        [np.diag([1.0, -1, -1]), np.diag([-1.0, -1, 1]), np.eye(3)],
-        np.eye(3) + 1e-11 * rng.normal(size=(8, 3, 3)),
-        rng.integers(-1, 2, size=(40, 3, 3)),
-        rng.normal(size=(8, 3, 3)) * 10.0 ** rng.integers(150, 300, (8, 1, 1)),
-        [nan_gram, zero_by_zero, with_nan],
-    ])
+    """The matrices of :func:`helpers.pivot_pick_matrices`, every kind in turn."""
+    return np.concatenate(list(pivot_pick_matrices().values()))
 
 
 ONE_MATRIX_CALLS = {
@@ -337,12 +347,13 @@ ONE_MATRIX_CALLS = {
 }
 
 
-def matrix_outcome(call):
+def matrix_outcome(call, quiet: bool):
     """The output's bytes (a report's fields, NaN as itself), or the
-    error's type, message and code; numpy warnings off, as a batch's
-    huge and non-finite entries raise them where one matrix's floats do
-    not."""
-    with np.errstate(all="ignore"):
+    error's type, message and code.  A warning is an error, unless
+    ``quiet`` turns numpy's off: an unchecked extraction's batch raises
+    them on huge and non-finite entries where one matrix's floats do not."""
+    with warnings.catch_warnings(), np.errstate(all="ignore") if quiet else nullcontext():
+        warnings.simplefilter("error")
         try:
             out = call()
         except InvalidInputError as exc:
@@ -352,15 +363,37 @@ def matrix_outcome(call):
     return [np.asarray(x).tobytes() for x in (out if isinstance(out, tuple) else [out])]
 
 
-@pytest.mark.parametrize("call", ONE_MATRIX_CALLS.values(), ids=ONE_MATRIX_CALLS.keys())
-def test_one_matrix_gives_the_bytes_of_its_batch_of_one(call):
+@pytest.mark.parametrize("name", ONE_MATRIX_CALLS)
+def test_one_matrix_gives_the_bytes_of_its_batch_of_one(name):
     # one matrix runs the kernels on its nine Python floats, a batch on
-    # component columns; both give the same bytes or the same error
+    # component columns; both give the same bytes or the same error, and a
+    # checked call's gate warns on neither
+    call, quiet = ONE_MATRIX_CALLS[name], "unchecked" in name
     cases = one_matrix_cases()
-    outcomes = [matrix_outcome(lambda: call(u)) for u in cases]
+    outcomes = [matrix_outcome(lambda: call(u), quiet) for u in cases]
     for i, u in enumerate(cases):
-        assert outcomes[i] == matrix_outcome(lambda: call(u[None])), i
+        assert outcomes[i] == matrix_outcome(lambda: call(u[None]), quiet), i
     assert sum(not isinstance(x[0], type) for x in outcomes) >= 7
+
+
+@pytest.mark.parametrize("call", [
+    matrix_to_gibbs, gibbsrot.matrix_to_quaternion, gibbsrot.matrix_to_euler, is_rotation_matrix,
+])
+def test_a_batch_of_huge_matrices_fails_the_gate_without_a_warning(call):
+    # the gate's Gram and determinant products of 1e200 overflow; a batch
+    # reports or raises what one matrix does, with no numpy warning
+    u = np.full((3, 3), 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if call is is_rotation_matrix:
+            assert repr(call(u[None])) == repr(call(u)) == (
+                "RotationCheck(ok=False, max_orthogonality_residual=inf, max_det_deviation=nan)"
+            )
+            return
+        for m in (u, u[None], np.stack([np.eye(3), u])):
+            with pytest.raises(InvalidInputError, match="residual inf") as exc:
+                call(m)
+            assert exc.value.code == "NOT_ROTATION"
 
 
 def test_a_nan_gram_entry_is_the_residual_of_one_matrix():

@@ -182,6 +182,20 @@ def test_matrix_ops(rng):
     assert batch.max_det_deviation == max(x.max_det_deviation for x in ones)
 
 
+def test_huge_matrices_fail_the_gate(rng):
+    # rotations times 2**500 ... 2**1023: finite entries whose Gram and
+    # determinant products overflow; one matrix and a batch give the same
+    # error, and is_rotation_matrix the same report, with no warning
+    u = noisy_rotations(rng, N) * np.ldexp(1.0, rng.integers(500, 1024, (N, 1, 1)))
+    assert np.isfinite(u).all()
+    for fn in (g.matrix_to_gibbs, g.matrix_to_quaternion, g.matrix_to_euler):
+        assert all(isinstance(x, GibbsError) for x in check_rows(fn, u))
+    for m in u:
+        one, row = (outcome(lambda: g.is_rotation_matrix(x)) for x in (m, m[None]))
+        assert not one.ok and repr(one) == repr(row)
+    assert not outcome(lambda: g.is_rotation_matrix(u)).ok
+
+
 def test_axis_angle_to_gibbs_over_wide_angles(rng):
     axes = directions(rng, N)
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)

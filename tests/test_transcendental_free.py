@@ -53,6 +53,8 @@ AUDITED = {
         "_matrix_from_gibbs_direct",
         "_columns",
         "_rotation_check",
+        "_rotation_residuals",
+        "_residuals",
         "_rotation_columns",
         "_pivot_table",
         "_pivot_row",

@@ -2,13 +2,15 @@
 
 Usage:
 
-    python3 tools/bench_record.py --label L [--root DIR]
+    python3 tools/bench_record.py --label L [--root DIR] [--trace 0|1] [--workload W ...]
 
 Runs the benchmark command of the checkout's ``BENCHMARK.json`` (its own
-``perfbench/run.py``, unchanged) with ``--trace 0`` for ``run_seconds``,
-once per workload and seed, seeds 1..3, the workloads taken in turn within
-each seed so that a slow spell of a shared host spreads over all of them;
-each run is a fresh process of this interpreter.  ``--root`` names the
+``perfbench/run.py``, unchanged) with ``--trace`` (default 0: the
+end-to-end metrics; 1: the per-layer metrics of a traced run) for
+``run_seconds``, once per workload and seed, seeds 1..3, the workloads
+taken in turn within each seed so that a slow spell of a shared host
+spreads over all of them; each run is a fresh process of this interpreter.
+``--workload`` (repeatable) runs only the named workloads, default all.  ``--root`` names the
 checkout (default: the one holding this script), so a copy of another
 commit is recorded by the same tool.  ``BENCH_<label>.json``, written to
 the current directory, holds per workload the parsed last JSON line of
@@ -37,10 +39,10 @@ HERE = Path(__file__).resolve().parent
 SEEDS = (1, 2, 3)
 
 
-def run_once(root: Path, spec: dict, workload: str, seed: int) -> dict:
+def run_once(root: Path, spec: dict, workload: str, seed: int, trace: int) -> dict:
     """The parsed last JSON line of one run of the benchmark command."""
     cmd = [sys.executable, *spec["command"][1:], "--workload", workload, "--seed", str(seed),
-           "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+           "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
     if done.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
@@ -80,18 +82,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--root", type=Path, default=HERE.parent)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--workload", action="append", dest="workloads")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     workloads = [w["name"] for w in spec["workloads"]]
+    if args.workloads:
+        if unknown := set(args.workloads) - set(workloads):
+            parser.error(f"no such workload in BENCHMARK.json: {', '.join(sorted(unknown))}")
+        workloads = [w for w in workloads if w in args.workloads]
 
     runs = {w: [] for w in workloads}
     for seed in SEEDS:
         for w in workloads:
             print(f"# {w} seed {seed}", file=sys.stderr, flush=True)
-            runs[w].append(run_once(root, spec, w, seed))
+            runs[w].append(run_once(root, spec, w, seed, args.trace))
 
     record = {
         "label": args.label,
@@ -103,7 +111,7 @@ def main(argv=None) -> int:
         "cpus_usable": (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                         else os.cpu_count()),
         "machine": platform.machine(),
-        "command": {"argv": spec["command"], "seconds": spec["run_seconds"], "trace": 0,
+        "command": {"argv": spec["command"], "seconds": spec["run_seconds"], "trace": args.trace,
                     "seeds": list(SEEDS)},
         "workloads": {
             w: {"summary": summarize(runs[w], better), "runs": runs[w]} for w in workloads

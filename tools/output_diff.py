@@ -6,10 +6,12 @@ Usage:
 
 Builds one seeded corpus with this checkout's ``tests/helpers.py`` (the
 ``mixed_rows`` Gibbs rows, vectors and alignment pairs at extreme scales,
-half turns, noisy matrices, quaternions, angles, a long composition chain,
-the overflow cases of the alignment line, vectors near the float maximum,
-frames at several tolerances, unit frames at several scales, polylines
-at every scale and Gibbs vectors of moderate and extreme magnitude), then
+half turns, noisy matrices, the matrices on which Shepperd's pivot pick
+meets ties, huge and non-finite entries, quaternions, angles, a long
+composition chain, the overflow cases of the alignment line, vectors
+near the float maximum, frames at several tolerances, unit frames at
+several scales, polylines at every scale and Gibbs vectors of moderate
+and extreme magnitude), then
 runs it through every public op of ``core``, ``algebra``, ``bridges`` and
 ``alignment``, the four ``cayley`` functions and ``gibbsrot sweep --json``
 at three tolerances, in two fresh processes: one importing ``gibbsrot``
@@ -54,7 +56,7 @@ FRAME_SCALES = (1.0, 1e300, 1e-300, 2.0**600)
 def make_corpus(rng) -> dict[str, np.ndarray]:
     """The fixed inputs, as named arrays: built once, read by both sides."""
     from gibbsrot import gibbs_to_matrix, pi_encode, rotate_vector
-    from helpers import mixed_rows, random_gibbs, random_units
+    from helpers import mixed_rows, pivot_pick_matrices, random_gibbs, random_units
 
     r = mixed_rows(rng)
     n = len(r)
@@ -120,6 +122,7 @@ def make_corpus(rng) -> dict[str, np.ndarray]:
         edge_gamma=np.array([1e10, 1e308, -1e308, 1e300, 2.0**1000, 1e200]),
         chain=chain, frames=frames, frames_k=frames_k, s_far=s_far,
         cayley_r=cayley_r, cayley_u=gibbs_to_matrix(cayley_r), **polylines,
+        **{f"pick_{kind}": m for kind, m in pivot_pick_matrices().items()},
     )
 
 
@@ -166,10 +169,10 @@ def calls(c: dict[str, np.ndarray]):
     rows when it is a batch whose output splits into rows."""
     import gibbsrot as g
 
-    def rows(op, fn, *names):
+    def rows(op, fn, *names, tag=""):
         args = [c[x] for x in names]
         n = len(args[0])
-        key = f"{op}/{names[0]}"
+        key = f"{op}{tag}/{names[0]}"
         for i in range(n):
             yield op, f"{key}/one/{i}", (lambda i=i: fn(*(a[i] for a in args))), None
         yield op, f"{key}/batch", (lambda: fn(*args)), n
@@ -193,6 +196,14 @@ def calls(c: dict[str, np.ndarray]):
     yield from rows("axis_angle_to_gibbs", g.axis_angle_to_gibbs, "axis", "angle")
     yield from rows("euler_to_matrix", g.euler_to_matrix, "euler")
     yield from rows("matrix_to_euler", g.matrix_to_euler, "u")
+    # the pivot pick where it decides: each kind alone, so that a batch of
+    # finite ties is not one error
+    for kind in ("pick_ties", "pick_huge", "pick_nonfinite"):
+        yield from rows("matrix_to_gibbs", g.matrix_to_gibbs, kind)
+        yield from rows("matrix_to_gibbs", lambda u: g.matrix_to_gibbs(u, check=False), kind,
+                        tag="[check=False]")
+        yield from rows("matrix_to_quaternion", g.matrix_to_quaternion, kind)
+        yield from rows("is_rotation_matrix", g.is_rotation_matrix, kind)
     yield from rows("align_line", g.align_line, "p1", "q1", "gamma")
     yield from rows("align_line", g.align_line, "edge_p", "edge_q", "edge_gamma")
     yield from rows("align_pair", g.align_pair, "p1", "q1", "p2", "q2")
