@@ -7,6 +7,8 @@ import statistics
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # prints one result line per run; the values depend on workload and seed
@@ -72,3 +74,6 @@ def test_bench_record_summarizes_each_metric(tmp_path, monkeypatch):
     assert record["command"]["trace"] == 1
     assert list(record["workloads"]) == ["slow"]
     assert [run["trace"] for run in record["workloads"]["slow"]["runs"]] == ["1"] * 3
+    with pytest.raises(SystemExit):  # a name BENCHMARK.json does not list
+        bench_record.main(["--label", "x", "--root", str(tmp_path), "--workload", "none"])
+    assert not (tmp_path / "BENCH_x.json").exists()

@@ -10,9 +10,9 @@ end-to-end metrics; 1: the per-layer metrics of a traced run) for
 ``run_seconds``, once per workload and seed, seeds 1..3, the workloads
 taken in turn within each seed so that a slow spell of a shared host
 spreads over all of them; each run is a fresh process of this interpreter.
-``--workload`` (repeatable) runs only the named workloads, default all.  ``--root`` names the
-checkout (default: the one holding this script), so a copy of another
-commit is recorded by the same tool.  ``BENCH_<label>.json``, written to
+``--workload`` (repeatable) runs only the named workloads, default all.
+``--root`` names the checkout (default: the one holding this script), so
+a copy of another commit is recorded by the same tool.  ``BENCH_<label>.json``, written to
 the current directory, holds per workload the parsed last JSON line of
 every run and, per metric, the values, the best of the runs (by the
 ``better`` direction in ``BENCHMARK.json``), their median and their
