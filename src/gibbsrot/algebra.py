@@ -102,7 +102,7 @@ def compose(r, s) -> np.ndarray:
     >>> compose([1.0, 0, 0], [0, 1.0, 0]).tolist()
     [1.0, 1.0, -1.0]
     """
-    a, b = _broadcast(r=_as_vec3(r, "r"), s=_as_vec3(s, "s"))
+    a, b = _broadcast(("r", "s"), _as_vec3(r, "r"), _as_vec3(s, "s"))
     w, v = _hamilton(*_row_pairs(_unpack(a)), *_row_pairs(_unpack(b)))
     return _dehomogenize(w, v, TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)
 

@@ -282,7 +282,7 @@ def align_line(p, q, gamma, *, tol: float = TOL_LEN) -> np.ndarray:
     """
     _check_tol(tol)
     pp, qq, g = _broadcast(
-        p=_as_vectors(p, "p"), q=_as_vectors(q, "q"), gamma=_as_gamma(gamma)[..., None]
+        ("p", "q", "gamma"), _as_vectors(p, "p"), _as_vectors(q, "q"), _as_gamma(gamma)[..., None]
     )
     return _member(*_checked_line(_columns(pp, 1), _columns(qq, 1), tol), g[..., 0])
 
@@ -375,17 +375,12 @@ def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:
 _PAIR_NAMES = ("p1", "q1", "p2", "q2")
 
 
-def _broadcast_pairs(vectors) -> list[np.ndarray]:
+def _broadcast_pairs(vectors) -> tuple[np.ndarray, ...]:
     """``p1, q1, p2, q2`` shape-checked in turn and broadcast together, the
     one gate of both two-pair solvers.  Finiteness is left to
     :func:`_in_range`, which checks it on the squared norms."""
     try:
-        arrays = list(map(_as_vectors, vectors, _PAIR_NAMES, (False,) * 4))
-        p1, q1, p2, q2 = arrays
-        # one shape, as one row's four vectors have, needs no broadcast
-        if p1.shape == q1.shape == p2.shape == q2.shape:
-            return arrays
-        return _broadcast(**dict(zip(_PAIR_NAMES, arrays)))
+        return _broadcast(_PAIR_NAMES, *map(_as_vectors, vectors, _PAIR_NAMES, (False,) * 4))
     except InvalidInputError:
         # the full per-input checks run first, in argument order, so the
         # error raised is the one they give

@@ -50,9 +50,7 @@ from .core import (
     _encode_half_turns,
     _homogeneous,
     _inner,
-    _new_rows,
     _pivot_row,
-    _put,
     _quotient_rows,
     _rotation_columns,
     _unpack,
@@ -157,12 +155,10 @@ def _canonical_signs(q) -> np.ndarray:
     w, x, y, z = q
     if type(q) is list:  # -0.0 and 0.0 are false, so ``or`` finds the lead
         sign = -1.0 if (w or x or y or z) < 0.0 else 1.0
-        return np.array([c * sign + 0.0 for c in q])
-    lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
-    out = np.empty(lead.shape + (4,))
-    np.multiply(q, np.where(lead < 0.0, -1.0, 1.0), out=np.moveaxis(out, -1, 0))
-    out += 0.0
-    return out
+    else:
+        lead = np.where(w != 0.0, w, np.where(x != 0.0, x, np.where(y != 0.0, y, z)))
+        sign = np.where(lead < 0.0, -1.0, 1.0)
+    return _quotient_rows([c * sign + 0.0 for c in q])
 
 
 def _unit_quaternion(q) -> np.ndarray:
@@ -187,23 +183,22 @@ def quaternion_multiply(a, b) -> np.ndarray:
     """
     a, (aw, ax, ay, az) = _as_quaternion(a, "a")
     b, (bw, bx, by, bz) = _as_quaternion(b, "b")
-    _broadcast(a=a, b=b)
+    _broadcast(("a", "b"), a, b)
     w = aw * bw
     w -= ax * bx
     w -= ay * by
     w -= az * bz
-    out = _new_rows(w, 4)
-    _put(out, 0, w)
+    out = [w]
     # aw b_i + a_i bw + a_j b_k - a_k b_j, (i, j, k) cycling x, y, z
-    for i, (ai, bi, aj, bk, ak, bj) in enumerate((
+    for ai, bi, aj, bk, ak, bj in (
         (ax, bx, ay, bz, az, by), (ay, by, az, bx, ax, bz), (az, bz, ax, by, ay, bx),
-    ), 1):
+    ):
         c = aw * bi
         c += ai * bw
         c += aj * bk
         c -= ak * bj
-        _put(out, i, c)
-    return np.asarray(out)
+        out.append(c)
+    return _quotient_rows(out)
 
 
 def gibbs_to_quaternion(r) -> np.ndarray:
@@ -237,23 +232,23 @@ def quaternion_to_matrix(q) -> np.ndarray:
     k = 2.0 * w
     k *= w
     k -= 1.0  # 2 w^2 - 1
-    u = _new_rows(k, 9)  # entry (i, j) is component 3 i + j
+    e = [None] * 9  # entry (i, j) is e[3 i + j]
     for ii, c in zip((0, 4, 8), (x, y, z)):
         d = 2.0 * c
         d *= c
         d += k  # 2 c^2 + 2 w^2 - 1
-        _put(u, ii, d)
+        e[ii] = d
     # 2 (a b + w c) goes to entry (i, j), 2 (a b - w c) to (j, i)
     for a_, b_, c, ij, ji in ((x, y, z, 1, 3), (x, z, y, 6, 2), (y, z, x, 5, 7)):
         p = a_ * b_
         t = w * c
         d = p + t
         d *= 2.0
-        _put(u, ij, d)
+        e[ij] = d
         p -= t
         p *= 2.0
-        _put(u, ji, p)
-    u = np.asarray(u)
+        e[ji] = p
+    u = _quotient_rows(e)
     return u.reshape(u.shape[:-1] + (3, 3))
 
 
@@ -308,7 +303,7 @@ def axis_angle_to_gibbs(axis, angle=None) -> np.ndarray:
     ang = _as_float(angle, "angle")
     if not np.isfinite(ang).all():
         raise InvalidInputError("angle must be finite")
-    a, ang = _broadcast(axis=a, angle=ang[..., None])
+    a, ang = _broadcast(("axis", "angle"), a, ang[..., None])
     u = _columns(a, 1)
     with np.errstate(over="ignore"):  # an overflowed |axis|^2 fails the check as inf
         norm2 = _inner(u, u)
@@ -343,11 +338,8 @@ def euler_to_matrix(yaw, pitch=None, roll=None) -> np.ndarray:
     if pitch is None or roll is None:
         missing = "pitch" if pitch is None else "roll"
         raise InvalidInputError(f"{missing} is missing: give [yaw, pitch, roll] or three angles")
-    a, b, c = _broadcast(
-        yaw=_as_float(yaw, "yaw"),
-        pitch=_as_float(pitch, "pitch"),
-        roll=_as_float(roll, "roll"),
-    )
+    names = ("yaw", "pitch", "roll")
+    a, b, c = _broadcast(names, *map(_as_float, (yaw, pitch, roll), names))
     if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
         raise InvalidInputError("angles must be finite")
     ca, sa = np.cos(a), np.sin(a)

@@ -30,10 +30,13 @@ output rows once.  Every kernel and row helper reads this one layout; a
 caller holding rows passes a transposed view.  One row of the pair ops
 and one matrix unpack instead into a list of Python floats (``_unpack``),
 which the same kernels take with no numpy call per operation; each row
-of a batch equals the call on that row alone, byte for byte.  Inside a
-kernel each intermediate is made by one out-of-place operation and every
-later term is folded in with augmented assignment (``s = a * b; s += c *
-d``), in the order of the written formula, so no pass allocates a fresh
+of a batch equals the call on that row alone, byte for byte.  Every
+kernel hands its output columns, or one row's numbers, as a list to the
+one row writer ``_quotient_rows``, which copies or divides them into
+rows and alone decides between one row and a batch.  Inside a kernel
+each intermediate is made by one out-of-place operation and every later
+term is folded in with augmented assignment (``s = a * b; s += c * d``),
+in the order of the written formula, so no pass allocates a fresh
 batch-sized temporary it need not.
 
 Convention
@@ -149,34 +152,21 @@ def _pow2_scale(x, e=None):
         return np.ldexp(x, -e), e
 
 
-def _new_rows(like, width: int):
-    """Rows of ``width`` components for the batch shape and type of
-    ``like``: an array, or a list when ``like`` is one number."""
-    if isinstance(like, np.ndarray):
-        return np.empty(like.shape + (width,), like.dtype)
-    return [None] * width
-
-
-def _put(out, i: int, a, d=None) -> None:
-    """Component ``i`` of the rows ``out`` (from :func:`_new_rows`) set to
-    ``a``, or to ``a / d``, divided straight into an array output."""
-    if type(out) is list:
-        out[i] = a if d is None else a / d
-    elif d is None:
-        out[..., i] = a
-    else:
-        np.divide(a, d, out=out[..., i])
-
-
-def _quotient_rows(v, d):
-    """Rows ``v / d`` of three component columns ``v`` over ``d``, of one
-    batch shape, each column divided straight into a new row output; one
-    row of numbers is divided in a list."""
-    if not isinstance(d, np.ndarray):
-        return np.array([v[0] / d, v[1] / d, v[2] / d])
-    out = _new_rows(d, 3)
-    for i in range(3):
-        _put(out, i, v[i], d)
+def _quotient_rows(v, d=None):
+    """Rows of the component columns ``v``, all of one batch shape, each
+    divided by ``d`` (of that shape too) if given: a new ``batch +
+    (len(v),)`` array that every column is copied or divided straight
+    into.  One row of numbers is divided in a list.  The one writer of
+    every kernel's output rows."""
+    like = v[0] if d is None else d
+    if not isinstance(like, np.ndarray):
+        return np.array(v if d is None else [x / d for x in v])
+    out = np.empty(like.shape + (len(v),), like.dtype)
+    for i, x in enumerate(v):
+        if d is None:
+            out[..., i] = x
+        else:
+            np.divide(x, d, out=out[..., i])
     return out
 
 
@@ -193,20 +183,23 @@ def _as_float(x, name: str) -> np.ndarray:
         raise InvalidInputError(f"{name} is not numeric: {exc}") from exc
 
 
-def _broadcast(**operands: np.ndarray) -> list[np.ndarray]:
-    """The named arrays broadcast to their common shape: an operand
-    already of that shape comes back as is, the others as read-only
-    views.  Shapes that do not broadcast are an
-    :class:`InvalidInputError` naming each operand with its shape."""
-    arrays = list(operands.values())
-    if len({a.shape for a in arrays}) == 1:
+def _broadcast(names: tuple[str, ...], *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays broadcast to their common shape: an operand already of
+    that shape comes back as is, the others as read-only views.  Shapes
+    that do not broadcast are an :class:`InvalidInputError` naming each
+    operand, by its entry in ``names``, with its shape."""
+    shape = arrays[0].shape
+    for a in arrays:
+        if a.shape != shape:
+            break
+    else:  # one shape, as one row's operands have: nothing to broadcast
         return arrays
     try:
         shape = np.broadcast(*arrays).shape
     except ValueError:
-        detail = ", ".join(f"{name} {a.shape}" for name, a in operands.items())
+        detail = ", ".join(f"{name} {a.shape}" for name, a in zip(names, arrays))
         raise InvalidInputError(f"shapes do not broadcast: {detail}") from None
-    return [a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays]
+    return tuple(a if a.shape == shape else np.broadcast_to(a, shape) for a in arrays)
 
 
 def _check_tol(tol, name: str = "tol") -> None:
@@ -280,20 +273,15 @@ def is_rotation_matrix(u, *, tol: float = TOL_ORTHO_INPUT) -> RotationCheck:
     An empty batch passes with residuals 0.0.
     """
     _check_tol(tol)
-    return _rotation_check(_rotation_columns(u, False, tol), tol)
-
-
-def _rotation_check(u, tol: float) -> RotationCheck:
-    """:func:`is_rotation_matrix` on the nine component columns ``u`` of a
-    batch (``u00, u01, ..., u22``, as :func:`_columns` gives them), or on
-    one matrix's nine finite numbers as a list (:func:`_rotation_columns`)."""
-    res, dev = _rotation_residuals(u)
+    res, dev = _rotation_residuals(_rotation_columns(u, False, tol))
     return RotationCheck(bool(res <= tol and dev <= tol), res, dev)
 
 
 def _rotation_residuals(u):
-    """The orthogonality residual and the determinant deviation of
-    :func:`_rotation_check`, the gate's two numbers; 0.0 each for an
+    """The two numbers of :func:`is_rotation_matrix`, the orthogonality
+    residual and the determinant deviation, of the nine component columns
+    ``u`` of a batch (``u00, u01, ..., u22``, as :func:`_columns` gives
+    them) or one matrix's nine finite numbers as a list; 0.0 each for an
     empty batch.  A batch's huge finite entries overflow quietly, as one
     matrix's Python floats do, and give residuals inf or NaN."""
     if type(u) is list:
@@ -525,20 +513,20 @@ def _matrix_from_pair(w, v):
     ww = w * w
     k = ww - den
     den += ww  # w^2 + |v|^2
-    out = _new_rows(den, 9)  # entry (i, j) is component 3 i + j
+    e = [None] * 9  # entry (i, j) is e[3 i + j]
     # v_i v_j + w v_k goes to entry (i, j), v_i v_j - w v_k to (j, i)
     for p, q, ij, ji in ((x * y, wz, 1, 3), (x * z, wy, 6, 2), (y * z, wx, 5, 7)):
         a = p + q
         a += a
-        _put(out, ij, a, den)
+        e[ij] = a
         p -= q
         p += p
-        _put(out, ji, p, den)
+        e[ji] = p
     for ii, p in zip((0, 4, 8), (xx, yy, zz)):
         p += p
         p += k
-        _put(out, ii, p, den)
-    out = np.asarray(out)
+        e[ii] = p
+    out = _quotient_rows(e, den)
     return out.reshape(out.shape[:-1] + (3, 3))
 
 
@@ -567,18 +555,18 @@ def _rotate_by_pair(w, v, s):
     # p = 2 v / (w^2 + |v|^2): the last two terms are (p.s) v and w (s x p)
     p0, p1, p2 = p = (v0 * h, v1 * h, v2 * h)
     t = _inner(p, s)
-    out = _new_rows(t, 3)  # t has the broadcast batch shape
-    for i, (si, vi, a, b, c, d) in enumerate((
+    out = []  # each of the broadcast batch shape, as t is
+    for si, vi, a, b, c, d in (
         (s0, v0, s1, p2, s2, p1), (s1, v1, s2, p0, s0, p2), (s2, v2, s0, p1, s1, p0),
-    )):
+    ):
         e = a * b
         e -= c * d
         e *= w
         o = k * si
         o += t * vi
         o += e
-        _put(out, i, o)
-    return np.asarray(out)
+        out.append(o)
+    return _quotient_rows(out)
 
 
 def _matrix_from_gibbs_direct(r):
@@ -748,7 +736,7 @@ def rotate_vector(r, s) -> np.ndarray:
         raise InvalidInputError("s has non-finite components")
     # the check only: the kernel broadcasts itself, and an expanded r
     # would repeat its pair's work for every row of s
-    _broadcast(r=a, s=b)
+    _broadcast(("r", "s"), a, b)
     pair = _row_pairs(_unpack(a))
     if not far:
         return _rotate_by_pair(*pair, s)
