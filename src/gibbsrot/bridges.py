@@ -261,7 +261,12 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     ``check=False`` to skip the orthogonality test for matrices already
     known to be rotations.
     """
-    return _unit_quaternion(_pivot_row(_rotation_columns(u, check, ortho_tol)))
+    cols = _rotation_columns(u, check, ortho_tol)
+    if type(cols) is list:
+        return _unit_quaternion(_pivot_row(cols))
+    # a batch's huge entries (check=False) overflow quietly, as one matrix's floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _unit_quaternion(_pivot_row(cols))
 
 
 # ---------------------------------------------------------------------------

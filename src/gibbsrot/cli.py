@@ -217,6 +217,8 @@ def _print_result(kind: str, payload, as_json: bool) -> None:
 
 
 def _cmd_convert(args) -> int:
+    if len(args.value) > 1:
+        raise _UsageError(f"convert takes one --value, got {len(args.value)}")
     r = _to_gibbs(args.from_rep, args.value[0])
     _print_result(*_REPRESENTATIONS[args.to_rep].output(r), args.json)
     return 0
@@ -327,8 +329,15 @@ def _cmd_sweep(args) -> int:
 # --- bench ---------------------------------------------------------------
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of ``bench`` and ``selftest``; numpy takes no seed below 0."""
+    if seed < 0:
+        raise _UsageError("--seed must be at least 0")
+    return np.random.default_rng(seed)
+
+
 def _bench_corpus(iters: int, seed: int):
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     mags = 10.0 ** rng.uniform(-3.0, 3.0, size=iters)
     dirs = rng.normal(size=(iters, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
@@ -445,7 +454,7 @@ def _cmd_bench(args) -> int:
 
 def selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
     """Cross-module consistency checks: (name, passed, detail) triples."""
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     checks = []
 
     def check(name, worst, bound):

@@ -703,9 +703,16 @@ def matrix_to_gibbs(
     raises :class:`InvalidInputError` for non-rotations.
     """
     _check_tol(pi_trace_tol, "pi_trace_tol")
-    row = _pivot_row(_rotation_columns(u, check, ortho_tol))
+    cols = _rotation_columns(u, check, ortho_tol)
     # past 1 every row is encoded already; the cap keeps the limit finite
-    return _dehomogenize(row[0], row[1:], min(pi_trace_tol / 4.0, 1.0))
+    rel_sq = min(pi_trace_tol / 4.0, 1.0)
+    if type(cols) is list:
+        row = _pivot_row(cols)
+        return _dehomogenize(row[0], row[1:], rel_sq)
+    # a batch's huge entries (check=False) overflow quietly, as one matrix's floats do
+    with np.errstate(over="ignore", invalid="ignore"):
+        row = _pivot_row(cols)
+        return _dehomogenize(row[0], row[1:], rel_sq)
 
 
 def rotate_vector(r, s) -> np.ndarray:

@@ -237,6 +237,10 @@ def test_products_and_angles_reject_shapes_that_do_not_broadcast():
         InvalidInputError, match=r"^shapes do not broadcast: yaw \(2,\), pitch \(3,\), roll \(\)$"
     ):
         euler_to_matrix(np.zeros(2), np.zeros(3), 0.0)
+    with pytest.raises(
+        InvalidInputError, match=r"^shapes do not broadcast: axis \(2, 3\), angle \(3, 1\)$"
+    ):
+        axis_angle_to_gibbs(np.eye(3)[:2], np.zeros(3))
 
 
 # --- axis-angle --------------------------------------------------------------

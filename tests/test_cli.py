@@ -61,6 +61,10 @@ def test_parse_error_exit_code():
     assert code == 2 and "3 comma-separated numbers" in err
     code, _, _ = run_cli(["convert", "--from", "gibbs", "--to", "nowhere", "--value", "0,0,0"])
     assert code == 2
+    # a second value used to be dropped, with exit 0
+    assert run_cli(
+        ["convert", "--from", "gibbs", "--to", "gibbs", "--value", "1,2,3", "--value", "4,5,6"]
+    ) == (2, "", "error: USAGE: convert takes one --value, got 2\n")
 
 
 def test_antipodal_error_record():
@@ -595,6 +599,14 @@ def test_bench_runs_on_a_single_item():
     assert len(out.strip().splitlines()) == len(bench_rows(2, 0)) + 1
     assert run_cli(["bench", "--iters", "0"]) == (
         2, "", "error: USAGE: --iters must be at least 1\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["bench", "selftest"])
+def test_negative_seed_is_a_usage_error(command):
+    # numpy's generator takes no negative seed; its ValueError used to escape
+    assert run_cli([command, "--seed", "-1"]) == (
+        2, "", "error: USAGE: --seed must be at least 0\n"
     )
 
 

@@ -196,6 +196,17 @@ def test_huge_matrices_fail_the_gate(rng):
     assert not outcome(lambda: g.is_rotation_matrix(u)).ok
 
 
+def test_huge_matrices_unchecked(rng):
+    # check=False lets such matrices through, here up to 2**1022 (the pivot
+    # table stays finite) and all entries 1e200: the divide's w^2 and the
+    # quaternion's |q|^2 overflow, quietly on one matrix's Python floats,
+    # and a batch must overflow as quietly and give the same rows
+    u = noisy_rotations(rng, N) * np.ldexp(1.0, rng.integers(500, 1023, (N, 1, 1)))
+    u[0] = 1e200
+    for fn in (g.matrix_to_gibbs, g.matrix_to_quaternion):
+        check_rows(lambda m: fn(m, check=False), u, gibbs=fn is g.matrix_to_gibbs)
+
+
 def test_axis_angle_to_gibbs_over_wide_angles(rng):
     axes = directions(rng, N)
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
