@@ -24,8 +24,8 @@ are unpacked once into component columns (one row into Python floats),
 and the Hamilton product takes and returns ``v`` as its three columns.
 It always multiplies by both weights; with ``w = 1`` it is the textbook
 quotient rule, exact on ``fractions.Fraction``.
-:func:`compose_scan` chains the kernel into an inclusive prefix scan of
-``ceil(log2 n)`` batched rounds, on pairs rescaled by exact powers of two.
+:func:`compose_scan` chains the kernel, on the same pairs, into a prefix
+scan of ``ceil(log2 n)`` rounds, each rescaled by an exact power of two.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .core import (
     _broadcast,
     _columns,
     _dehomogenize,
-    _homogeneous,
     _inner,
     _max_abs,
     _quotient_rows,
@@ -111,11 +110,11 @@ def compose_scan(vectors) -> np.ndarray:
     """Inclusive prefix compositions of an (n, 3) sequence.
 
     ``out[k]`` applies ``vectors[0]`` first and ``vectors[k]`` last, i.e.
-    ``out[k] == compose(vectors[k], out[k - 1])``.  A Hillis-Steele scan:
-    ``ceil(log2 n)`` rounds of batched Hamilton products, each round's
-    pairs rescaled by an exact power of two, so it stays free of square
-    roots and overflow.  Rounding grows with the depth ``log2 n`` rather
-    than with ``n``.  An empty sequence gives an empty (0, 3) result.
+    ``out[k] == compose(vectors[k], out[k - 1])``.  A Hillis-Steele scan of
+    ``ceil(log2 n)`` rounds of Hamilton products on :func:`compose`'s pairs,
+    each round's rescaled by an exact power of two: no square root, no
+    overflow.  ``out[:2]`` are compose's bits off the subnormals, and later
+    rounding grows with ``log2 n``.  An empty sequence gives a (0, 3) result.
 
     >>> compose_scan([[0, 1.0, 0], [1.0, 0, 0]]).tolist()
     [[0.0, 1.0, 0.0], [1.0, 1.0, -1.0]]
@@ -125,14 +124,15 @@ def compose_scan(vectors) -> np.ndarray:
         raise InvalidInputError(
             f"vectors must be a sequence of 3-vectors, got shape {arr.shape}"
         )
-    q = np.vstack(_homogeneous(_columns(arr, 1)))  # the pairs (w : v) as four columns
+    w, v = _row_pairs(_columns(arr, 1))
+    q = np.insert(v, 0, w, axis=0)  # the pairs (w : v) as four columns, w broadcast
     d = 1
     while d < arr.shape[0]:
         w, v = _hamilton(q[0, d:], q[1:, d:], q[0, :-d], q[1:, :-d])
         out = q[:, d:]
         out[0], out[1:] = w, v
-        # pairs of max-abs at most 1 have products of max-abs at most 4, so
-        # scaling each row's max-abs into [0.5, 1) cannot overflow
+        # operands reach 1e50 in round one, so products stay below ~4e100;
+        # rows past 0 then sit in [0.5, 1), row 0's later products below ~4e50
         np.ldexp(out, -np.frexp(np.maximum(np.abs(w), _max_abs(v)))[1], out=out)
         d *= 2
     return _dehomogenize(q[0], q[1:], TOL_COMPOSE_SINGULAR * TOL_COMPOSE_SINGULAR)

@@ -365,8 +365,8 @@ def is_pi_encoded(r) -> bool | np.ndarray:
     or an infinite component (homogeneous pair ``w = 0``).  ``|r|`` is
     compared in floating point: a row within a few ulp of the threshold
     may fall either way, and every operation decides by this same test."""
-    w, _ = _homogeneous(_columns(_as_vec3(r, "r"), 1))
-    mask = w == 0.0
+    a = _as_vec3(r, "r")
+    mask = np.full(a.shape[:-1], _row_pairs(_columns(a, 1))[0] == 0.0)
     return bool(mask) if mask.ndim == 0 else mask
 
 

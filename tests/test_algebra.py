@@ -317,6 +317,37 @@ def test_compose_scan_order():
     assert np.array_equal(compose_sequence(chain[::-1]), out[-1])
 
 
+def moderate_rows(rng, n):
+    """Seeded Gibbs rows with 1 < |r|_inf < 1e11 and no subnormal
+    component: rows whose (1, r) pair differs from the max-abs scaled
+    pair, at magnitudes where a power-of-two rescale is exact."""
+    r = random_gibbs(rng, 2 * n, 1.0, 1e11)
+    m = np.abs(r).max(axis=-1)
+    normal = ((r == 0.0) | (np.abs(r) >= np.finfo(float).tiny)).all(axis=-1)
+    r = r[(1.0 < m) & (m < 1e11) & normal][:n]
+    assert len(r) == n
+    return r
+
+
+def test_compose_sequence_of_one_row_is_the_row():
+    # one pair rule: every row enters the scan as its (1, r) pair, as
+    # compose takes it, so a prefix of one row divides r by 1
+    for x in moderate_rows(np.random.default_rng(33), 500):
+        assert compose_sequence([x]).tobytes() == x.tobytes()
+        assert compose_scan([x])[0].tobytes() == x.tobytes()
+
+
+def test_compose_scan_second_prefix_is_compose():
+    # the first round is compose's Hamilton product on compose's pairs; its
+    # power-of-two rescale is exact off the subnormals
+    rng = np.random.default_rng(34)
+    for x, y in zip(moderate_rows(rng, 500), moderate_rows(rng, 500)):
+        want = compose(y, x)
+        if ((want == 0.0) | (np.abs(want) >= np.finfo(float).tiny)).all():
+            assert compose_scan([x, y])[1].tobytes() == want.tobytes()
+            assert compose_sequence([y, x]).tobytes() == want.tobytes()
+
+
 def _hard_chain(rng, n):
     """Random steps with pi-encoded steps, infinite components and
     near-ceiling magnitudes mixed in.  It opens with exact quarter turns

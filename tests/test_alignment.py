@@ -512,6 +512,21 @@ def test_transport_reversal_at_zero_tolerance_is_the_default_antipodal_error():
     assert got[0] == got[1] and got[0][:2] == ("ANTIPODAL", 40)
 
 
+def test_transport_first_cumulative_is_the_first_step():
+    # the scan takes each step's (1, r) pair, as compose does, so the
+    # prefix of one step is that step, bit for bit, past |r|_inf = 1 too
+    rng = np.random.default_rng(64)
+    seen = 0
+    for _ in range(300):
+        result = frame_transport(rng.normal(size=(3, 2, 3)))
+        step = result.steps[0]
+        m = np.abs(step).max()
+        if 1.0 < m < 1e11 and ((step == 0.0) | (np.abs(step) >= np.finfo(float).tiny)).all():
+            seen += 1
+            assert result.cumulative[1].tobytes() == step.tobytes()
+    assert seen >= 50
+
+
 def test_closed_loop_comes_back_to_identity():
     t = np.linspace(0.0, 2.0 * np.pi, 361)
     tangents = np.stack([-np.sin(t), np.cos(t), np.zeros_like(t)], axis=-1)

@@ -232,6 +232,9 @@ def test_compose_chain_and_half_turn_output():
     assert out.strip() == "pi-rotation axis=1.0,0.0,0.0"
     code, out, _ = run_cli(["compose", "--value", "1,0,0", "--value", "0,1,0"])
     assert out.strip() == "1.0,1.0,-1.0"
+    # one value enters the scan as its (1, r) pair, as compose takes it
+    code, out, _ = run_cli(["compose", "--value", "2.5,-7.3,0.1"])
+    assert code == 0 and out.strip() == "2.5,-7.3,0.1"
 
 
 def test_repeated_in_process_calls_do_not_share_state():
