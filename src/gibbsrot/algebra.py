@@ -119,7 +119,8 @@ def compose_scan(vectors) -> np.ndarray:
     >>> compose_scan([[0, 1.0, 0], [1.0, 0, 0]]).tolist()
     [[0.0, 1.0, 0.0], [1.0, 1.0, -1.0]]
     """
-    arr = _as_vec3(vectors, "vectors")
+    arr = _as_float(vectors, "vectors")
+    arr = _as_vec3(arr.reshape(0, 3) if arr.shape == (0,) else arr, "vectors")  # [] is empty
     if arr.ndim != 2:
         raise InvalidInputError(
             f"vectors must be a sequence of 3-vectors, got shape {arr.shape}"
@@ -146,7 +147,7 @@ def compose_sequence(vectors) -> np.ndarray:
     :func:`compose_scan` over the reversed sequence.  An empty sequence
     raises :class:`InvalidInputError`.
     """
-    arr = np.atleast_2d(_as_float(vectors, "vectors"))
-    if arr.shape[0] == 0:
+    arr = _as_float(vectors, "vectors")
+    if arr.shape[:1] == (0,):  # [] too, before atleast_2d makes it (1, 0)
         raise InvalidInputError("cannot compose an empty sequence")
-    return compose_scan(arr[::-1])[-1]
+    return compose_scan(np.atleast_2d(arr)[::-1])[-1]

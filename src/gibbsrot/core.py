@@ -389,10 +389,12 @@ def _encode_half_turns(out: np.ndarray, half=None) -> np.ndarray:
     indices ``half`` (every row if None) replaced in place by the
     half-turn encoding along the axis ``v`` each holds: ``v`` rescaled so
     its largest |component| sits at the float ceiling.  Indexed rows
-    holding ``v = 0`` have no axis and stay 0."""
+    holding ``v = 0`` have no axis and stay 0; an infinite component,
+    from a matrix past the pivot table's range, gives NaN quietly."""
     if half is None:
         v = np.moveaxis(out, -1, 0)
-        v /= _max_abs(v)
+        with np.errstate(invalid="ignore"):
+            v /= _max_abs(v)
         v *= PI_ENCODING_MAGNITUDE
     elif len(half):
         rows = out.reshape(-1, 3)

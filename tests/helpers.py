@@ -7,7 +7,7 @@ these oracles and the rational code paths is meaningful evidence.
 
 import numpy as np
 
-from gibbsrot import pi_encode
+from gibbsrot import gibbs_to_matrix, pi_encode
 from gibbsrot.core import _PAIR_LIMIT
 
 
@@ -116,7 +116,8 @@ def pivot_pick_matrices() -> dict[str, np.ndarray]:
     """Matrices on which Shepperd's pivot pick meets its hard cases, by
     kind: ``ties``, pivot ties (half turns about (1, 1, 0) and (1, 1, 1),
     the identity with noise) and small-integer non-rotations; ``huge``,
-    huge finite entries, the last with a Gram entry inf - inf; and
+    huge finite entries, one with a Gram entry inf - inf and one past the
+    pivot table's range; and
     ``nonfinite``, non-finite entries, one with 0 / 0 in the unchecked
     extraction's divide.  Seeded, so the same on every call."""
     rng = np.random.default_rng(62)
@@ -132,7 +133,10 @@ def pivot_pick_matrices() -> dict[str, np.ndarray]:
         np.eye(3) + 1e-11 * rng.normal(size=(8, 3, 3)),
         rng.integers(-1, 2, size=(40, 3, 3)),
     ])
+    # a rotation times 2**1023, whose pivot table overflows to an infinite axis
+    past = gibbs_to_matrix([57.82484923972174, 156.24322390419118, 15.088186110999954])
     huge = np.concatenate([
         rng.normal(size=(8, 3, 3)) * 10.0 ** rng.integers(150, 300, (8, 1, 1)), [nan_gram],
+        [past * 2.0**1023],
     ])
     return {"ties": ties, "huge": huge, "nonfinite": np.stack([zero_by_zero, with_nan])}

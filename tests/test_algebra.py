@@ -145,8 +145,9 @@ def test_compose_sequence_folds_right_to_left():
 def test_compose_sequence_edges():
     single = compose_sequence([[0.1, 0.2, 0.3]])
     assert np.allclose(single, [0.1, 0.2, 0.3])
-    with pytest.raises(InvalidInputError):
-        compose_sequence(np.zeros((0, 3)))
+    for empty in (np.zeros((0, 3)), []):
+        with pytest.raises(InvalidInputError, match="cannot compose an empty sequence"):
+            compose_sequence(empty)
     with pytest.raises(InvalidInputError):
         compose([np.nan, 0, 0], [0.1, 0, 0])
 
@@ -275,7 +276,8 @@ def test_compose_errs_within_its_conditioning_of_the_exact_product():
 
 
 def test_compose_scan_empty_and_single():
-    assert compose_scan(np.zeros((0, 3))).shape == (0, 3)
+    for empty in (np.zeros((0, 3)), []):
+        assert compose_scan(empty).shape == (0, 3)
     assert np.allclose(compose_scan([[0.1, 0.2, 0.3]]), [[0.1, 0.2, 0.3]])
     with pytest.raises(InvalidInputError):
         compose_scan([0.1, 0.2, 0.3])  # one vector, not a sequence

@@ -207,6 +207,18 @@ def test_huge_matrices_unchecked(rng):
         check_rows(lambda m: fn(m, check=False), u, gibbs=fn is g.matrix_to_gibbs)
 
 
+def test_matrices_past_the_pivot_tables_range_unchecked(rng):
+    # at 2**1023 the pivot table's sums overflow: the half-turn encode of
+    # an infinite axis divides inf by inf, so NaN is allowed on exactly
+    # the rows where the batch gives it, and one matrix must give its
+    # batch-of-one bytes as quietly
+    u = noisy_rotations(rng, N) * 2.0**1023
+    batch = g.matrix_to_gibbs(u, check=False)
+    nan_rows = set(np.flatnonzero(np.isnan(batch).any(axis=1)).tolist())
+    assert 0 < len(nan_rows) < N
+    check_rows(lambda m: g.matrix_to_gibbs(m, check=False), u, nan_rows=nan_rows)
+
+
 def test_axis_angle_to_gibbs_over_wide_angles(rng):
     axes = directions(rng, N)
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)

@@ -8,22 +8,22 @@ Builds one seeded corpus with this checkout's ``tests/helpers.py`` (the
 ``mixed_rows`` Gibbs rows, vectors and alignment pairs at extreme
 scales, half turns, noisy matrices, the matrices on which Shepperd's
 pivot pick meets ties, huge and non-finite entries, quaternions, angles,
-a long composition chain, the overflow cases of the alignment line,
-vectors near the float maximum, frames at several tolerances, unit
-frames at several scales, polylines at every scale and Gibbs vectors of
-moderate and extreme magnitude), then runs it through every public op of
-``core``, ``algebra``, ``bridges`` and ``alignment``, the four
-``cayley`` functions and ``gibbsrot sweep --json`` at three tolerances,
-in two fresh processes: one importing ``gibbsrot`` from this checkout's
-``src``, one from ``DIR/src``.  Each input is run as one row and inside a
-batch; warnings are errors.  A record is one call's output bytes (a
-named tuple's fields together; a batch's split into rows; for ``sweep``
-the exit code, stdout and stderr), or the error's type and message.
-Every record that differs is printed, then per op the count, the largest
-move of a float output relative to its row's max-abs and, for Gibbs
-outputs, the largest matrix-entry difference (inf where a row holds NaN
-on one side).  Exits 1 if any record differs.  Needs only the standard
-library and numpy.
+a long composition chain and the empty sequence, the overflow cases of
+the alignment line, vectors near the float maximum, frames at several
+tolerances, unit frames at several scales, polylines at every scale and
+Gibbs vectors of moderate and extreme magnitude), then runs it through
+every public op of ``core``, ``algebra``, ``bridges`` and ``alignment``,
+the four ``cayley`` functions and ``gibbsrot sweep --json`` at three
+tolerances, in two fresh processes: one importing ``gibbsrot`` from this
+checkout's ``src``, one from ``DIR/src``.  Each input is run as one row
+and inside a batch; warnings are errors.  A record is one call's output
+bytes (a named tuple's fields together; a batch's split into rows; for
+``sweep`` the exit code, stdout and stderr), or the error's type and
+message.  Every record that differs is printed, then per op the count,
+the largest move of a float output relative to its row's max-abs and,
+for Gibbs outputs, the largest matrix-entry difference (inf where a row
+holds NaN on one side).  Exits 1 if any record differs.  Needs only the
+standard library and numpy.
 """
 
 from __future__ import annotations
@@ -224,6 +224,8 @@ def calls(c: dict[str, np.ndarray]):
         yield "compose_scan", f"compose_scan/{n}", (lambda n=n: g.compose_scan(chain[:n])), n
         yield "compose_sequence", f"compose_sequence/{n}", (
             lambda n=n: g.compose_sequence(chain[:n])), None
+    yield "compose_scan", "compose_scan/[]", (lambda: g.compose_scan([])), None
+    yield "compose_sequence", "compose_sequence/[]", (lambda: g.compose_sequence([])), None
     frames = c["frames"]
     yield "frame_transport", "frame_transport/all", (lambda: g.frame_transport(frames)), None
     for k, frames_k in zip(FRAME_SCALES, c["frames_k"]):
