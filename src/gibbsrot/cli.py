@@ -9,11 +9,11 @@ parse into the Gibbs vector every conversion goes through, and the
 ``(kind, payload)`` printed for a Gibbs vector; the Gibbs-vector inputs
 of ``compose``, ``align`` and ``align-pair`` are parsed by its ``gibbs``
 entry.  Each result kind's JSON fields and text lines are built in one
-place (``_records``).  Besides the subcommands it holds the ``bench``
-table (:func:`bench_rows`: the corpus and every row's error built once,
-then one timing loop over its (operation, representation, call, error)
-rows), the ``selftest`` checks (:func:`selftest_checks`) and the OBJ
-tube writer behind ``sweep --obj``.
+place (``_records``).  Besides the subcommands it holds one accuracy
+table (``_accuracy_rows``: each batched operation's call and worst error
+on a corpus), which ``bench`` times (:func:`bench_rows`) and
+``selftest`` bounds (:func:`selftest_checks`), and the OBJ tube writer
+behind ``sweep --obj``.
 
 Exit codes: 0 on success, 1 on computation errors (reported to stderr as
 one machine-parseable line ``error: <CODE>: <detail>``) and when the
@@ -61,6 +61,7 @@ from .bridges import (
 )
 from .cayley import cayley_forward, cayley_inverse, vector_from_skew
 from .core import (
+    TOL_ORTHO_OUTPUT,
     _check_tol,
     gibbs_to_matrix,
     is_pi_encoded,
@@ -336,45 +337,33 @@ def _seeded_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _bench_corpus(iters: int, seed: int):
-    rng = _seeded_rng(seed)
-    mags = 10.0 ** rng.uniform(-3.0, 3.0, size=iters)
-    dirs = rng.normal(size=(iters, 3))
+def _rotations(rng: np.random.Generator, n: int, lo: float, hi: float) -> np.ndarray:
+    """``n`` Gibbs vectors, magnitudes log-uniform in 10**lo..10**hi (drawn
+    first), directions uniform on the sphere: the corpus of ``bench`` and
+    ``selftest``."""
+    mags = 10.0 ** rng.uniform(lo, hi, size=n)
+    dirs = rng.normal(size=(n, 3))
     dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    r = dirs * mags[:, None]
-    s = np.roll(r, 1, axis=0) * 0.5
-    return r, s
+    return dirs * mags[:, None]
 
 
-def _time_ns(fn, repeats: int = 3) -> int:
-    fn()  # warm up caches and lazy numpy machinery before timing
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter_ns()
-        fn()
-        times.append(time.perf_counter_ns() - t0)
-    return min(times)
+def _accuracy_rows(r: np.ndarray, s: np.ndarray) -> list[tuple]:
+    """The accuracy table of ``bench`` and ``selftest``: one
+    ``(operation, representation, call, worst error)`` row per batched
+    operation on the rotations ``r`` and ``s``, where ``s`` is also the
+    corpus of vectors to turn and align.
 
-
-def bench_rows(iters: int, seed: int) -> list[dict]:
-    """The benchmark table as dicts (the CSV emitted by ``bench``).
-
-    The corpus and every row's error are built first, then one loop
-    times each row's batched operation over ``iters`` items.  Each row
-    reports a representation-appropriate round-trip (or cross-check)
-    error: component error relative to the vector scale for Gibbs round
-    trips, absolute component error for canonical quaternions,
-    matrix-entry error for Euler round trips, matrix-entry cross-checks
-    for the two compose alternatives, orthogonality drift for matrix
-    compose, the largest difference between the matrix-free and the
-    matrix action, relative to the vector's length, for both ``rotate``
-    rows, the worst relative residual of mapping both pairs for
-    ``align_pair``, and the orthogonality residual
+    Each row reports a representation-appropriate round-trip (or
+    cross-check) error: component error relative to the vector scale for
+    Gibbs round trips, absolute component error for canonical
+    quaternions, matrix-entry error for Euler round trips, matrix-entry
+    cross-checks for the two compose alternatives, orthogonality drift
+    for matrix compose, the largest difference between the matrix-free
+    and the matrix action, relative to the vector's length, for both
+    ``rotate`` rows, the worst relative residual of mapping both pairs
+    for ``align_pair``, and the orthogonality residual
     ``is_rotation_matrix`` reports for the ``validate`` row.
     """
-    if iters < 1:
-        raise _UsageError("--iters must be at least 1")
-    r, s = _bench_corpus(iters, seed)
     u, us = gibbs_to_matrix(r), gibbs_to_matrix(s)
     q, qs = gibbs_to_quaternion(r), gibbs_to_quaternion(s)
     e = np.stack(matrix_to_euler(u, check=False), axis=-1)
@@ -407,7 +396,7 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
     )
 
     validate_err = is_rotation_matrix(u).max_orthogonality_residual
-    table = [
+    return [
         ("to_matrix", "gibbs", lambda: gibbs_to_matrix(r), gibbs_err),
         ("to_matrix", "quaternion", lambda: quaternion_to_matrix(q), quaternion_err),
         ("to_matrix", "euler", lambda: euler_to_matrix(e), euler_err),
@@ -422,8 +411,26 @@ def bench_rows(iters: int, seed: int) -> list[dict]:
         ("align_pair", "gibbs", lambda: align_pair(p1, q1, p2, q2), align_err),
         ("validate", "matrix", lambda: is_rotation_matrix(u), validate_err),
     ]
+
+
+def _time_ns(fn, repeats: int = 3) -> int:
+    fn()  # warm up caches and lazy numpy machinery before timing
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter_ns()
+        fn()
+        times.append(time.perf_counter_ns() - t0)
+    return min(times)
+
+
+def bench_rows(iters: int, seed: int) -> list[dict]:
+    """The benchmark table as dicts (the CSV emitted by ``bench``): each
+    row of the accuracy table over ``iters`` corpus items, its call timed."""
+    if iters < 1:
+        raise _UsageError("--iters must be at least 1")
+    r = _rotations(_seeded_rng(seed), iters, -3.0, 3.0)
     rows = []
-    for operation, representation, call, err in table:
+    for operation, representation, call, err in _accuracy_rows(r, np.roll(r, 1, axis=0) * 0.5):
         total_ns = _time_ns(call)
         rows.append(
             {
@@ -451,9 +458,22 @@ def _cmd_bench(args) -> int:
 
 # --- selftest ------------------------------------------------------------
 
+# selftest's bound on an accuracy row: by its operation, else by its
+# representation (the Gibbs round trips), else 1e-10 (quaternion, Euler)
+_ERROR_BOUNDS = {
+    "compose": 1e-10,
+    "rotate": 1e-12,
+    "align_pair": 1e-9,
+    "validate": TOL_ORTHO_OUTPUT,
+    "gibbs": 1e-9,
+}
+
 
 def selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
-    """Cross-module consistency checks: (name, passed, detail) triples."""
+    """Cross-module consistency checks: (name, passed, detail) triples.
+    Every row of the accuracy table, named ``operation representation``,
+    is checked against its bound, then the properties the table does not
+    measure."""
     rng = _seeded_rng(seed)
     checks = []
 
@@ -461,65 +481,28 @@ def selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
         checks.append((name, bool(worst <= bound), f"worst {worst:.3e} vs bound {bound:g}"))
 
     n = 10_000
-    dirs = rng.normal(size=(n, 3))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-    r = dirs * 10.0 ** rng.uniform(-6, 3, size=(n, 1))
+    r = _rotations(rng, n, -6.0, 3.0)
+    for operation, representation, _, err in _accuracy_rows(r, np.roll(r, 1, axis=0) * 0.5):
+        bound = _ERROR_BOUNDS.get(operation, _ERROR_BOUNDS.get(representation, 1e-10))
+        check(f"{operation} {representation}", err, bound)
+
+    # what the table does not measure: the determinant, the quaternion
+    # matrix of each Gibbs vector, the Cayley map, the axis-angle round trip
     u = gibbs_to_matrix(r)
-    back = matrix_to_gibbs(u)
-    check(
-        "matrix round trip",
-        np.max(np.abs(back - r).max(axis=-1) / np.abs(r).max(axis=-1)),
-        1e-9,
-    )
-    ok = is_rotation_matrix(u)
-    checks.append(
-        (
-            "generated matrices are rotations",
-            bool(ok),
-            f"orthogonality {ok.max_orthogonality_residual:.3e}, "
-            f"determinant {ok.max_det_deviation:.3e}",
-        )
-    )
-
-    s = np.roll(r, 3) * 0.7
-    t = compose(r, s)
-    check("compose matches matrix product", np.abs(gibbs_to_matrix(t) - u @ gibbs_to_matrix(s)).max(), 1e-10)
-
-    q = gibbs_to_quaternion(r)
-    qs = gibbs_to_quaternion(s)
-    qq = quaternion_multiply(qs, q)
-    qq = qq / np.sqrt(np.sum(qq * qq, axis=-1, keepdims=True))
-    check(
-        "compose matches quaternion product",
-        np.abs(quaternion_to_matrix(qq) - gibbs_to_matrix(t)).max(),
-        1e-10,
-    )
-
-    check("quaternion matrices agree", np.abs(quaternion_to_matrix(q) - u).max(), 1e-10)
-
-    sub = r[:200]
-    cay = np.stack([vector_from_skew(cayley_forward(m)) for m in gibbs_to_matrix(sub)])
+    check("determinant", is_rotation_matrix(u).max_det_deviation, TOL_ORTHO_OUTPUT)
+    check("quaternion matrices agree", np.abs(quaternion_to_matrix(gibbs_to_quaternion(r)) - u).max(), 1e-10)
+    sub, usub = r[:200], u[:200]
+    cay = np.stack([vector_from_skew(cayley_forward(m)) for m in usub])
     check(
         "cayley agrees with the rational path",
         np.max(np.abs(cay - sub).max(axis=-1) / np.maximum(np.abs(sub).max(axis=-1), 1.0)),
         1e-10,
     )
-    back_u = np.stack([cayley_inverse(cayley_forward(m)) for m in gibbs_to_matrix(sub)])
-    check("cayley round trip", np.abs(back_u - gibbs_to_matrix(sub)).max(), 1e-10)
-
-    e = matrix_to_euler(u, check=False)
-    ue = euler_to_matrix(np.stack(e, axis=-1))
-    check("euler round trip", np.abs(ue - u).max(), 1e-10)
-
+    back_u = np.stack([cayley_inverse(cayley_forward(m)) for m in usub])
+    check("cayley round trip", np.abs(back_u - usub).max(), 1e-10)
     axis, angle = gibbs_to_axis_angle(r)
-    check(
-        "axis-angle round trip",
-        np.max(
-            np.abs(axis_angle_to_gibbs(axis, angle) - r).max(axis=-1)
-            / np.abs(r).max(axis=-1)
-        ),
-        1e-9,
-    )
+    aa_err = np.abs(axis_angle_to_gibbs(axis, angle) - r).max(axis=-1) / np.abs(r).max(axis=-1)
+    check("axis-angle round trip", aa_err.max(), 1e-9)
 
     p = rng.normal(size=(n, 3))
     g = rng.uniform(-10, 10, size=n)
@@ -530,11 +513,7 @@ def selftest_checks(seed: int) -> list[tuple[str, bool, str]]:
 
     p2 = rng.normal(size=(n, 3))
     got = align_pair(p, qv, p2, rotate_vector(r, p2))
-    check(
-        "pair alignment recovers the rotation",
-        np.abs(gibbs_to_matrix(got) - u).max(),
-        1e-9,
-    )
+    check("pair alignment recovers the rotation", np.abs(gibbs_to_matrix(got) - u).max(), 1e-9)
 
     # the half-turn ladder: angles approaching pi from below; the round
     # trip is judged on matrix entries, on both sides of the switch to

@@ -646,6 +646,13 @@ def test_selftest_checks_are_deterministic():
     assert all(ok for _, ok, _ in a)
 
 
+def test_selftest_checks_every_bench_row():
+    # both read one accuracy table, so every timed row is also a bounded check
+    names = {name for name, _, _ in selftest_checks(0)}
+    for row in bench_rows(2, 0):
+        assert f"{row['operation']} {row['representation']}" in names
+
+
 # --- the installed console script --------------------------------------------
 
 
