@@ -327,12 +327,11 @@ def align_pair_unchecked(p1, q1, p2, q2) -> np.ndarray:
     """
     pairs = [_columns(x, 1) for x in _broadcast_pairs((p1, q1, p2, q2))]
     a1, b1, a2, b2 = _in_range(pairs, _PAIR_NAMES)[0]
+    c1, s1, den1 = _line(a1, b1)
+    d = a2 - b2
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        d = a2 - b2
-        c1 = _cross(b1, a1)
-        s1 = a1 + b1
-        gamma = -_dot(c1, d) / _dot(s1, d)
-        return _quotient_rows(c1 + gamma * s1, _dot(a1, s1))
+        # both denominators as _dot sums them: -0 (three -0 products) is +0
+        return _quotient_rows(_gamma_member(c1, s1, d, _dot(s1, d), den1 + 0))
 
 
 def align_pair(p1, q1, p2, q2, *, tol: float = TOL_LEN) -> np.ndarray:

@@ -347,6 +347,18 @@ def test_pair_unchecked_matches_on_clean_input():
     assert np.allclose(raw[ok], checked[ok], atol=1e-9)
 
 
+def test_pair_unchecked_divides_a_signed_zero_as_the_formula():
+    # p1 . (p1 + q1) is three -0 products here; the formula's dot products
+    # sum as np.sum does, from +0, so the member's infinities are those of
+    # a division by +0
+    p1, q1, p2, q2 = np.array([[-1.0, -0.0, -0.0], [1.0, 5.0, 0.0], [0.0, 1.0, 2.0], [3.0, 0.0, 1.0]])
+    c1, s1, d = np.cross(q1, p1), p1 + q1, p2 - q2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want = (c1 - np.sum(c1 * d) / np.sum(s1 * d) * s1) / np.sum(p1 * s1)
+    np.testing.assert_array_equal(align_pair_unchecked(p1, q1, p2, q2), want)
+    np.testing.assert_array_equal(align_pair_unchecked(p1[None], q1, p2, q2), [want])
+
+
 @pytest.mark.parametrize(
     "k1, k2",
     [(1e150, 1e150), (1e300, 1e300), (1e-150, 1e-150), (1e-300, 1e-300), (1e-310, 1e-310),

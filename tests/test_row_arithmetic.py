@@ -378,8 +378,9 @@ def test_quaternion_baselines_match_their_textbook_forms():
 
 
 def test_align_pair_gamma_rows_match_the_textbook_formula():
-    # align_pair_unchecked is the gamma formula as one expression; on rows
-    # align_pair solves by gamma the two agree bit for bit
+    # align_pair_unchecked runs the gamma formula through align_pair's own
+    # _line and _gamma_member; on rows align_pair solves by gamma the two
+    # agree bit for bit
     rng = np.random.default_rng(18)
     true = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-3, 3, size=(2000, 1))
     true[::50] = -0.0
