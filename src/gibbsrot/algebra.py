@@ -148,6 +148,7 @@ def compose_sequence(vectors) -> np.ndarray:
     raises :class:`InvalidInputError`.
     """
     arr = _as_float(vectors, "vectors")
-    if arr.shape[:1] == (0,):  # [] too, before atleast_2d makes it (1, 0)
+    if arr.shape[:1] == (0,):  # [] too, whose shape (0,) _as_vec3 rejects
         raise InvalidInputError("cannot compose an empty sequence")
-    return compose_scan(np.atleast_2d(arr)[::-1])[-1]
+    # checked before atleast_2d, so an error names the caller's shape
+    return compose_scan(np.atleast_2d(_as_vec3(arr, "vectors"))[::-1])[-1]

@@ -145,9 +145,14 @@ def test_compose_sequence_folds_right_to_left():
 def test_compose_sequence_edges():
     single = compose_sequence([[0.1, 0.2, 0.3]])
     assert np.allclose(single, [0.1, 0.2, 0.3])
+    assert np.array_equal(compose_sequence([0.1, 0.2, 0.3]), single)  # a bare 3-vector
     for empty in (np.zeros((0, 3)), []):
         with pytest.raises(InvalidInputError, match="cannot compose an empty sequence"):
             compose_sequence(empty)
+    # the error names the shape the caller passed, not one atleast_2d made
+    for bad, shape in ((5.0, r"\(\)"), ([1.0, 2.0], r"\(2,\)")):
+        with pytest.raises(InvalidInputError, match=rf"got shape {shape}$"):
+            compose_sequence(bad)
     with pytest.raises(InvalidInputError):
         compose([np.nan, 0, 0], [0.1, 0, 0])
 

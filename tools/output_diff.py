@@ -8,8 +8,9 @@ Builds one seeded corpus with this checkout's ``tests/helpers.py`` (the
 ``mixed_rows`` Gibbs rows, vectors and alignment pairs at extreme
 scales, half turns, noisy matrices, the matrices on which Shepperd's
 pivot pick meets ties, huge and non-finite entries, quaternions, angles,
-a long composition chain and the empty sequence, the overflow cases of
-the alignment line, vectors near the float maximum, frames at several
+a long composition chain, the empty sequence, a bare 3-vector and two
+inputs that are no sequence of 3-vectors, the overflow cases of the
+alignment line, vectors near the float maximum, frames at several
 tolerances, unit frames at several scales, polylines at every scale and
 Gibbs vectors of moderate and extreme magnitude), then runs it through
 every public op of ``core``, ``algebra``, ``bridges`` and ``alignment``,
@@ -226,6 +227,9 @@ def calls(c: dict[str, np.ndarray]):
             lambda n=n: g.compose_sequence(chain[:n])), None
     yield "compose_scan", "compose_scan/[]", (lambda: g.compose_scan([])), None
     yield "compose_sequence", "compose_sequence/[]", (lambda: g.compose_sequence([])), None
+    # a bare 3-vector is a one-element sequence; a scalar and a 2-vector are errors
+    for x in (chain[0].tolist(), 5.0, [1.0, 2.0]):
+        yield "compose_sequence", f"compose_sequence/{x!r}", (lambda x=x: g.compose_sequence(x)), None
     frames = c["frames"]
     yield "frame_transport", "frame_transport/all", (lambda: g.frame_transport(frames)), None
     for k, frames_k in zip(FRAME_SCALES, c["frames_k"]):
