@@ -53,6 +53,7 @@ from .core import (
     _pivot_row,
     _quotient_rows,
     _rotation_columns,
+    _unchecked_pivot_row,
     _unpack,
 )
 from .errors import InvalidInputError
@@ -263,10 +264,10 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     """
     cols = _rotation_columns(u, check, ortho_tol)
     if type(cols) is list:
-        return _unit_quaternion(_pivot_row(cols))
-    # a batch's huge entries (check=False) overflow quietly, as one matrix's floats do
+        return _unit_quaternion(_pivot_row(cols) if check else _unchecked_pivot_row(cols))
+    # a batch's non-finite entries (check=False) give NaN quietly, as one matrix's do
     with np.errstate(over="ignore", invalid="ignore"):
-        return _unit_quaternion(_pivot_row(cols))
+        return _unit_quaternion(_pivot_row(cols) if check else _unchecked_pivot_row(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -389,12 +389,10 @@ def _encode_half_turns(out: np.ndarray, half=None) -> np.ndarray:
     indices ``half`` (every row if None) replaced in place by the
     half-turn encoding along the axis ``v`` each holds: ``v`` rescaled so
     its largest |component| sits at the float ceiling.  Indexed rows
-    holding ``v = 0`` have no axis and stay 0; an infinite component,
-    from a matrix past the pivot table's range, gives NaN quietly."""
+    holding ``v = 0`` have no axis and stay 0."""
     if half is None:
         v = np.moveaxis(out, -1, 0)
-        with np.errstate(invalid="ignore"):
-            v /= _max_abs(v)
+        v /= _max_abs(v)
         v *= PI_ENCODING_MAGNITUDE
     elif len(half):
         rows = out.reshape(-1, 3)
@@ -652,6 +650,30 @@ def _pivot_row(u, scale=1):
     return np.take(t, at).reshape(t.shape[1:])
 
 
+# A matrix of max-abs m has pivot-table entries below 3 m + 1, so the
+# squares a row's norm sums stay below 21 m^2 + ..., finite for m < 2**509.
+_PIVOT_EXP = 509
+
+
+def _unchecked_pivot_row(cols):
+    """:func:`_pivot_row` of matrices not checked as rotations, given as
+    :func:`_rotation_columns` gives them.  A matrix whose max-abs reaches
+    ``2**_PIVOT_EXP`` is first scaled, with the table's scale, by the
+    power of two bringing its max-abs into ``[2**(_PIVOT_EXP - 1),
+    2**_PIVOT_EXP)``: the table is homogeneous in ``(u, scale)``, so the
+    row is the matrix's own, scaled into range, and the scale, at least
+    2**-515, keeps a square above zero.  Decided matrix by matrix."""
+    if type(cols) is list:
+        e = math.frexp(max(map(abs, cols)))[1] - _PIVOT_EXP
+        if e <= 0:
+            return _pivot_row(cols)
+        return _pivot_row([math.ldexp(x, -e) for x in cols], math.ldexp(1.0, -e))
+    e = np.maximum(np.frexp(np.abs(cols).max(axis=0))[1] - _PIVOT_EXP, 0)
+    if not e.any():
+        return _pivot_row(cols)
+    return _pivot_row(_pow2_scale(cols, e)[0], np.ldexp(1.0, -e))
+
+
 def _gibbs_from_matrix_direct(u):
     """Textbook rational map U -> r away from half turns: the w row of
     the pivot table, ``(u_12 - u_21, ...) / (1 + tr)``.
@@ -709,11 +731,11 @@ def matrix_to_gibbs(
     # past 1 every row is encoded already; the cap keeps the limit finite
     rel_sq = min(pi_trace_tol / 4.0, 1.0)
     if type(cols) is list:
-        row = _pivot_row(cols)
+        row = _pivot_row(cols) if check else _unchecked_pivot_row(cols)
         return _dehomogenize(row[0], row[1:], rel_sq)
-    # a batch's huge entries (check=False) overflow quietly, as one matrix's floats do
+    # a batch's non-finite entries (check=False) give NaN quietly, as one matrix's do
     with np.errstate(over="ignore", invalid="ignore"):
-        row = _pivot_row(cols)
+        row = _pivot_row(cols) if check else _unchecked_pivot_row(cols)
         return _dehomogenize(row[0], row[1:], rel_sq)
 
 

@@ -116,8 +116,9 @@ def pivot_pick_matrices() -> dict[str, np.ndarray]:
     """Matrices on which Shepperd's pivot pick meets its hard cases, by
     kind: ``ties``, pivot ties (half turns about (1, 1, 0) and (1, 1, 1),
     the identity with noise) and small-integer non-rotations; ``huge``,
-    huge finite entries, one with a Gram entry inf - inf and one past the
-    pivot table's range; and
+    huge finite entries, one with a Gram entry inf - inf, all entries
+    1e308, and one rotation times 2**600 and 2**1023 (past the pivot
+    table's range when unscaled); and
     ``nonfinite``, non-finite entries, one with 0 / 0 in the unchecked
     extraction's divide.  Seeded, so the same on every call."""
     rng = np.random.default_rng(62)
@@ -133,10 +134,11 @@ def pivot_pick_matrices() -> dict[str, np.ndarray]:
         np.eye(3) + 1e-11 * rng.normal(size=(8, 3, 3)),
         rng.integers(-1, 2, size=(40, 3, 3)),
     ])
-    # a rotation times 2**1023, whose pivot table overflows to an infinite axis
+    # a rotation whose unscaled pivot row squares past the float range
+    # times 2**600, and whose unscaled pivot table overflows times 2**1023
     past = gibbs_to_matrix([57.82484923972174, 156.24322390419118, 15.088186110999954])
     huge = np.concatenate([
         rng.normal(size=(8, 3, 3)) * 10.0 ** rng.integers(150, 300, (8, 1, 1)), [nan_gram],
-        [past * 2.0**1023],
+        [np.full((3, 3), 1e308), past * 2.0**600, past * 2.0**1023],
     ])
     return {"ties": ties, "huge": huge, "nonfinite": np.stack([zero_by_zero, with_nan])}

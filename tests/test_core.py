@@ -14,6 +14,7 @@ from gibbsrot import (
     PI_ENCODING_MAGNITUDE,
     PI_ENCODING_THRESHOLD,
     TOL_ORTHO_OUTPUT,
+    TOL_QUATERNION_NORM,
     InvalidInputError,
     OutOfDomainError,
     axis_angle_to_gibbs,
@@ -394,6 +395,38 @@ def test_a_batch_of_huge_matrices_fails_the_gate_without_a_warning(call):
             with pytest.raises(InvalidInputError, match="residual inf") as exc:
                 call(m)
             assert exc.value.code == "NOT_ROTATION"
+
+
+# a rotation whose pivot row, unscaled, squares past the float range
+# from about 2**512 and whose pivot table overflows at 2**1023
+PAST_RANGE = gibbs_to_matrix([57.82484923972174, 156.24322390419118, 15.088186110999954])
+
+
+@pytest.mark.parametrize("call", [matrix_to_gibbs, gibbsrot.matrix_to_quaternion])
+def test_unchecked_extraction_of_a_scaled_rotation_keeps_its_bytes(call):
+    # the pivot table is homogeneous in (u, scale), so a matrix past the
+    # squares' range is scaled first: a spurious half turn or a zero
+    # quaternion from 2**512, NaN at 2**1023, had the bytes been unscaled
+    want = call(PAST_RANGE * 2.0**100, check=False).tobytes()
+    for k in range(100, 1024):
+        u = PAST_RANGE * 2.0**k
+        assert call(u, check=False).tobytes() == want, k
+        assert call(u[None], check=False)[0].tobytes() == want, k
+
+
+def test_unchecked_quaternions_of_finite_matrices_are_unit():
+    cases = [u for u in one_matrix_cases() if np.isfinite(u).all()]
+    cases += [np.full((3, 3), 1e308), np.full((3, 3), -1e308), np.eye(3) * 1e308]
+    cases += [(1.0 - np.eye(3)) * 1e308]  # pivot row (scale, 0, 0, 0): its square must not underflow
+    # the largest pivot row, |row|^2 = 21 m^2, on either side of m = 2**509
+    cases += [np.array([[1.0, 1, 1], [-1, 1, 1], [-1, -1, 1]]) * np.nextafter(2.0**k, 0) for k in (509, 510)]
+    cases += [PAST_RANGE * 2.0**k for k in range(500, 1024)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for u in cases:
+            for q in (gibbsrot.matrix_to_quaternion(u, check=False),
+                      gibbsrot.matrix_to_quaternion(u[None], check=False)[0]):
+                assert abs(math.sqrt(np.sum(q * q)) - 1.0) <= TOL_QUATERNION_NORM, u
 
 
 def test_a_nan_gram_entry_is_the_residual_of_one_matrix():

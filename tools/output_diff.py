@@ -205,6 +205,8 @@ def calls(c: dict[str, np.ndarray]):
         yield from rows("matrix_to_gibbs", lambda u: g.matrix_to_gibbs(u, check=False), kind,
                         tag="[check=False]")
         yield from rows("matrix_to_quaternion", g.matrix_to_quaternion, kind)
+        yield from rows("matrix_to_quaternion", lambda u: g.matrix_to_quaternion(u, check=False),
+                        kind, tag="[check=False]")
         yield from rows("is_rotation_matrix", g.is_rotation_matrix, kind)
     yield from rows("align_line", g.align_line, "p1", "q1", "gamma")
     yield from rows("align_line", g.align_line, "edge_p", "edge_q", "edge_gamma")
