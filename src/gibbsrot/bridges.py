@@ -265,7 +265,7 @@ def matrix_to_quaternion(u, *, check: bool = True, ortho_tol: float = TOL_ORTHO_
     cols = _rotation_columns(u, check, ortho_tol)
     if type(cols) is list:
         return _unit_quaternion(_pivot_row(cols) if check else _unchecked_pivot_row(cols))
-    # a batch's non-finite entries (check=False) give NaN quietly, as one matrix's do
+    # non-finite entries (check=False) give inf and NaN quietly
     with np.errstate(over="ignore", invalid="ignore"):
         return _unit_quaternion(_pivot_row(cols) if check else _unchecked_pivot_row(cols))
 

@@ -733,7 +733,7 @@ def matrix_to_gibbs(
     if type(cols) is list:
         row = _pivot_row(cols) if check else _unchecked_pivot_row(cols)
         return _dehomogenize(row[0], row[1:], rel_sq)
-    # a batch's non-finite entries (check=False) give NaN quietly, as one matrix's do
+    # non-finite entries (check=False) give inf and NaN quietly
     with np.errstate(over="ignore", invalid="ignore"):
         row = _pivot_row(cols) if check else _unchecked_pivot_row(cols)
         return _dehomogenize(row[0], row[1:], rel_sq)
